@@ -220,7 +220,7 @@ func runSpillWC(tb testing.TB, v spillVariant, totalBytes, capacity int64) (peak
 		}
 		res, err := workloads.RunWordCount(eng, nil, workloads.WCConfig{
 			Dist: workloads.Uniform, TotalBytes: totalBytes, Seed: 42,
-		}, workloads.StageOpts{})
+		}, workloads.StageOpts{}, nil)
 		if err != nil {
 			return err
 		}

@@ -194,7 +194,7 @@ func benchWordCount(b *testing.B, mk func(*mimir.Comm, *mem.Arena) workloads.Eng
 		err := w.Run(func(c *mimir.Comm) error {
 			_, err := workloads.RunWordCount(mk(c, arena), nil, workloads.WCConfig{
 				Dist: workloads.Uniform, TotalBytes: 1 << 20, Seed: 42,
-			}, workloads.StageOpts{})
+			}, workloads.StageOpts{}, nil)
 			return err
 		})
 		if err != nil {

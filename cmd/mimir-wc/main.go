@@ -23,18 +23,12 @@ import (
 	"mimir"
 )
 
-type wcOpts struct {
-	hint, pr, cps bool
-	workers       int
-	partitioner   mimir.Partitioner
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mimir-wc: ")
-	// Environment-forwarded options seed the flag defaults (the same decode
-	// spawned workers use), so MIMIR_WORKERS / MIMIR_TCP_COMPRESS and the
-	// flags cannot disagree; an explicit flag still wins.
+	// The environment-forwarded compression setting seeds its flag default
+	// (the same decode spawned workers use), so MIMIR_TCP_COMPRESS and the
+	// flag cannot disagree; an explicit flag still wins.
 	envOpts, envErr := mimir.TCPOptionsFromEnv()
 	ranks := flag.Int("ranks", 8, "number of ranks")
 	transportArg := flag.String("transport", "inproc", "rank placement: inproc (goroutines) or tcp (one OS process per rank)")
@@ -42,7 +36,7 @@ func main() {
 	hint := flag.Bool("hint", true, "use the KV-hint (strz keys, fixed 8-byte counts)")
 	pr := flag.Bool("pr", true, "use partial reduction instead of convert+reduce")
 	cps := flag.Bool("cps", false, "use KV compression before the shuffle")
-	workers := flag.Int("workers", envOpts.Workers, "per-rank worker pool size (0 = all cores, 1 = serial; default from MIMIR_WORKERS)")
+	workers := flag.Int("workers", 0, "per-rank worker pool size (0 = all cores, 1 = serial)")
 	compress := flag.Bool("compress", envOpts.Compress, "with -transport=tcp: compress wire frames (flate, per frame)")
 	partArg := flag.String("partitioner", "", "key->rank strategy: hash (default) or sample (sampled weighted ranges)")
 	flag.Parse()
@@ -53,7 +47,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := wcOpts{hint: *hint, pr: *pr, cps: *cps, workers: *workers, partitioner: part}
+	// The engine config every rank's job shares (runWC adds the arena).
+	opts := mimir.Config{Workers: *workers, Partitioner: part}
+	if *hint {
+		opts.Hint = mimir.Hint{Key: mimir.StrZ(), Val: mimir.Fixed(8)}
+	}
+	if *pr {
+		opts.PartialReduce = combine
+	}
+	if *cps {
+		opts.Combiner = combine
+	}
 
 	// A copy of this binary forked by -transport=tcp joins the parent's
 	// world via the environment; it reads the same files and exits quietly
@@ -137,26 +141,18 @@ func main() {
 	}
 }
 
+// combine merges two counts of one word (the pr and cps callback).
+func combine(_ []byte, existing, incoming []byte) ([]byte, error) {
+	return mimir.Uint64Bytes(mimir.BytesUint64(existing) + mimir.BytesUint64(incoming)), nil
+}
+
 // runWC counts words across all ranks of world and gathers the totals at
 // rank 0. The returned map is non-nil only on the process hosting rank 0.
-func runWC(world *mimir.World, lines [][]byte, opts wcOpts) (map[string]uint64, error) {
-	arena := mimir.NewArena(0)
-	combine := func(_ []byte, existing, incoming []byte) ([]byte, error) {
-		return mimir.Uint64Bytes(mimir.BytesUint64(existing) + mimir.BytesUint64(incoming)), nil
-	}
+func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uint64, error) {
+	cfg.Arena = mimir.NewArena(0)
 	counts := map[string]uint64{}
 	gotRankZero := false
 	err := world.Run(func(c *mimir.Comm) error {
-		cfg := mimir.Config{Arena: arena, Workers: opts.workers, Partitioner: opts.partitioner}
-		if opts.hint {
-			cfg.Hint = mimir.Hint{Key: mimir.StrZ(), Val: mimir.Fixed(8)}
-		}
-		if opts.pr {
-			cfg.PartialReduce = combine
-		}
-		if opts.cps {
-			cfg.Combiner = combine
-		}
 		var mine []mimir.Record
 		for i := c.Rank(); i < len(lines); i += c.Size() {
 			mine = append(mine, mimir.Record{Val: lines[i]})

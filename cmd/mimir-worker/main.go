@@ -56,11 +56,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mimir-worker: ")
-	// Environment-forwarded options seed the flag defaults (one decode,
-	// shared with spawn-forwarding): a -spawn child or daemon worker gets
-	// the parent's settings without every flag being copied, and an
-	// explicit flag still wins.
-	envOpts, envErr := mimir.TCPOptionsFromEnv()
 	var (
 		spawn   = flag.Int("spawn", 0, "become rank 0 of an n-process world, forking n-1 local workers")
 		join    = flag.String("join", "", "address of rank 0's bootstrap listener to join")
@@ -99,17 +94,25 @@ func main() {
 		hint       = flag.Bool("hint", true, "use the KV-hint")
 		pr         = flag.Bool("pr", true, "use partial reduction")
 		cps        = flag.Bool("cps", false, "use KV compression")
-		workers    = flag.Int("workers", envOpts.Workers, "per-rank worker pool size (0 = all cores, 1 = serial; default from MIMIR_WORKERS)")
+		workers    = flag.Int("workers", 0, "per-rank worker pool size (0 = all cores, 1 = serial)")
 		mpath      = flag.String("metrics", "", "write per-rank distribution JSON to this file (- = stdout)")
 	)
 	flag.Parse()
-	if envErr != nil {
-		log.Fatal(envErr)
+	// A malformed MIMIR_TCP_* variable kills the launch here, not later in a
+	// forked child that inherited it.
+	if _, err := mimir.TCPOptionsFromEnv(); err != nil {
+		log.Fatal(err)
 	}
 
+	dist, err := workloads.DistributionByName(*distArg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := driver.JobConfig{
 		Kind:        *job,
+		Dist:        dist,
 		TotalBytes:  *bytes,
+		Contention:  *contention,
 		Seed:        *seed,
 		Hint:        *hint,
 		PR:          *pr,
@@ -127,26 +130,8 @@ func main() {
 	if *zipf >= 0 {
 		cfg.UseZipf = true
 		cfg.ZipfSkew = *zipf
-		cfg.Contention = *contention
 	}
-	switch *distArg {
-	case "uniform":
-		cfg.Dist = workloads.Uniform
-	case "wikipedia":
-		cfg.Dist = workloads.Wikipedia
-	default:
-		log.Fatalf("unknown -dist %q (want uniform or wikipedia)", *distArg)
-	}
-	if *job != "" {
-		known := false
-		for _, k := range driver.JobKinds() {
-			known = known || k == *job
-		}
-		if !known {
-			log.Fatalf("unknown -job %q (want one of %v)", *job, driver.JobKinds())
-		}
-	}
-	if _, err := mimir.PartitionerByName(*partArg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -160,7 +145,6 @@ func main() {
 		Deadline:        *timeout,
 		Faults:          *faults,
 		Compress:        *compress,
-		Workers:         *workers,
 	}
 
 	// Daemon workers come first: a -daemon -spawn child re-executes with the

@@ -3,123 +3,21 @@
 // the multi-process TCP world, which is what makes the two directly
 // comparable: one job definition, one deterministic corpus, byte-identical
 // output.
+//
+// JobConfig is the single description of a job, RunJob the single run path,
+// and kinds.go the single table of what a job kind is (DESIGN.md §4h).
 package driver
 
 import (
-	"bytes"
-	"fmt"
-
-	"mimir/internal/core"
-	"mimir/internal/mem"
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
-	"mimir/internal/partition"
-	"mimir/internal/workloads"
 )
 
-// WordCountConfig describes one distributed WordCount run over the
-// deterministic synthetic corpus (workloads.TextInput): every rank
-// regenerates its own share from (seed, rank, size), so no input
-// distribution step is needed and any two worlds of the same size and seed
-// process the same bytes.
-type WordCountConfig struct {
-	Dist       workloads.Distribution
-	TotalBytes int64
-	Seed       uint64
-	// Optimizations (see workloads.StageOpts).
-	Hint, PR, CPS bool
-	// Workers is each rank's worker-pool size (see core.Config.Workers;
-	// 0 defaults to GOMAXPROCS, 1 is serial). Output bytes are identical
-	// either way.
-	Workers int
-	// MemBytes caps each rank's engine arena (0 = unlimited). The job
-	// service sets it to the job's admitted memory floor divided by the
-	// world size, so a job that outgrows its reservation fails itself
-	// instead of eating into memory promised to other jobs.
-	MemBytes int64
-	// Checkpoint enables post-shuffle checkpoint/restore for the stage
-	// (see core.Config.Checkpoint). A restored run produces output
-	// byte-identical to a fresh one at the same world size; the elastic job
-	// service repartitions checkpoints when the world resizes
-	// (core.RepartitionCheckpoint) so restore works across sizes too.
-	Checkpoint *core.Checkpoint
-	// UseZipf switches the corpus from Dist to the parameterized zipf
-	// generator with ZipfSkew and Contention (workloads.ZipfTextInput).
-	UseZipf    bool
-	ZipfSkew   float64
-	Contention float64
-	// Partitioner selects the key→rank strategy by name ("" or "hash" =
-	// FNV-1a, "sample" = sampled weighted ranges; see partition.ByName).
-	Partitioner string
-}
+// WordCountConfig is JobConfig under the name the wordcount callers spell.
+type WordCountConfig = JobConfig
 
-// WordCount runs cfg on every rank of world and gathers the result at rank
-// 0: one "word count\n" line per distinct word, sorted by word. The returned
-// buffer is non-nil only on the process hosting rank 0 and is byte-identical
-// for a given (cfg, world size) regardless of transport or process layout.
-// When sum is non-nil, every local rank records its stage stats and total
-// time into it (the per-rank distribution view).
+// WordCount is RunJob with Kind set to wordcount.
 func WordCount(world *mpi.World, cfg WordCountConfig, sum *metrics.Summary) ([]byte, error) {
-	part, err := partition.ByName(cfg.Partitioner)
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	err = world.Run(func(c *mpi.Comm) error {
-		eng := workloads.NewMimirEngine(c, mem.NewArena(cfg.MemBytes))
-		eng.Workers = cfg.Workers
-		eng.Partitioner = part
-		opts := workloads.StageOpts{Checkpoint: cfg.Checkpoint}
-		if cfg.Hint {
-			opts.Hint = workloads.WCHint()
-		}
-		if cfg.PR {
-			opts.PartialReduce = workloads.WordCountCombine
-		}
-		if cfg.CPS {
-			opts.Combiner = workloads.WordCountCombine
-		}
-		var input core.Input
-		if cfg.UseZipf {
-			input = workloads.ZipfTextInput(nil, c.Clock(),
-				workloads.ZipfConfig{Skew: cfg.ZipfSkew, Contention: cfg.Contention},
-				cfg.Seed, cfg.TotalBytes, c.Rank(), c.Size())
-		} else {
-			input = workloads.TextInput(nil, c.Clock(), cfg.Dist, cfg.Seed, cfg.TotalBytes, c.Rank(), c.Size())
-		}
-		var mine bytes.Buffer
-		stats, err := eng.RunStage(opts, input, workloads.WordCountMap, workloads.WordCountReduce,
-			func(k, v []byte) error {
-				fmt.Fprintf(&mine, "%s %d\n", k, core.BytesUint64(v))
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		if sum != nil {
-			stats.Record(sum)
-			sum.Add("rank-sec", c.Clock().Now())
-		}
-		gathered, err := c.Gatherv(mine.Bytes(), 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 {
-			return nil
-		}
-		// Ranks hold disjoint partitioned key sets in engine order;
-		// one global sort by word makes the output canonical.
-		out = canonicalize(gathered)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sum != nil {
-		recordFaultStats(world, sum)
-	}
-	if out == nil && len(world.LocalRanks()) > 0 && world.LocalRanks()[0] == 0 {
-		out = []byte{}
-	}
-	return out, nil
+	cfg.Kind = JobWordCount
+	return RunJob(world, cfg, sum)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mimir/internal/core"
+	"mimir/internal/kvbuf"
 	"mimir/internal/mem"
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
@@ -23,38 +24,50 @@ const (
 	JobBFS       = "bfs"
 )
 
-// JobKinds lists every kind RunJob accepts, in presentation order.
-func JobKinds() []string {
-	return []string{JobWordCount, JobTeraSort, JobPageRank, JobKMeans, JobBFS}
-}
-
-// JobConfig describes one distributed job of any kind. Like
-// WordCountConfig, every input is regenerated per rank from the seed, so
-// any two worlds of the same size and config process the same data and the
-// gathered output is byte-identical whatever transport, process layout,
-// worker count, or spill policy ran it.
+// JobConfig describes one distributed job of any kind. Every input is
+// regenerated per rank from (seed, rank, size), so no input distribution
+// step is needed, any two worlds of the same size and config process the
+// same data, and the gathered output is byte-identical whatever transport,
+// process layout, worker count, or spill policy ran it.
 type JobConfig struct {
 	// Kind selects the job (see JobKinds; "" means wordcount).
 	Kind string
 	Seed uint64
-	// Engine knobs, as in WordCountConfig.
-	Hint, PR bool
-	Workers  int
+	// Optimizations (see workloads.StageOpts). Each kind substitutes its own
+	// combiner for PR and CPS; a kind whose records must survive as records
+	// (terasort rows, BFS candidate parents under PR) ignores the flag. They
+	// never change the output bytes, with one exception: BFS under CPS keeps
+	// one candidate parent per sender and so may settle on a different —
+	// equally valid, equally deterministic — parents tree.
+	Hint, PR, CPS bool
+	// Workers is each rank's worker-pool size (see core.Config.Workers;
+	// 0 defaults to GOMAXPROCS, 1 is serial).
+	Workers int
+	// MemBytes caps each rank's engine arena (0 = unlimited). The job
+	// service sets it to the job's admitted memory floor divided by the
+	// world size, so a job that outgrows its reservation fails itself
+	// instead of eating into memory promised to other jobs.
 	MemBytes int64
 	// PageSize / CommBuf override the engine's container page and exchange
 	// buffer sizes (0 = engine defaults). Tests shrink them to create spill
-	// pressure with small corpora; output bytes are identical either way.
+	// pressure with small corpora.
 	PageSize, CommBuf int
-	// Partitioner names the key→rank strategy. TeraSort always sorts on the
-	// sampling partitioner and the graph jobs always keep vertex state on
-	// the hash, whatever is named here; k-means honors it fully.
+	// Partitioner names the key→rank strategy ("" or "hash" = FNV-1a,
+	// "sample" = sampled weighted ranges; see partition.ByName). TeraSort
+	// always sorts on the sampling partitioner and the graph jobs always
+	// keep vertex state on the hash, whatever is named here; wordcount and
+	// k-means honor it fully.
 	Partitioner string
 	// OutOfCore selects the engines' memory-pressure policy. The spill
 	// policies get a per-process simulated PFS as the spill target, so
 	// multi-round jobs exercise evict/restore across round boundaries.
 	OutOfCore core.OutOfCore
-	// Checkpoint is the job's base checkpoint; multi-round jobs write one
-	// checkpoint per round under "<Name>.r<N>" (see workloads.MultiRound).
+	// Checkpoint enables post-shuffle checkpoint/restore (see
+	// core.Config.Checkpoint): wordcount checkpoints its one stage under
+	// the name, multi-round jobs one per round under "<Name>.r<N>" (see
+	// workloads.MultiRound). A restored run's output is byte-identical to a
+	// fresh one at the same world size; the elastic job service
+	// repartitions wordcount checkpoints when the world resizes.
 	Checkpoint *core.Checkpoint
 	// CheckpointEvery thins the round-checkpoint cadence (multi-round jobs).
 	CheckpointEvery int
@@ -62,10 +75,11 @@ type JobConfig struct {
 	// multi-round job — the job service's mid-iteration crash hook.
 	OnRound func(rank, round int) error
 
-	// WordCount corpus (see WordCountConfig).
+	// WordCount corpus: Dist over TotalBytes, or — with UseZipf — the
+	// parameterized zipf generator at ZipfSkew with Contention diverted to
+	// the hottest key (workloads.ZipfTextInput).
 	Dist       workloads.Distribution
 	TotalBytes int64
-	CPS        bool
 	UseZipf    bool
 	ZipfSkew   float64
 	Contention float64
@@ -82,9 +96,67 @@ type JobConfig struct {
 	MaxRounds int
 }
 
-func (c *JobConfig) normalize() {
-	if c.Kind == "" {
-		c.Kind = JobWordCount
+// kind resolves the job's row of the kind table ("" means wordcount).
+func (c JobConfig) kind() (*kind, error) {
+	name := c.Kind
+	if name == "" {
+		name = JobWordCount
+	}
+	for i := range kinds {
+		if kinds[i].name == name {
+			return &kinds[i], nil
+		}
+	}
+	return nil, fmt.Errorf("driver: unknown job kind %q (want one of %v)", c.Kind, JobKinds())
+}
+
+// Validate rejects a job description no world could run: an unknown kind,
+// distribution or partitioner name, or a corpus parameter out of range.
+// RunJob, the job service's admission and the CLIs all share this check.
+func (c JobConfig) Validate() error {
+	if _, err := c.kind(); err != nil {
+		return err
+	}
+	if c.Dist != workloads.Uniform && c.Dist != workloads.Wikipedia {
+		return fmt.Errorf("driver: unknown distribution %d", int(c.Dist))
+	}
+	if c.UseZipf && c.ZipfSkew < 0 {
+		return fmt.Errorf("driver: negative zipf skew %v", c.ZipfSkew)
+	}
+	if c.Contention < 0 || c.Contention > 1 {
+		return fmt.Errorf("driver: contention %v out of [0, 1]", c.Contention)
+	}
+	_, err := partition.ByName(c.Partitioner)
+	return err
+}
+
+// Iterative reports whether the job's kind runs a round loop (and so has
+// round boundaries for OnRound and per-round checkpoints).
+func (c JobConfig) Iterative() bool {
+	k, err := c.kind()
+	return err == nil && k.iterative
+}
+
+// KVHint is the encoding the job's intermediate KVs — and therefore its
+// checkpoint files — use: the kind's hint when Hint is on, else the default
+// variable-length encoding.
+func (c JobConfig) KVHint() kvbuf.Hint {
+	if k, err := c.kind(); err == nil && c.Hint {
+		return k.hint(&c)
+	}
+	return kvbuf.DefaultHint()
+}
+
+// RunRank runs the job's stages on one rank's engine: the single place a
+// JobConfig becomes stage options and a workload call. fs (nil = free)
+// charges input reading. With out non-nil the rank's share of the canonical
+// output (see RunJob) is appended to it and result checks outside the timed
+// kernel (BFS tree validation) run; with out nil the job is measured only.
+// It returns the rank's stage stats and the executed round count.
+func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	k, err := c.kind()
+	if err != nil {
+		return workloads.StageStats{}, 0, err
 	}
 	if c.Rows <= 0 {
 		c.Rows = 1 << 13
@@ -95,13 +167,29 @@ func (c *JobConfig) normalize() {
 	if c.Points <= 0 {
 		c.Points = 1 << 12
 	}
+	opts := workloads.StageOpts{Hint: c.KVHint()}
+	if c.PR {
+		opts.PartialReduce = k.pr
+	}
+	if c.CPS {
+		opts.Combiner = k.cps
+	}
+	mr := workloads.MultiRound{Checkpoint: c.Checkpoint, CheckpointEvery: c.CheckpointEvery}
+	if c.OnRound != nil {
+		rank := e.Comm().Rank()
+		mr.OnRound = func(round int) error { return c.OnRound(rank, round) }
+	}
+	return k.run(e, fs, &c, opts, mr, out)
 }
 
 // RunJob runs cfg on every rank of world and gathers the canonical result
-// at rank 0, exactly like WordCount: the returned buffer is non-nil only on
-// the process hosting rank 0 and is byte-identical for a given (cfg, world
-// size). Canonical formats, one line per record, lexically sorted:
+// at rank 0: the returned buffer is non-nil only on the process hosting rank
+// 0 and is byte-identical for a given (cfg, world size) regardless of
+// transport or process layout. When sum is non-nil, every local rank records
+// its stage stats and total time into it (the per-rank distribution view).
+// Canonical formats, one line per record, lexically sorted:
 //
+//	wordcount: "<word> <count>"           — one line per distinct word
 //	terasort: "<key hex> <payload hex>"  — one line per row; the lexical
 //	          sort of fixed-width hex equals key order, so the output is
 //	          the globally sorted row sequence
@@ -109,17 +197,9 @@ func (c *JobConfig) normalize() {
 //	kmeans:   "<cluster %04d> <coords> n=<count>" (rank 0 only: the
 //	          all-gathered table is global)
 //	bfs:      "<vertex %016x> <parent %016x>" over visited vertices
-//	wordcount: as WordCount
 func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, error) {
-	cfg.normalize()
-	if cfg.Kind == JobWordCount {
-		return WordCount(world, WordCountConfig{
-			Dist: cfg.Dist, TotalBytes: cfg.TotalBytes, Seed: cfg.Seed,
-			Hint: cfg.Hint, PR: cfg.PR, CPS: cfg.CPS, Workers: cfg.Workers,
-			MemBytes: cfg.MemBytes, Checkpoint: cfg.Checkpoint,
-			UseZipf: cfg.UseZipf, ZipfSkew: cfg.ZipfSkew, Contention: cfg.Contention,
-			Partitioner: cfg.Partitioner,
-		}, sum)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	part, err := partition.ByName(cfg.Partitioner)
 	if err != nil {
@@ -140,103 +220,10 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 		eng.Partitioner = part
 		eng.OutOfCore = cfg.OutOfCore
 		eng.SpillFS = spillFS
-		mr := workloads.MultiRound{
-			Checkpoint:      cfg.Checkpoint,
-			CheckpointEvery: cfg.CheckpointEvery,
-		}
-		if cfg.OnRound != nil {
-			rank := c.Rank()
-			mr.OnRound = func(round int) error { return cfg.OnRound(rank, round) }
-		}
 		var mine bytes.Buffer
-		var stats workloads.StageStats
-		switch cfg.Kind {
-		case JobTeraSort:
-			tcfg := workloads.TeraSortConfig{Rows: cfg.Rows, Seed: cfg.Seed}
-			opts := workloads.StageOpts{}
-			if cfg.Hint {
-				opts.Hint = workloads.TeraSortHint(tcfg)
-			}
-			res, err := workloads.RunTeraSort(eng, nil, tcfg, opts, func(k, v []byte) error {
-				fmt.Fprintf(&mine, "%x %x\n", k, v)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			stats = res.Stats
-		case JobPageRank:
-			pcfg := workloads.PageRankConfig{
-				Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor,
-				Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
-			}
-			opts := workloads.StageOpts{}
-			if cfg.Hint {
-				opts.Hint = workloads.PageRankHint()
-			}
-			if cfg.PR {
-				opts.PartialReduce = workloads.Int64VecAdd
-			}
-			res, err := workloads.RunPageRank(eng, nil, pcfg, opts, mr, func(v uint64, s int64) error {
-				fmt.Fprintf(&mine, "%016x %d\n", v, s)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			stats = res.Stats
-		case JobKMeans:
-			kcfg := workloads.KMeansConfig{
-				Points: cfg.Points, K: cfg.K, Dims: cfg.Dims,
-				Seed: cfg.Seed, MaxRounds: cfg.MaxRounds,
-			}
-			opts := workloads.StageOpts{}
-			if cfg.Hint {
-				opts.Hint = workloads.KMeansHint(kcfg)
-			}
-			if cfg.PR {
-				opts.PartialReduce = workloads.Int64VecAdd
-			}
-			res, err := workloads.RunKMeans(eng, nil, kcfg, opts, mr)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				for ci, cent := range res.Centroids {
-					fmt.Fprintf(&mine, "%04d", ci)
-					for _, x := range cent {
-						fmt.Fprintf(&mine, " %d", x)
-					}
-					fmt.Fprintf(&mine, " n=%d\n", res.Counts[ci])
-				}
-			}
-			stats = res.Stats
-		case JobBFS:
-			bcfg := workloads.BFSConfig{
-				Scale: cfg.Scale, EdgeFactor: cfg.EdgeFactor,
-				Seed: cfg.Seed, Validate: true,
-			}
-			opts := workloads.StageOpts{}
-			if cfg.Hint {
-				opts.Hint = workloads.BFSHint()
-			}
-			bmr := mr
-			bmr.MaxRounds = cfg.MaxRounds
-			res, err := workloads.RunBFS(eng, nil, bcfg, opts, bmr)
-			if err != nil {
-				return err
-			}
-			verts := make([]uint64, 0, len(res.Parents))
-			for v := range res.Parents {
-				verts = append(verts, v)
-			}
-			sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-			for _, v := range verts {
-				fmt.Fprintf(&mine, "%016x %016x\n", v, res.Parents[v])
-			}
-			stats = res.Stats
-		default:
-			return fmt.Errorf("driver: unknown job kind %q", cfg.Kind)
+		stats, _, err := cfg.RunRank(eng, nil, &mine)
+		if err != nil {
+			return err
 		}
 		if sum != nil {
 			stats.Record(sum)
@@ -249,6 +236,8 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 		if c.Rank() != 0 {
 			return nil
 		}
+		// Ranks hold disjoint key sets in engine order; one global sort
+		// makes the output canonical.
 		out = canonicalize(gathered)
 		return nil
 	})

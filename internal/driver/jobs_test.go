@@ -50,6 +50,23 @@ func TestRunJobSmoke(t *testing.T) {
 			if !bytes.Equal(out, again) {
 				t.Fatal("output not reproducible")
 			}
+			// KV compression is every kind's table entry, not wordcount's
+			// alone: it must run and never change the bytes — except BFS,
+			// whose combiner keeps one candidate parent per sender, so it may
+			// pick a different (validated) tree over the same visited set.
+			cps := tc.cfg
+			cps.CPS = true
+			compressed, err := RunJob(testWorld(4), cps, nil)
+			if err != nil {
+				t.Fatalf("cps: %v", err)
+			}
+			if tc.cfg.Kind == JobBFS {
+				if got := strings.Count(string(compressed), "\n"); got != n {
+					t.Fatalf("cps visited %d vertices, want %d", got, n)
+				}
+			} else if !bytes.Equal(out, compressed) {
+				t.Fatal("cps changed the output")
+			}
 		})
 	}
 }
@@ -59,6 +76,38 @@ func TestRunJobUnknownKind(t *testing.T) {
 	_, err := RunJob(testWorld(2), JobConfig{Kind: "sort-of"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown job kind") {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestJobConfigValidate: the one job-level check rejects what the job
+// service and the CLIs used to reject each on their own.
+func TestJobConfigValidate(t *testing.T) {
+	good := []JobConfig{
+		{},
+		{Kind: JobBFS, Partitioner: "sample"},
+		{UseZipf: true, ZipfSkew: 1.1, Contention: 1, Dist: workloads.Wikipedia},
+		{ZipfSkew: -1}, // skew is read only with UseZipf (the CLI's -zipf -1 = off)
+	}
+	for _, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
+	}
+	bad := []JobConfig{
+		{Kind: "sort-of"},
+		{Dist: workloads.Distribution(7)},
+		{UseZipf: true, ZipfSkew: -0.5},
+		{Contention: -0.1},
+		{Contention: 1.5},
+		{Partitioner: "modulo"},
+	}
+	for _, cfg := range bad {
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%+v accepted, want rejection", cfg)
+		}
+		if _, err := RunJob(testWorld(2), cfg, nil); err == nil {
+			t.Errorf("RunJob ran %+v, want rejection", cfg)
+		}
 	}
 }
 

@@ -1,0 +1,168 @@
+package driver
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+
+	"mimir/internal/core"
+	"mimir/internal/kvbuf"
+	"mimir/internal/pfs"
+	"mimir/internal/workloads"
+)
+
+// kind is one row of the job table: everything that distinguishes one job
+// kind from another, written down once. RunJob, the experiment harness and
+// the job service all reach it through JobConfig.
+type kind struct {
+	name string
+	// hint is the kind's KV-hint encoding (used when JobConfig.Hint is on).
+	hint func(c *JobConfig) kvbuf.Hint
+	// pr / cps are the callbacks JobConfig.PR / CPS switch on; nil where the
+	// optimization does not apply (paper IV-D: BFS is map-only, and sort
+	// rows are distinct records that neither may merge).
+	pr, cps core.CombineFunc
+	// iterative marks the kinds that run the shared round loop.
+	iterative bool
+	// run executes the kind's workload on one rank (see JobConfig.RunRank).
+	run func(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+		mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error)
+}
+
+var kinds = []kind{
+	{
+		name: JobWordCount,
+		hint: func(*JobConfig) kvbuf.Hint { return workloads.WCHint() },
+		pr:   workloads.WordCountCombine,
+		cps:  workloads.WordCountCombine,
+		run:  runWordCount,
+	},
+	{
+		name: JobTeraSort,
+		hint: func(*JobConfig) kvbuf.Hint { return workloads.TeraSortHint(workloads.TeraSortConfig{}) },
+		run:  runTeraSort,
+	},
+	{
+		name:      JobPageRank,
+		hint:      func(*JobConfig) kvbuf.Hint { return workloads.PageRankHint() },
+		pr:        workloads.Int64VecAdd,
+		cps:       workloads.Int64VecAdd,
+		iterative: true,
+		run:       runPageRank,
+	},
+	{
+		name: JobKMeans,
+		hint: func(c *JobConfig) kvbuf.Hint {
+			return workloads.KMeansHint(workloads.KMeansConfig{Dims: c.Dims})
+		},
+		pr:        workloads.Int64VecAdd,
+		cps:       workloads.Int64VecAdd,
+		iterative: true,
+		run:       runKMeans,
+	},
+	{
+		name:      JobBFS,
+		hint:      func(*JobConfig) kvbuf.Hint { return workloads.BFSHint() },
+		cps:       workloads.BFSCombine,
+		iterative: true,
+		run:       runBFS,
+	},
+}
+
+// JobKinds lists every kind RunJob accepts, in presentation order.
+func JobKinds() []string {
+	names := make([]string, len(kinds))
+	for i := range kinds {
+		names[i] = kinds[i].name
+	}
+	return names
+}
+
+func runWordCount(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	wcfg := workloads.WCConfig{Dist: c.Dist, TotalBytes: c.TotalBytes, Seed: c.Seed}
+	if c.UseZipf {
+		wcfg.Zipf = &workloads.ZipfConfig{Skew: c.ZipfSkew, Contention: c.Contention}
+	}
+	opts.Checkpoint = mr.Checkpoint // one stage: the base name is the stage's
+	var sink func(k, v []byte) error
+	if out != nil {
+		sink = func(k, v []byte) error {
+			fmt.Fprintf(out, "%s %d\n", k, core.BytesUint64(v))
+			return nil
+		}
+	}
+	res, err := workloads.RunWordCount(e, fs, wcfg, opts, sink)
+	return res.Stats, 1, err
+}
+
+func runTeraSort(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	_ workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	var sink func(k, v []byte) error
+	if out != nil {
+		sink = func(k, v []byte) error {
+			fmt.Fprintf(out, "%x %x\n", k, v)
+			return nil
+		}
+	}
+	res, err := workloads.RunTeraSort(e, fs, workloads.TeraSortConfig{Rows: c.Rows, Seed: c.Seed}, opts, sink)
+	return res.Stats, res.Rounds, err
+}
+
+func runPageRank(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	var sink func(v uint64, score int64) error
+	if out != nil {
+		sink = func(v uint64, score int64) error {
+			fmt.Fprintf(out, "%016x %d\n", v, score)
+			return nil
+		}
+	}
+	res, err := workloads.RunPageRank(e, fs, workloads.PageRankConfig{
+		Scale: c.Scale, EdgeFactor: c.EdgeFactor, Seed: c.Seed, MaxRounds: c.MaxRounds,
+	}, opts, mr, sink)
+	return res.Stats, res.Rounds, err
+}
+
+func runKMeans(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	res, err := workloads.RunKMeans(e, fs, workloads.KMeansConfig{
+		Points: c.Points, K: c.K, Dims: c.Dims, Seed: c.Seed, MaxRounds: c.MaxRounds,
+	}, opts, mr)
+	if err != nil {
+		return res.Stats, res.Rounds, err
+	}
+	// The all-gathered table is global: rank 0 alone reports it.
+	if out != nil && e.Comm().Rank() == 0 {
+		for ci, cent := range res.Centroids {
+			fmt.Fprintf(out, "%04d", ci)
+			for _, x := range cent {
+				fmt.Fprintf(out, " %d", x)
+			}
+			fmt.Fprintf(out, " n=%d\n", res.Counts[ci])
+		}
+	}
+	return res.Stats, res.Rounds, nil
+}
+
+func runBFS(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	mr.MaxRounds = c.MaxRounds
+	// Like Graph500's, the tree check is not part of the timed kernel: it
+	// runs when the caller takes the result, not when it only measures.
+	res, err := workloads.RunBFS(e, fs, workloads.BFSConfig{
+		Scale: c.Scale, EdgeFactor: c.EdgeFactor, Seed: c.Seed, Validate: out != nil,
+	}, opts, mr)
+	if err != nil || out == nil {
+		return res.Stats, res.Depth, err
+	}
+	verts := make([]uint64, 0, len(res.Parents))
+	for v := range res.Parents {
+		verts = append(verts, v)
+	}
+	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+	for _, v := range verts {
+		fmt.Fprintf(out, "%016x %016x\n", v, res.Parents[v])
+	}
+	return res.Stats, res.Depth, nil
+}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"mimir/internal/mem"
 	"mimir/internal/mpi"
@@ -28,7 +27,7 @@ type MRCSpec struct {
 	Scale   int   // pagerank/bfs: log2 vertices
 	Points  int64 // kmeans points
 	K, Dims int
-	// MaxRounds caps BFS (PageRank and k-means derive their own caps).
+	// MaxRounds caps the iterative jobs (0 = each workload's own cap).
 	MaxRounds int
 	Seed      uint64
 }
@@ -85,20 +84,6 @@ func (c MRCCell) Name() string {
 	return fmt.Sprintf("mrc_%s_%s_r%d", c.Job, strings.ReplaceAll(c.Variant, ";", "-"), c.Ranks)
 }
 
-func mrcJobName(b Bench) string {
-	switch b {
-	case TeraSort:
-		return "terasort"
-	case PageRank:
-		return "pagerank"
-	case KMeans:
-		return "kmeans"
-	case BFS:
-		return "bfs"
-	}
-	return fmt.Sprintf("bench%d", int(b))
-}
-
 type mrcVariant struct {
 	name     string
 	hint, pr bool
@@ -130,9 +115,10 @@ func MRCMatrix(s MRCSpec) []MRCCell {
 	return cells
 }
 
-// mrcRun measures one cell. Unlike the single-stage sweeps this does not go
-// through Run: the round hook needs the per-rank arenas mid-job to sample
-// the peak series at each round barrier.
+// mrcRun measures one cell. It shares Run's job (the same driver table row),
+// engine constructor and result fold, but not Run itself: the round hook
+// needs the per-rank arenas mid-job to sample the peak series at each round
+// barrier, and the cells charge no input reading (fs is nil).
 func mrcRun(s MRCSpec, job Bench, v mrcVariant, ranks int) MRCCell {
 	plat := platform.Comet()
 	world := mpi.NewWorld(mpi.Config{Size: ranks, Net: plat.Net})
@@ -140,100 +126,27 @@ func mrcRun(s MRCSpec, job Bench, v mrcVariant, ranks int) MRCCell {
 	for i := range arenas {
 		arenas[i] = mem.NewArena(plat.NodeMemory)
 	}
-	costs := plat.Costs()
 	// tops[rank][i] is rank's arena peak at the top of round i; each rank
 	// goroutine appends only to its own slice.
 	tops := make([][]int64, ranks)
-	cell := MRCCell{Job: mrcJobName(job), Variant: v.name, Ranks: ranks}
-	var mu sync.Mutex
-	err := world.Run(func(c *mpi.Comm) error {
-		rank := c.Rank()
-		arena := arenas[rank]
-		me := workloads.NewMimirEngine(c, arena)
-		me.PageSize = plat.PageSize
-		me.CommBuf = plat.PageSize
-		me.Costs = costs
-		opts := workloads.StageOpts{}
-		mr := workloads.MultiRound{OnRound: func(round int) error {
-			tops[rank] = append(tops[rank], arena.Peak())
-			return nil
-		}}
-		var stats workloads.StageStats
-		var rounds int
-		switch job {
-		case TeraSort:
-			cfg := workloads.TeraSortConfig{Rows: s.Rows, Seed: s.Seed}
-			if v.hint {
-				opts.Hint = workloads.TeraSortHint(cfg)
-			}
-			r, err := workloads.RunTeraSort(me, nil, cfg, opts, nil)
-			if err != nil {
-				return err
-			}
-			stats, rounds = r.Stats, r.Rounds
-		case PageRank:
-			cfg := workloads.PageRankConfig{Scale: s.Scale, Seed: s.Seed, MaxRounds: s.MaxRounds}
-			if v.hint {
-				opts.Hint = workloads.PageRankHint()
-			}
-			if v.pr {
-				opts.PartialReduce = workloads.Int64VecAdd
-			}
-			r, err := workloads.RunPageRank(me, nil, cfg, opts, mr, nil)
-			if err != nil {
-				return err
-			}
-			stats, rounds = r.Stats, r.Rounds
-		case KMeans:
-			cfg := workloads.KMeansConfig{Points: s.Points, K: s.K, Dims: s.Dims, Seed: s.Seed}
-			if v.hint {
-				opts.Hint = workloads.KMeansHint(cfg)
-			}
-			if v.pr {
-				opts.PartialReduce = workloads.Int64VecAdd
-			}
-			r, err := workloads.RunKMeans(me, nil, cfg, opts, mr)
-			if err != nil {
-				return err
-			}
-			stats, rounds = r.Stats, r.Rounds
-		case BFS:
-			cfg := workloads.BFSConfig{Scale: s.Scale, Seed: s.Seed}
-			if v.hint {
-				opts.Hint = workloads.BFSHint()
-			}
-			bmr := mr
-			bmr.MaxRounds = s.MaxRounds
-			r, err := workloads.RunBFS(me, nil, cfg, opts, bmr)
-			if err != nil {
-				return err
-			}
-			stats, rounds = r.Stats, r.Depth
-		default:
-			return fmt.Errorf("expt: %s is not an MRC job", job)
-		}
-		mu.Lock()
-		cell.ShuffledBytes += stats.ShuffledBytes
-		cell.SpilledBytes += stats.SpilledBytes
-		if rounds > cell.Rounds {
-			cell.Rounds = rounds // identical on every rank
-		}
-		mu.Unlock()
+	cfg := Spec{
+		Bench: job, Hint: v.hint, PR: v.pr, Seed: s.Seed, MaxRounds: s.MaxRounds,
+		Rows: s.Rows, Scale: s.Scale, Points: s.Points, K: s.K, Dims: s.Dims,
+	}.jobConfig()
+	cfg.OnRound = func(rank, round int) error {
+		tops[rank] = append(tops[rank], arenas[rank].Peak())
 		return nil
+	}
+	res := runRanks(world, arenas, 1, func(c *mpi.Comm, arena *mem.Arena) (workloads.StageStats, int, error) {
+		return cfg.RunRank(newMimirEngine(c, arena, plat, 0), nil, nil)
 	})
-	cell.TimeSec = world.MaxTime()
-	if err != nil {
-		cell.Err = err.Error()
-		cell.TimeSec = 0 // NaN is not valid JSON
+	cell := MRCCell{Job: cfg.Kind, Variant: v.name, Ranks: ranks}
+	if res.Err != nil {
+		cell.Err = res.Err.Error() // TimeSec stays 0: NaN is not valid JSON
 		return cell
 	}
-	var peak int64
-	for _, a := range arenas {
-		if a.Peak() > peak {
-			peak = a.Peak()
-		}
-	}
-	cell.PeakPerRankBytes = peak
+	cell.Rounds, cell.TimeSec, cell.PeakPerRankBytes = res.Rounds, res.Time, res.PeakPerProc
+	cell.ShuffledBytes, cell.SpilledBytes = res.ShuffledBytes, res.SpilledBytes
 	// Fold the top-of-round samples into the end-of-round series: the end of
 	// round i is the top of round i+1; the last round ends at the final peak.
 	cell.RoundPeakBytes = make([]int64, cell.Rounds)

@@ -10,12 +10,12 @@
 package expt
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"mimir/internal/core"
+	"mimir/internal/driver"
 	"mimir/internal/mem"
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
@@ -96,10 +96,9 @@ type Spec struct {
 	OutOfCore core.OutOfCore
 	// Optimizations (Mimir honors all three; MR-MPI only CPS).
 	Hint, PR, CPS bool
-	// Workers sets each Mimir rank's intra-process worker pool. Unlike
-	// core.Config, the zero value pins 1 (serial), NOT GOMAXPROCS: figures
-	// must be machine-independent, so host core count may never leak into
-	// a simulated result. Set explicitly to model hybrid MPI+threads runs.
+	// Workers sets each Mimir rank's intra-process worker pool; the zero
+	// value pins 1 (serial), never GOMAXPROCS (see newMimirEngine). Set
+	// explicitly to model hybrid MPI+threads runs.
 	Workers int
 
 	Bench Bench
@@ -171,24 +170,7 @@ func Run(spec Spec) Result {
 	if rpn <= 0 {
 		rpn = plat.CoresPerNode
 	}
-	p := spec.Nodes * rpn
-	return RunWorld(mpi.NewWorld(mpi.Config{Size: p, Net: plat.Net}), spec)
-}
-
-// RunWorld executes one spec on an existing world, which may be in-process
-// or a multi-process TCP world (each process then contributes its local
-// ranks and sees its local view of the result). The world size must equal
-// Nodes x RanksPerNode.
-func RunWorld(world *mpi.World, spec Spec) Result {
-	plat := spec.Plat
-	rpn := spec.RanksPerNode
-	if rpn <= 0 {
-		rpn = plat.CoresPerNode
-	}
-	if world.Size() != spec.Nodes*rpn {
-		return Result{Err: fmt.Errorf("expt: world size %d does not match %d nodes x %d ranks",
-			world.Size(), spec.Nodes, rpn)}
-	}
+	world := mpi.NewWorld(mpi.Config{Size: spec.Nodes * rpn, Net: plat.Net})
 
 	// One memory arena per node; the node's memory is shared by its ranks.
 	// Per-process budget scales with ranks per node so that reducing the
@@ -204,74 +186,21 @@ func RunWorld(world *mpi.World, spec Spec) Result {
 	}
 	inputFS := plat.InputFSFor(spec.Nodes)
 	spillFS := plat.SpillFSFor(spec.Nodes)
-	costs := plat.Costs()
 
 	part, err := partition.ByName(spec.Partitioner)
 	if err != nil {
 		return Result{Err: err}
 	}
 
-	opts := workloads.StageOpts{}
-	if spec.Hint {
-		switch spec.Bench {
-		case WCUniform, WCWikipedia, WCZipf:
-			opts.Hint = workloads.WCHint()
-		case OC:
-			opts.Hint = workloads.OCHint()
-		case BFS:
-			opts.Hint = workloads.BFSHint()
-		case TeraSort:
-			opts.Hint = workloads.TeraSortHint(workloads.TeraSortConfig{})
-		case PageRank:
-			opts.Hint = workloads.PageRankHint()
-		case KMeans:
-			opts.Hint = workloads.KMeansHint(workloads.KMeansConfig{K: spec.K, Dims: spec.Dims})
-		}
-	}
-	if spec.PR {
-		// BFS and TeraSort are map-only: partial reduction does not apply
-		// (paper IV-D; sort rows must survive as rows). PageRank and
-		// k-means substitute their own combiner when the flag is on.
-		switch spec.Bench {
-		case BFS, TeraSort:
-		case PageRank, KMeans:
-			opts.PartialReduce = workloads.Int64VecAdd
-		default:
-			opts.PartialReduce = workloads.WordCountCombine
-		}
-	}
-	if spec.CPS {
-		switch spec.Bench {
-		case BFS:
-			opts.Combiner = workloads.BFSCombine
-		case TeraSort:
-			// rows are distinct; compression would merge duplicate keys
-		case PageRank, KMeans:
-			opts.Combiner = workloads.Int64VecAdd
-		default:
-			opts.Combiner = workloads.WordCountCombine
-		}
-	}
-
-	var mu sync.Mutex
-	var res Result
-	err = world.Run(func(c *mpi.Comm) error {
-		arena := arenas[c.Rank()/rpn]
+	return runRanks(world, arenas, rpn, func(c *mpi.Comm, arena *mem.Arena) (workloads.StageStats, int, error) {
 		var eng workloads.Engine
 		switch spec.Engine {
 		case Mimir:
-			me := workloads.NewMimirEngine(c, arena)
-			me.PageSize = plat.PageSize
-			me.CommBuf = plat.PageSize
+			me := newMimirEngine(c, arena, plat, spec.Workers)
 			me.OutOfCore = spec.OutOfCore
 			me.SpillFS = spillFS
 			me.SpillGroup = groups[c.Rank()/rpn]
-			me.Workers = spec.Workers
-			if me.Workers <= 0 {
-				me.Workers = 1 // machine-independent figures: never GOMAXPROCS
-			}
 			me.Partitioner = part
-			me.Costs = costs
 			eng = me
 		case MRMPI:
 			mre := workloads.NewMRMPIEngine(c, arena, spillFS)
@@ -280,16 +209,29 @@ func RunWorld(world *mpi.World, spec Spec) Result {
 				mre.PageSize = plat.PageSize
 			}
 			mre.Mode = spec.MRMPIMode
-			mre.Costs = costs
+			mre.Costs = plat.Costs()
 			eng = mre
 		}
-		stats, rounds, err := runBench(eng, inputFS, spec, opts)
-		if err != nil {
-			return err
-		}
-		if spec.PerRank != nil {
+		stats, rounds, err := runBench(eng, inputFS, spec)
+		if err == nil && spec.PerRank != nil {
 			stats.Record(spec.PerRank)
 			spec.PerRank.Add("rank-sec", c.Clock().Now())
+		}
+		return stats, rounds, err
+	})
+}
+
+// runRanks runs perRank on every rank of world — rank r on node arena
+// arenas[r/rpn] — and folds the ranks' stats, the world's clock and the
+// arena peaks into one Result: the tail Run and the MRC matrix share.
+func runRanks(world *mpi.World, arenas []*mem.Arena, rpn int,
+	perRank func(c *mpi.Comm, arena *mem.Arena) (workloads.StageStats, int, error)) Result {
+	var mu sync.Mutex
+	var res Result
+	err := world.Run(func(c *mpi.Comm) error {
+		stats, rounds, err := perRank(c, arenas[c.Rank()/rpn])
+		if err != nil {
+			return err
 		}
 		mu.Lock()
 		res.SpilledBytes += stats.SpilledBytes
@@ -317,49 +259,64 @@ func RunWorld(world *mpi.World, spec Spec) Result {
 	return res
 }
 
-func runBench(eng workloads.Engine, fs *pfs.FS, spec Spec, opts workloads.StageOpts) (workloads.StageStats, int, error) {
-	switch spec.Bench {
-	case WCUniform, WCWikipedia:
-		dist := workloads.Uniform
-		if spec.Bench == WCWikipedia {
-			dist = workloads.Wikipedia
-		}
-		r, err := workloads.RunWordCount(eng, fs, workloads.WCConfig{
-			Dist: dist, TotalBytes: spec.SizeBytes, Seed: spec.Seed,
-		}, opts)
-		return r.Stats, 1, err
-	case WCZipf:
-		r, err := workloads.RunWordCount(eng, fs, workloads.WCConfig{
-			TotalBytes: spec.SizeBytes, Seed: spec.Seed,
-			Zipf: &workloads.ZipfConfig{Skew: spec.Skew, Contention: spec.Contention},
-		}, opts)
-		return r.Stats, 1, err
-	case OC:
-		r, err := workloads.RunOctree(eng, fs, workloads.OCConfig{
-			TotalPoints: spec.Points, Seed: spec.Seed,
-		}, opts)
-		return r.Stats, 1, err
-	case BFS:
-		r, err := workloads.RunBFS(eng, fs, workloads.BFSConfig{
-			Scale: spec.Scale, Seed: spec.Seed,
-		}, opts, workloads.MultiRound{MaxRounds: spec.MaxRounds})
-		return r.Stats, r.Depth, err
-	case TeraSort:
-		r, err := workloads.RunTeraSort(eng, fs, workloads.TeraSortConfig{
-			Rows: spec.Rows, Seed: spec.Seed,
-		}, opts, nil)
-		return r.Stats, r.Rounds, err
-	case PageRank:
-		r, err := workloads.RunPageRank(eng, fs, workloads.PageRankConfig{
-			Scale: spec.Scale, Seed: spec.Seed, MaxRounds: spec.MaxRounds,
-		}, opts, workloads.MultiRound{}, nil)
-		return r.Stats, r.Rounds, err
-	case KMeans:
-		r, err := workloads.RunKMeans(eng, fs, workloads.KMeansConfig{
-			Points: spec.Points, K: spec.K, Dims: spec.Dims,
-			Seed: spec.Seed, MaxRounds: spec.MaxRounds,
-		}, opts, workloads.MultiRound{})
-		return r.Stats, r.Rounds, err
+// newMimirEngine builds one rank's Mimir engine the way every simulated
+// figure does: the platform's page size and compute costs, and a pool of
+// workers — where, unlike core.Config, 0 pins 1 (serial), NOT GOMAXPROCS.
+// Host core count may never leak into a simulated result; this is the one
+// place that holds.
+func newMimirEngine(c *mpi.Comm, arena *mem.Arena, plat *platform.Platform, workers int) *workloads.MimirEngine {
+	me := workloads.NewMimirEngine(c, arena)
+	me.PageSize = plat.PageSize
+	me.CommBuf = plat.PageSize
+	me.Costs = plat.Costs()
+	me.Workers = max(workers, 1)
+	return me
+}
+
+// benchKind names each benchmark's row in the driver's job table. OC, the
+// one benchmark that is not a driver job, has none.
+var benchKind = map[Bench]string{
+	WCUniform: driver.JobWordCount, WCWikipedia: driver.JobWordCount, WCZipf: driver.JobWordCount,
+	BFS: driver.JobBFS, TeraSort: driver.JobTeraSort, PageRank: driver.JobPageRank, KMeans: driver.JobKMeans,
+}
+
+// jobConfig expresses the spec's benchmark as a driver job. The engine knobs
+// (Workers, Partitioner, OutOfCore) are not copied: the harness sets them on
+// the engines it builds over the shared node arenas.
+func (spec Spec) jobConfig() driver.JobConfig {
+	kind, ok := benchKind[spec.Bench]
+	if !ok {
+		kind = spec.Bench.String() // RunRank rejects it as an unknown kind
 	}
-	return workloads.StageStats{}, 0, errors.New("expt: unknown benchmark")
+	cfg := driver.JobConfig{
+		Kind: kind, Seed: spec.Seed, Hint: spec.Hint, PR: spec.PR, CPS: spec.CPS,
+		TotalBytes: spec.SizeBytes, Rows: spec.Rows, Scale: spec.Scale,
+		Points: spec.Points, K: spec.K, Dims: spec.Dims, MaxRounds: spec.MaxRounds,
+		UseZipf: spec.Bench == WCZipf, ZipfSkew: spec.Skew, Contention: spec.Contention,
+	}
+	if spec.Bench == WCWikipedia {
+		cfg.Dist = workloads.Wikipedia
+	}
+	return cfg
+}
+
+func runBench(eng workloads.Engine, fs *pfs.FS, spec Spec) (workloads.StageStats, int, error) {
+	if spec.Bench != OC {
+		return spec.jobConfig().RunRank(eng, fs, nil)
+	}
+	// Octree clustering is the one benchmark outside the driver's table.
+	opts := workloads.StageOpts{}
+	if spec.Hint {
+		opts.Hint = workloads.OCHint()
+	}
+	if spec.PR {
+		opts.PartialReduce = workloads.WordCountCombine
+	}
+	if spec.CPS {
+		opts.Combiner = workloads.WordCountCombine
+	}
+	r, err := workloads.RunOctree(eng, fs, workloads.OCConfig{
+		TotalPoints: spec.Points, Seed: spec.Seed,
+	}, opts)
+	return r.Stats, 1, err
 }

@@ -22,12 +22,12 @@ import (
 func referenceAt(t *testing.T, spec Spec, size int) []byte {
 	t.Helper()
 	spec.normalize()
-	cfg, err := spec.config(size)
+	cfg, err := spec.jobConfig(size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(mpi.Config{Size: size, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-	out, err := driver.WordCount(world, cfg, nil)
+	out, err := driver.RunJob(world, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,9 @@ import (
 
 	"mimir/internal/core"
 	"mimir/internal/driver"
-	"mimir/internal/kvbuf"
 	"mimir/internal/membership"
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
-	"mimir/internal/partition"
 	"mimir/internal/pfs"
 	"mimir/internal/simtime"
 	"mimir/internal/transport"
@@ -60,7 +58,7 @@ type Spec struct {
 	// Seed is the corpus seed; two jobs with equal (Bytes, Dist, Seed) on
 	// equal-size meshes produce byte-identical output.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine options (see driver.WordCountConfig).
+	// Engine options (see driver.JobConfig).
 	Hint    bool `json:"hint,omitempty"`
 	PR      bool `json:"pr,omitempty"`
 	CPS     bool `json:"cps,omitempty"`
@@ -107,44 +105,59 @@ type Spec struct {
 	Rounds     int   `json:"rounds,omitempty"`
 }
 
-// multiRound reports whether the spec's job kind iterates (and so supports
-// CrashRound and per-round checkpoints).
-func (s Spec) multiRound() bool {
-	switch s.Job {
-	case driver.JobPageRank, driver.JobKMeans, driver.JobBFS:
-		return true
-	}
-	return false
-}
-
-// wordcount reports whether the spec runs the original wordcount path.
-func (s Spec) wordcount() bool {
-	return s.Job == "" || s.Job == driver.JobWordCount
-}
-
 // normalize fills the defaults a zero field means.
 func (s *Spec) normalize() {
 	if s.Bytes <= 0 {
 		s.Bytes = 1 << 20
 	}
-	if s.Dist == "" {
-		s.Dist = "uniform"
+}
+
+// jobConfig is the one mapping from the wire form onto the job driver, for a
+// size-rank world. Crash, CrashRound and Checkpoint stay behind for execJob
+// (crash hooks, the server's file system); TestSpecFieldsReachJobConfig
+// fails when any other Spec field does not reach the JobConfig.
+func (s Spec) jobConfig(size int) (driver.JobConfig, error) {
+	dist, err := workloads.DistributionByName(s.Dist)
+	if err != nil {
+		return driver.JobConfig{}, err
 	}
+	cfg := driver.JobConfig{
+		Kind:        s.Job,
+		Seed:        s.Seed,
+		Hint:        s.Hint,
+		PR:          s.PR,
+		CPS:         s.CPS,
+		Workers:     s.Workers,
+		MemBytes:    s.MemBytes / int64(size),
+		Partitioner: s.Partitioner,
+		Dist:        dist,
+		TotalBytes:  s.Bytes,
+		Contention:  s.Contention,
+		Rows:        s.Rows,
+		Scale:       s.Scale,
+		EdgeFactor:  s.EdgeFactor,
+		Points:      s.Points,
+		K:           s.K,
+		Dims:        s.Dims,
+		MaxRounds:   s.Rounds,
+	}
+	if s.Zipf != nil {
+		cfg.UseZipf = true
+		cfg.ZipfSkew = *s.Zipf
+	}
+	return cfg, nil
 }
 
 // validate rejects specs that could never run on a size-rank mesh whose node
-// arena holds memCap bytes.
+// arena holds memCap bytes: the job-level checks are driver.JobConfig's, the
+// rest concern what only the service knows (admission, crash hooks, the
+// checkpoint file system).
 func (s Spec) validate(size int, memCap int64) error {
-	if s.Job != "" {
-		known := false
-		for _, k := range driver.JobKinds() {
-			known = known || k == s.Job
-		}
-		if !known {
-			return fmt.Errorf("jobsvc: unknown job kind %q (want one of %v)", s.Job, driver.JobKinds())
-		}
+	cfg, err := s.jobConfig(size)
+	if err != nil {
+		return err
 	}
-	if _, err := s.dist(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if s.MemBytes < 0 {
@@ -163,91 +176,18 @@ func (s Spec) validate(size int, memCap int64) error {
 		if s.CrashRound < 0 {
 			return fmt.Errorf("jobsvc: negative crash_round %d", s.CrashRound)
 		}
-		if !s.multiRound() {
+		if !cfg.Iterative() {
 			return fmt.Errorf("jobsvc: crash_round needs an iterative job, not %q", s.Job)
 		}
 	}
-	if s.Checkpoint != "" && !s.wordcount() {
+	if s.Checkpoint != "" && s.Job != "" && s.Job != driver.JobWordCount {
 		// The service's elastic resize repartitions the single checkpoint
 		// name it tracked at job end; multi-round jobs write one checkpoint
 		// per round, which that path cannot follow. Round checkpoints are
 		// exercised at the driver level instead.
 		return fmt.Errorf("jobsvc: checkpoint is wordcount-only; %q jobs manage per-round checkpoints outside the service", s.Job)
 	}
-	if s.Zipf != nil && *s.Zipf < 0 {
-		return fmt.Errorf("jobsvc: negative zipf skew %v", *s.Zipf)
-	}
-	if s.Contention < 0 || s.Contention > 1 {
-		return fmt.Errorf("jobsvc: contention %v out of [0, 1]", s.Contention)
-	}
-	if _, err := partition.ByName(s.Partitioner); err != nil {
-		return err
-	}
 	return nil
-}
-
-func (s Spec) dist() (workloads.Distribution, error) {
-	switch s.Dist {
-	case "uniform":
-		return workloads.Uniform, nil
-	case "wikipedia":
-		return workloads.Wikipedia, nil
-	}
-	return 0, fmt.Errorf("jobsvc: unknown dist %q (want uniform or wikipedia)", s.Dist)
-}
-
-// ckptHint returns the KV-hint encoding the spec's checkpoint files use —
-// what a resize must decode them with to repartition.
-func (s Spec) ckptHint() kvbuf.Hint {
-	if s.Hint {
-		return workloads.WCHint()
-	}
-	return kvbuf.DefaultHint()
-}
-
-// config maps the spec onto the job driver for a size-rank world.
-func (s Spec) config(size int) (driver.WordCountConfig, error) {
-	dist, err := s.dist()
-	if err != nil {
-		return driver.WordCountConfig{}, err
-	}
-	cfg := driver.WordCountConfig{
-		Dist:        dist,
-		TotalBytes:  s.Bytes,
-		Seed:        s.Seed,
-		Hint:        s.Hint,
-		PR:          s.PR,
-		CPS:         s.CPS,
-		Workers:     s.Workers,
-		MemBytes:    s.MemBytes / int64(size),
-		Partitioner: s.Partitioner,
-	}
-	if s.Zipf != nil {
-		cfg.UseZipf = true
-		cfg.ZipfSkew = *s.Zipf
-		cfg.Contention = s.Contention
-	}
-	return cfg, nil
-}
-
-// jobConfig maps a non-wordcount spec onto the generic job driver.
-func (s Spec) jobConfig(size int) driver.JobConfig {
-	return driver.JobConfig{
-		Kind:        s.Job,
-		Seed:        s.Seed,
-		Hint:        s.Hint,
-		PR:          s.PR,
-		Workers:     s.Workers,
-		MemBytes:    s.MemBytes / int64(size),
-		Partitioner: s.Partitioner,
-		Rows:        s.Rows,
-		Scale:       s.Scale,
-		EdgeFactor:  s.EdgeFactor,
-		Points:      s.Points,
-		K:           s.K,
-		Dims:        s.Dims,
-		MaxRounds:   s.Rounds,
-	}
 }
 
 // Job states as reported in events and status listings.
@@ -381,15 +321,20 @@ type Remesh struct {
 // fs is the server's checkpoint file system (nil on worker processes;
 // Spec.Checkpoint is only admitted on fully in-process meshes).
 func execJob(tr transport.Transport, id uint32, spec Spec, exit func(code int), fs *pfs.FS) ([]byte, *metrics.Summary, error) {
+	// crash is the scripted death of rank Crash: everything it does is what
+	// the process death would have done to the mesh.
+	crash := func(when string) error {
+		if exit != nil {
+			exit(3)
+		}
+		err := fmt.Errorf("%w: jobsvc: rank %d crashed%s (scripted)", transport.ErrAborted, spec.Crash, when)
+		tr.Abort(err)
+		return err
+	}
 	if spec.Crash > 0 && spec.CrashRound == 0 {
 		for _, r := range tr.LocalRanks() {
 			if r == spec.Crash {
-				if exit != nil {
-					exit(3)
-				}
-				err := fmt.Errorf("%w: jobsvc: rank %d crashed (scripted)", transport.ErrAborted, spec.Crash)
-				tr.Abort(err)
-				return nil, nil, err
+				return nil, nil, crash("")
 			}
 		}
 	}
@@ -408,45 +353,28 @@ func execJob(tr transport.Transport, id uint32, spec Spec, exit func(code int), 
 		Transport: ch,
 		Net:       simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
 	})
-	sum := metrics.NewSummary()
-	var out []byte
-	if spec.wordcount() {
-		cfg, err := spec.config(world.Size())
-		if err != nil {
-			return nil, nil, err
-		}
-		if spec.Checkpoint != "" && fs != nil {
-			cfg.Checkpoint = &core.Checkpoint{FS: fs, Name: spec.Checkpoint}
-		}
-		out, err = driver.WordCount(world, cfg, sum)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		cfg := spec.jobConfig(world.Size())
-		if spec.CrashRound > 0 {
-			// The mid-iteration crash: rank Crash reaches the top of round
-			// CrashRound and dies there — after the earlier rounds' exchanges,
-			// before this one's. Everything the hook does is what the process
-			// death would have done to the mesh.
-			cfg.OnRound = func(rank, round int) error {
-				if rank != spec.Crash || round != spec.CrashRound {
-					return nil
-				}
-				if exit != nil {
-					exit(3)
-				}
-				err := fmt.Errorf("%w: jobsvc: rank %d crashed at round %d (scripted)",
-					transport.ErrAborted, spec.Crash, spec.CrashRound)
-				tr.Abort(err)
-				return err
+	cfg, err := spec.jobConfig(world.Size())
+	if err != nil {
+		return nil, nil, err
+	}
+	if spec.Checkpoint != "" && fs != nil {
+		cfg.Checkpoint = &core.Checkpoint{FS: fs, Name: spec.Checkpoint}
+	}
+	if spec.CrashRound > 0 {
+		// The mid-iteration crash: rank Crash reaches the top of round
+		// CrashRound and dies there — after the earlier rounds' exchanges,
+		// before this one's.
+		cfg.OnRound = func(rank, round int) error {
+			if rank != spec.Crash || round != spec.CrashRound {
+				return nil
 			}
+			return crash(fmt.Sprintf(" at round %d", round))
 		}
-		var err error
-		out, err = driver.RunJob(world, cfg, sum)
-		if err != nil {
-			return nil, nil, err
-		}
+	}
+	sum := metrics.NewSummary()
+	out, err := driver.RunJob(world, cfg, sum)
+	if err != nil {
+		return nil, nil, err
 	}
 	merged, err := gatherMetrics(world, sum)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -20,17 +21,17 @@ import (
 
 const testRanks = 4
 
-// reference computes the solo ground truth for spec: the same WordCount on a
-// fresh in-process world of the mesh's size.
+// reference computes the solo ground truth for spec: the same driver job on
+// a fresh in-process world of the mesh's size.
 func reference(t *testing.T, spec Spec) []byte {
 	t.Helper()
 	spec.normalize()
-	cfg, err := spec.config(testRanks)
+	cfg, err := spec.jobConfig(testRanks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	world := mpi.NewWorld(mpi.Config{Size: testRanks, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-	out, err := driver.WordCount(world, cfg, nil)
+	out, err := driver.RunJob(world, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,21 +435,6 @@ func TestSpecValidation(t *testing.T) {
 	var _ = workloads.Uniform // keep the import honest if specs change
 }
 
-// jobReference computes the solo ground truth for a non-wordcount spec: the
-// same driver job on a fresh in-process world of the mesh's size.
-func jobReference(t *testing.T, spec Spec) []byte {
-	t.Helper()
-	world := mpi.NewWorld(mpi.Config{Size: testRanks, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-	out, err := driver.RunJob(world, spec.jobConfig(testRanks), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) == 0 {
-		t.Fatal("reference run produced no output")
-	}
-	return out
-}
-
 // mrcSpecs is one small spec per multi-round job kind, every optimization
 // the kind supports switched on.
 func mrcSpecs() []Spec {
@@ -468,7 +454,7 @@ func TestServerRunsMRCJobs(t *testing.T) {
 	for _, spec := range mrcSpecs() {
 		spec := spec
 		t.Run(spec.Job, func(t *testing.T) {
-			want := jobReference(t, spec)
+			want := reference(t, spec)
 			_, events, err := s.Submit(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -508,7 +494,7 @@ func TestServerMidIterationCrash(t *testing.T) {
 	} {
 		t.Run(mesh.name, func(t *testing.T) {
 			spec := mrcSpecs()[1] // pagerank: iterates well past round 3
-			want := jobReference(t, spec)
+			want := reference(t, spec)
 			s := newTestServer(t, mesh.factory, 0)
 
 			crash := spec
@@ -576,5 +562,55 @@ func TestServerZipfSamplePartitionerJob(t *testing.T) {
 	}
 	if !bytes.Equal([]byte(final.Output), want) {
 		t.Fatalf("daemon output differs from solo run: %d vs %d bytes", len(final.Output), len(want))
+	}
+}
+
+// TestSpecFieldsReachJobConfig is the drift guard for the wire form: every
+// exported Spec field, set non-zero on its own, must change the JobConfig
+// the mapper produces — or be one of the fields the service itself consumes
+// (execJob's crash hooks and checkpoint file system). A field added to Spec
+// and forgotten in jobConfig fails here, not in a benchmark six PRs later.
+func TestSpecFieldsReachJobConfig(t *testing.T) {
+	serviceOnly := map[string]bool{"Crash": true, "CrashRound": true, "Checkpoint": true}
+	strs := map[string]string{"Job": driver.JobPageRank, "Dist": "wikipedia", "Partitioner": "sample"}
+	base, err := Spec{}.jobConfig(testRanks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if serviceOnly[f.Name] {
+			continue
+		}
+		var spec Spec
+		v := reflect.ValueOf(&spec).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.String:
+			if strs[f.Name] == "" {
+				t.Fatalf("Spec.%s: new string field; give the guard a valid value for it", f.Name)
+			}
+			v.SetString(strs[f.Name])
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1 << 20)
+		case reflect.Uint64:
+			v.SetUint(1 << 20)
+		case reflect.Float64:
+			v.SetFloat(0.5)
+		case reflect.Ptr:
+			skew := 1.5
+			v.Set(reflect.ValueOf(&skew))
+		default:
+			t.Fatalf("Spec.%s: kind %s not handled by the guard", f.Name, v.Kind())
+		}
+		cfg, err := spec.jobConfig(testRanks)
+		if err != nil {
+			t.Fatalf("Spec.%s: %v", f.Name, err)
+		}
+		if reflect.DeepEqual(cfg, base) {
+			t.Errorf("Spec.%s does not reach driver.JobConfig: map it in jobConfig or list it as service-only", f.Name)
+		}
 	}
 }

@@ -333,7 +333,11 @@ func (s *Server) run(m Mesh, epoch uint64, size int, j *job) {
 	s.running--
 	if err == nil {
 		if j.spec.Checkpoint != "" {
-			s.ckpts[j.spec.Checkpoint] = &ckptInfo{hint: j.spec.ckptHint(), size: size}
+			// A resize decodes the files with the job's KV-hint to
+			// repartition them. Submit validated the spec, so the mapping
+			// cannot fail here.
+			cfg, _ := j.spec.jobConfig(size)
+			s.ckpts[j.spec.Checkpoint] = &ckptInfo{hint: cfg.KVHint(), size: size}
 		}
 		ev := Event{Event: EvDone, Job: j.id, Output: string(out), Epoch: epoch, Size: size}
 		if sum != nil {

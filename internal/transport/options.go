@@ -9,14 +9,15 @@ import (
 
 // Options is every world-wide setting of a multi-process TCP world that a
 // launcher must hand to the processes it starts: fault handling, deadlines,
-// fault injection, wire compression, and the per-rank worker pool size.
-// There is exactly one encode (Env) and one decode (OptionsFromEnv), shared
-// by spawn-forwarding, the worker commands, and the job-service daemon —
-// adding a field here and to the two methods is the whole story, so no
-// launch path can silently drop a setting.
+// fault injection, and wire compression (job knobs such as -workers reach a
+// spawned child through the os.Args it re-executes). There is exactly one
+// encode (Env) and one decode (OptionsFromEnv), shared by spawn-forwarding,
+// the worker commands, and the job-service daemon — adding a field here and
+// to the two methods is the whole story, so no launch path can silently
+// drop a setting.
 //
 // The zero Options is a valid default everywhere (fail-stop, transport
-// default timings, no injection, no compression, all cores).
+// default timings, no injection, no compression).
 type Options struct {
 	// Policy selects fail-stop (AbortOnFailure, the default) or
 	// fail-recover (RetryTransient) link handling for every process.
@@ -38,9 +39,6 @@ type Options struct {
 	// interoperate, but setting it world-wide is what makes both directions
 	// of every link compress.
 	Compress bool
-	// Workers is the per-rank worker pool size (core.Config.Workers):
-	// 0 = all cores (GOMAXPROCS), 1 = serial.
-	Workers int
 }
 
 // Env encodes the non-default options as "KEY=VALUE" entries, ready to
@@ -61,9 +59,6 @@ func (o Options) Env() []string {
 	}
 	if o.Compress {
 		env = append(env, EnvCompress+"=1")
-	}
-	if o.Workers != 0 {
-		env = append(env, fmt.Sprintf("%s=%d", EnvWorkers, o.Workers))
 	}
 	return env
 }
@@ -101,19 +96,11 @@ func OptionsFromEnv() (Options, error) {
 		}
 		o.Compress = on
 	}
-	if s := os.Getenv(EnvWorkers); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			return Options{}, fmt.Errorf("transport: bad %s=%q: %v", EnvWorkers, s, err)
-		}
-		o.Workers = n
-	}
 	return o, nil
 }
 
-// TCPConfig applies the options to one rank's world attachment. Faults and
-// Workers have no TCPConfig field — the caller wires the injector
-// (TCPConfig.WrapConn) and the engine pool itself.
+// TCPConfig applies the options to one rank's world attachment. Faults has
+// no TCPConfig field — the caller wires the injector (TCPConfig.WrapConn).
 func (o Options) TCPConfig(addr string, rank, size int) TCPConfig {
 	return TCPConfig{
 		Addr: addr, Rank: rank, Size: size,

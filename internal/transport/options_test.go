@@ -17,7 +17,7 @@ import (
 // allOptionEnvVars is every variable the codec owns. Keep in sync with the
 // Env consts in spawn.go (EnvJoin/EnvRank/EnvSize/EnvEpoch belong to
 // FromEnv's world-attachment layer, tested separately below).
-var allOptionEnvVars = []string{EnvPolicy, EnvWindow, EnvDeadline, EnvFaults, EnvCompress, EnvWorkers}
+var allOptionEnvVars = []string{EnvPolicy, EnvWindow, EnvDeadline, EnvFaults, EnvCompress}
 
 func clearOptionEnv(t *testing.T) {
 	t.Helper()
@@ -46,15 +46,12 @@ func TestOptionsEnvRoundTrip(t *testing.T) {
 		{Deadline: 2 * time.Second},
 		{Faults: "seed:42,kill:rank2@round3"},
 		{Compress: true},
-		{Workers: 8},
-		{Workers: 1},
 		{ // everything at once
 			Policy:          RetryTransient,
 			ReconnectWindow: 750 * time.Millisecond,
 			Deadline:        3 * time.Second,
 			Faults:          "seed:7,reset:rank1@frame5",
 			Compress:        true,
-			Workers:         4,
 		},
 	}
 	for i, want := range cases {
@@ -87,22 +84,9 @@ func TestOptionsFromEnvRejectsInvalidValues(t *testing.T) {
 		{EnvDeadline, "0"},
 		{EnvCompress, "maybe"},
 		{EnvCompress, "2"},
-		{EnvWorkers, "many"},
-		{EnvWorkers, "1.5"},
-		{EnvWorkers, ""}, // set-but-empty numeric is a typo, not a default
 	}
 	for _, tc := range cases {
 		clearOptionEnv(t)
-		if tc.val == "" && tc.key == EnvWorkers {
-			// t.Setenv("", "") unsets on some platforms; force the empty
-			// string through os.Setenv under t.Setenv's cleanup.
-			t.Setenv(tc.key, "x")
-			os.Setenv(tc.key, "")
-			if _, err := OptionsFromEnv(); err != nil {
-				t.Errorf("%s set empty: got error %v; empty means unset for every variable", tc.key, err)
-			}
-			continue
-		}
 		t.Setenv(tc.key, tc.val)
 		if _, err := OptionsFromEnv(); err == nil {
 			t.Errorf("%s=%q decoded without error; want a hard failure, not a silent default", tc.key, tc.val)

@@ -33,10 +33,6 @@ const (
 	EnvCompress = "MIMIR_TCP_COMPRESS"
 	// EnvDeadline carries the per-I/O deadline as a Go duration string.
 	EnvDeadline = "MIMIR_TCP_DEADLINE"
-	// EnvWorkers carries the per-rank worker pool size (0 = all cores).
-	// Unlike the MIMIR_TCP_* variables it also applies to in-process
-	// worlds, which is why it keeps its own prefix.
-	EnvWorkers = "MIMIR_WORKERS"
 	// EnvEpoch carries the mesh epoch (TCPConfig.Epoch) so a worker forked
 	// for an elastic world joins the right incarnation. Unset means 0.
 	EnvEpoch = "MIMIR_TCP_EPOCH"

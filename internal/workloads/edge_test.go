@@ -15,7 +15,7 @@ func TestWordCountEmptyInput(t *testing.T) {
 	arena := mem.NewArena(0)
 	err := w.Run(func(c *mpi.Comm) error {
 		res, err := RunWordCount(NewMimirEngine(c, arena), nil,
-			WCConfig{Dist: Uniform, TotalBytes: 0, Seed: 1}, StageOpts{})
+			WCConfig{Dist: Uniform, TotalBytes: 0, Seed: 1}, StageOpts{}, nil)
 		if err != nil {
 			return err
 		}
@@ -163,7 +163,7 @@ func TestWordCountWikipediaSkewConcentratesOutput(t *testing.T) {
 		recv := make([]int64, p)
 		err := w.Run(func(c *mpi.Comm) error {
 			res, err := RunWordCount(NewMimirEngine(c, arena), nil,
-				WCConfig{Dist: dist, TotalBytes: 1 << 16, Seed: 4}, StageOpts{})
+				WCConfig{Dist: dist, TotalBytes: 1 << 16, Seed: 4}, StageOpts{}, nil)
 			recv[c.Rank()] = int64(res.TotalWords)
 			return err
 		})
@@ -196,7 +196,7 @@ func TestEnginesShareSpillFS(t *testing.T) {
 		eng := NewMRMPIEngine(c, arena, spill)
 		eng.PageSize = 256 // force spilling
 		_, err := RunWordCount(eng, nil,
-			WCConfig{Dist: Uniform, TotalBytes: 1 << 14, Seed: 6}, StageOpts{})
+			WCConfig{Dist: Uniform, TotalBytes: 1 << 14, Seed: 6}, StageOpts{}, nil)
 		return err
 	})
 	if err != nil {

@@ -7,9 +7,7 @@ import (
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
 	"mimir/internal/mrmpi"
-	"mimir/internal/partition"
 	"mimir/internal/pfs"
-	"mimir/internal/spill"
 )
 
 // StageOpts selects the optimizations for one MapReduce stage. The Mimir
@@ -129,37 +127,20 @@ type Engine interface {
 	Name() string
 }
 
-// MimirEngine runs stages on the Mimir engine (internal/core).
+// MimirEngine runs stages on the Mimir engine (internal/core). Its knobs are
+// the embedded core.Config itself — PageSize, CommBuf, OutOfCore, SpillFS,
+// Workers, Partitioner, Costs and the rest are set on the engine and reach
+// every stage's job unchanged. The four per-stage fields (Hint, Combiner,
+// PartialReduce, Checkpoint) are overwritten from StageOpts on every
+// RunStage; setting them on the engine has no effect.
 type MimirEngine struct {
-	comm  *mpi.Comm
-	arena *mem.Arena
-	// PageSize and CommBuf default to the paper's 64 MB (scaled).
-	PageSize int
-	CommBuf  int
-	// SerialAggregate disables the overlapped aggregate (ablation knob).
-	SerialAggregate bool
-	// OutOfCore selects Mimir's memory-pressure policy; the spill policies
-	// require SpillFS (see core.OutOfCore).
-	OutOfCore core.OutOfCore
-	SpillFS   *pfs.FS
-	// SpillWatermark / SpillPrefetch tune the spill store (0 = defaults).
-	SpillWatermark float64
-	SpillPrefetch  int
-	// SpillGroup coordinates eviction across ranks sharing the arena
-	// (see core.Config.SpillGroup).
-	SpillGroup *spill.Group
-	// Workers is the rank's intra-process worker-pool size (see
-	// core.Config.Workers; 0 defaults to GOMAXPROCS, 1 is serial).
-	Workers int
-	// Partitioner is the key→rank strategy (see core.Config.Partitioner;
-	// nil is the default FNV-1a hash).
-	Partitioner partition.Partitioner
-	Costs       core.Costs
+	core.Config
+	comm *mpi.Comm
 }
 
 // NewMimirEngine creates a Mimir-backed engine for this rank.
 func NewMimirEngine(comm *mpi.Comm, arena *mem.Arena) *MimirEngine {
-	return &MimirEngine{comm: comm, arena: arena}
+	return &MimirEngine{Config: core.Config{Arena: arena}, comm: comm}
 }
 
 // Comm returns the rank's communicator.
@@ -171,24 +152,12 @@ func (e *MimirEngine) Name() string { return "Mimir" }
 // RunStage implements Engine.
 func (e *MimirEngine) RunStage(opts StageOpts, input core.Input, mapFn core.MapFunc,
 	reduceFn core.ReduceFunc, sink func(k, v []byte) error) (StageStats, error) {
-	job := core.NewJob(e.comm, core.Config{
-		Arena:           e.arena,
-		PageSize:        e.PageSize,
-		CommBuf:         e.CommBuf,
-		Hint:            opts.Hint,
-		Combiner:        opts.Combiner,
-		PartialReduce:   opts.PartialReduce,
-		Checkpoint:      opts.Checkpoint,
-		SerialAggregate: e.SerialAggregate,
-		OutOfCore:       e.OutOfCore,
-		SpillFS:         e.SpillFS,
-		SpillWatermark:  e.SpillWatermark,
-		SpillPrefetch:   e.SpillPrefetch,
-		SpillGroup:      e.SpillGroup,
-		Workers:         e.Workers,
-		Partitioner:     e.Partitioner,
-		Costs:           e.Costs,
-	})
+	cfg := e.Config
+	cfg.Hint = opts.Hint
+	cfg.Combiner = opts.Combiner
+	cfg.PartialReduce = opts.PartialReduce
+	cfg.Checkpoint = opts.Checkpoint
+	job := core.NewJob(e.comm, cfg)
 	out, err := job.Run(input, mapFn, reduceFn)
 	if err != nil {
 		return StageStats{}, err
@@ -225,20 +194,17 @@ func (e *MimirEngine) RunStage(opts StageOpts, input core.Input, mapFn core.MapF
 	}, nil
 }
 
-// MRMPIEngine runs stages on the MR-MPI baseline (internal/mrmpi).
+// MRMPIEngine runs stages on the MR-MPI baseline (internal/mrmpi); like
+// MimirEngine, its knobs are the embedded engine config's own fields.
 type MRMPIEngine struct {
-	comm     *mpi.Comm
-	arena    *mem.Arena
-	spill    *pfs.FS
-	PageSize int
-	Mode     mrmpi.Mode
-	Costs    core.Costs
+	mrmpi.Config
+	comm *mpi.Comm
 }
 
 // NewMRMPIEngine creates an MR-MPI-backed engine for this rank. spill is
 // the parallel file system that receives out-of-core pages.
 func NewMRMPIEngine(comm *mpi.Comm, arena *mem.Arena, spill *pfs.FS) *MRMPIEngine {
-	return &MRMPIEngine{comm: comm, arena: arena, spill: spill}
+	return &MRMPIEngine{Config: mrmpi.Config{Arena: arena, Spill: spill}, comm: comm}
 }
 
 // Comm returns the rank's communicator.
@@ -251,13 +217,7 @@ func (e *MRMPIEngine) Name() string { return "MR-MPI" }
 // supported by MR-MPI and are ignored, as in the original library.
 func (e *MRMPIEngine) RunStage(opts StageOpts, input core.Input, mapFn core.MapFunc,
 	reduceFn core.ReduceFunc, sink func(k, v []byte) error) (StageStats, error) {
-	mr := mrmpi.New(e.comm, mrmpi.Config{
-		Arena:    e.arena,
-		PageSize: e.PageSize,
-		Mode:     e.Mode,
-		Spill:    e.spill,
-		Costs:    e.Costs,
-	})
+	mr := mrmpi.New(e.comm, e.Config)
 	defer mr.Free()
 	if err := mr.Map(input, mapFn); err != nil {
 		return StageStats{}, err

@@ -194,9 +194,9 @@ func RunOctree(e Engine, fs *pfs.FS, cfg OCConfig, opts StageOpts) (OCResult, er
 func engineArena(e Engine) arenaHolder {
 	switch t := e.(type) {
 	case *MimirEngine:
-		return t.arena
+		return t.Arena
 	case *MRMPIEngine:
-		return t.arena
+		return t.Arena
 	}
 	return nil
 }

@@ -77,7 +77,7 @@ func TestSpillEquivalence(t *testing.T) {
 				return func(e *MimirEngine) (string, StageStats, error) {
 					res, err := RunWordCount(e, nil, WCConfig{
 						Dist: Uniform, TotalBytes: 2 << 20, Seed: seed,
-					}, StageOpts{Hint: WCHint()})
+					}, StageOpts{Hint: WCHint()}, nil)
 					return fmt.Sprintf("u=%d n=%d", res.UniqueWords, res.TotalWords), res.Stats, err
 				}
 			},

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+
 	"mimir/internal/core"
 	"mimir/internal/pfs"
 	"mimir/internal/simtime"
@@ -25,6 +27,18 @@ func (d Distribution) String() string {
 		return "Wikipedia"
 	}
 	return "Uniform"
+}
+
+// DistributionByName resolves the dataset names used by job specs and CLI
+// flags: "" or "uniform" → Uniform, "wikipedia" → Wikipedia.
+func DistributionByName(name string) (Distribution, error) {
+	switch name {
+	case "", "uniform":
+		return Uniform, nil
+	case "wikipedia":
+		return Wikipedia, nil
+	}
+	return 0, fmt.Errorf("workloads: unknown dist %q (want uniform or wikipedia)", name)
 }
 
 // Generator parameters. Word lengths are tuned so that the average KV

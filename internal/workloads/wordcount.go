@@ -67,8 +67,10 @@ type WCResult struct {
 }
 
 // RunWordCount executes WC on the given engine. fs (may be nil in tests)
-// charges input reading.
-func RunWordCount(e Engine, fs *pfs.FS, cfg WCConfig, opts StageOpts) (WCResult, error) {
+// charges input reading. sink, when non-nil, also receives the rank's
+// (word, count) output in engine order.
+func RunWordCount(e Engine, fs *pfs.FS, cfg WCConfig, opts StageOpts,
+	sink func(k, v []byte) error) (WCResult, error) {
 	comm := e.Comm()
 	var input core.Input
 	if cfg.Zipf != nil {
@@ -81,6 +83,9 @@ func RunWordCount(e Engine, fs *pfs.FS, cfg WCConfig, opts StageOpts) (WCResult,
 		func(k, v []byte) error {
 			res.UniqueWords++
 			res.TotalWords += core.BytesUint64(v)
+			if sink != nil {
+				return sink(k, v)
+			}
 			return nil
 		})
 	if err != nil {

@@ -200,7 +200,7 @@ func TestWordCountBothEngines(t *testing.T) {
 			var words uint64
 			results := make([]WCResult, p)
 			err := w.Run(func(c *mpi.Comm) error {
-				res, err := RunWordCount(eng.build(c, arena, spill), nil, cfg, StageOpts{})
+				res, err := RunWordCount(eng.build(c, arena, spill), nil, cfg, StageOpts{}, nil)
 				results[c.Rank()] = res
 				return err
 			})
@@ -238,7 +238,7 @@ func TestWordCountOptimizationLadderAgrees(t *testing.T) {
 			var words uint64
 			results := make([]WCResult, p)
 			err := w.Run(func(c *mpi.Comm) error {
-				res, err := RunWordCount(NewMimirEngine(c, arena), nil, cfg, opts)
+				res, err := RunWordCount(NewMimirEngine(c, arena), nil, cfg, opts, nil)
 				results[c.Rank()] = res
 				return err
 			})

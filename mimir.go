@@ -161,8 +161,7 @@ var ParseFaultPolicy = transport.ParseFaultPolicy
 var TCPOptionsFromEnv = transport.OptionsFromEnv
 
 // TCPOptions configures a multi-process world: fault handling, deadlines,
-// fault injection, wire compression, and the per-rank worker pool size. It
-// is the transport's consolidated Options struct — one encode/decode
+// fault injection, and wire compression. It is the transport's consolidated Options struct — one encode/decode
 // (transport.Options.Env / transport.OptionsFromEnv) carries every field to
 // spawned workers, so no launch path can silently drop a setting.
 type TCPOptions = transport.Options

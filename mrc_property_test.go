@@ -1,10 +1,10 @@
 package mimir_test
 
-// The MRC determinism battery: every multi-round job (terasort, pagerank,
-// kmeans, bfs) must produce byte-identical canonical output whatever runs
-// it — the in-process Local transport, a real loopback TCP mesh, or a
-// fault-injected TCP mesh recovering from connection resets — at every
-// worker-pool size and out-of-core policy. The invariants doing the work:
+// The MRC determinism battery: every driver job kind (terasort, pagerank,
+// kmeans, bfs, and wordcount) must produce byte-identical canonical output
+// whatever runs it — the in-process Local transport, a real loopback TCP
+// mesh, or a fault-injected TCP mesh recovering from connection resets — at
+// every worker-pool size and out-of-core policy. The invariants doing the work:
 // integer fixed-point arithmetic (reassociation by worker pools and hot-key
 // split/re-merge is exact), per-rank deterministic input regeneration, and
 // canonical gather ordering. quick.Check drives the dataset seed; set
@@ -38,6 +38,7 @@ func mrcBatteryJobs() []driver.JobConfig {
 		{Kind: driver.JobPageRank, Scale: 8, Hint: true, PR: true},
 		{Kind: driver.JobKMeans, Points: 1 << 11, K: 5, Dims: 2, Hint: true, PR: true},
 		{Kind: driver.JobBFS, Scale: 8, Hint: true},
+		{Kind: driver.JobWordCount, TotalBytes: 1 << 16, Hint: true, PR: true},
 	}
 }
 
@@ -49,20 +50,22 @@ func mrcBatteryJobs() []driver.JobConfig {
 // engine containers never outgrow any cap the block fits under, so its
 // spill cell only exercises the policy, not eviction.
 var mrcSpillCap = map[string]int64{
-	driver.JobTeraSort: 128 << 10,
-	driver.JobPageRank: 44 << 10,
-	driver.JobKMeans:   44 << 10,
-	driver.JobBFS:      120 << 10,
+	driver.JobWordCount: 144 << 10,
+	driver.JobTeraSort:  128 << 10,
+	driver.JobPageRank:  44 << 10,
+	driver.JobKMeans:    44 << 10,
+	driver.JobBFS:       120 << 10,
 }
 
-// mrcSpillCfg applies a kind's spill cell to cfg. k-means additionally
-// drops partial reduction: with pr on its shuffled working set is K keys
-// (nothing to evict), without it the aggregate holds one record per point —
-// and pr never changes the output bytes, so the reference still applies.
+// mrcSpillCfg applies a kind's spill cell to cfg. k-means and wordcount
+// additionally drop partial reduction: with pr on their shuffled working
+// set is one bucket entry per distinct key (nothing to evict), without it
+// the aggregate holds one record per point / word occurrence — and pr never
+// changes the output bytes, so the reference still applies.
 func mrcSpillCfg(cfg driver.JobConfig) driver.JobConfig {
 	cfg.OutOfCore = core.SpillWhenNeeded
 	cfg.MemBytes = mrcSpillCap[cfg.Kind]
-	if cfg.Kind == driver.JobKMeans {
+	if cfg.Kind == driver.JobKMeans || cfg.Kind == driver.JobWordCount {
 		cfg.PR = false
 	}
 	return cfg

@@ -319,18 +319,15 @@ func benchShuffleRun(tb testing.TB, prePR []shufflePoint) benchShuffleBaseline {
 // TestShuffleBenchBaseline holds the committed BENCH_shuffle.json to its
 // claims. Wall-clock ns/KV is machine-dependent, so unlike the simulated
 // BENCH_workers.json this pin does not demand exact equality; it asserts
-// (a) the committed file's shape and internal consistency, (b) the
+// (a) the committed file's shape and internal consistency and (b) the
 // committed >= 1.5x ns/KV improvement at 4 ranks against the pre-PR
-// baseline recorded in the same file, and (c) that a fresh sweep on this
-// host has not regressed allocations-per-KV by more than 2x the committed
-// figure (allocation counts, unlike nanoseconds, are near-deterministic).
+// baseline recorded in the same file. Nothing here measures this host:
+// bench/ owns the wall-clock allocation figure (shuffle_tcp/allocs_per_job)
+// and TestShuffleAllocs pins the exact host-independent count.
 // Regenerate the file with:
 //
 //	MIMIR_BENCH_OUT=BENCH_shuffle.json go test -run TestShuffleBenchBaseline .
 func TestShuffleBenchBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock sweep")
-	}
 	raw, err := os.ReadFile("BENCH_shuffle.json")
 	if err != nil {
 		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
@@ -381,17 +378,5 @@ func TestShuffleBenchBaseline(t *testing.T) {
 		t.Errorf("committed speedup_tcp4_ns_per_kv = %.2f, want >= 1.5", want.SpeedupTCP4)
 	}
 
-	// (c) Allocation drift on this host: allocations per KV are
-	// near-deterministic (unlike nanoseconds), so a fresh measurement more
-	// than 2x the committed figure means the zero-allocation path regressed.
-	fresh := measureShuffle(t, 4, false, 2)
-	limit := post.AllocsPerKV * 2
-	if floor := 0.05; limit < floor {
-		limit = floor // absolute slack for sub-0.025/KV committed figures
-	}
-	if fresh.AllocsPerKV > limit {
-		t.Errorf("allocs/KV drifted: fresh %.4f vs committed %.4f (limit %.4f)",
-			fresh.AllocsPerKV, post.AllocsPerKV, limit)
-	}
-	t.Logf("committed speedup %.2fx; fresh allocs/KV %.4f (committed %.4f)", speedup, fresh.AllocsPerKV, post.AllocsPerKV)
+	t.Logf("committed speedup %.2fx", speedup)
 }

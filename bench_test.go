@@ -101,48 +101,77 @@ func BenchmarkKVDecode(b *testing.B) {
 	}
 }
 
+// benchKeyPopulations names the key sets the bucket benchmarks run on:
+// every generated key, and only those with HashKey = 3 mod 8 — what rank 3
+// of an 8-rank job holds under the default partitioner, which is the
+// population a bucket inside the engine actually sees.
+var benchKeyPopulations = []struct {
+	name string
+	keep func(k []byte) bool
+}{
+	{"unfiltered", func([]byte) bool { return true }},
+	{"residue=3of8", func(k []byte) bool { return kvbuf.HashKey(k)%8 == 3 }},
+}
+
+// benchKeys returns the first n keys of format that keep accepts.
+func benchKeys(n int, format string, keep func(k []byte) bool) [][]byte {
+	keys := make([][]byte, 0, n)
+	for i := 0; len(keys) < n; i++ {
+		if k := []byte(fmt.Sprintf(format, i)); keep(k) {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // BenchmarkBucketUpsert measures the combiner hash bucket on a WordCount-
 // like workload (8K distinct keys).
 func BenchmarkBucketUpsert(b *testing.B) {
-	arena := mem.NewArena(0)
-	bkt, err := kvbuf.NewBucket(arena, 64<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer bkt.Free()
-	keys := make([][]byte, 8192)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("word-%04d", i))
-	}
-	one := mimir.Uint64Bytes(1)
-	merge := func(existing, incoming []byte) ([]byte, error) {
-		return mimir.Uint64Bytes(mimir.BytesUint64(existing) + 1), nil
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bkt.Upsert(keys[i&8191], one, merge); err != nil {
-			b.Fatal(err)
-		}
+	for _, pop := range benchKeyPopulations {
+		b.Run(pop.name, func(b *testing.B) {
+			arena := mem.NewArena(0)
+			bkt, err := kvbuf.NewBucket(arena, 64<<10)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer bkt.Free()
+			keys := benchKeys(8192, "word-%04d", pop.keep)
+			one := mimir.Uint64Bytes(1)
+			merge := func(existing, incoming []byte) ([]byte, error) {
+				return mimir.Uint64Bytes(mimir.BytesUint64(existing) + 1), nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bkt.Upsert(keys[i&8191], one, merge); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkConvert measures the two-pass KV-to-KMV conversion.
 func BenchmarkConvert(b *testing.B) {
-	arena := mem.NewArena(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		in := kvbuf.NewKVC(arena, 64<<10, kvbuf.DefaultHint())
-		for j := 0; j < 10000; j++ {
-			if err := in.Append([]byte(fmt.Sprintf("key-%03d", j%512)), mimir.Uint64Bytes(uint64(j))); err != nil {
-				b.Fatal(err)
+	for _, pop := range benchKeyPopulations {
+		b.Run(pop.name, func(b *testing.B) {
+			arena := mem.NewArena(0)
+			keys := benchKeys(512, "key-%03d", pop.keep)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				in := kvbuf.NewKVC(arena, 64<<10, kvbuf.DefaultHint())
+				for j := 0; j < 10000; j++ {
+					if err := in.Append(keys[j%512], mimir.Uint64Bytes(uint64(j))); err != nil {
+						b.Fatal(err)
+					}
+				}
+				out, err := kvbuf.Convert(in, arena, 64<<10, kvbuf.DefaultHint())
+				if err != nil {
+					b.Fatal(err)
+				}
+				out.Free()
 			}
-		}
-		out, err := kvbuf.Convert(in, arena, 64<<10, kvbuf.DefaultHint())
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Free()
+		})
 	}
 }
 

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -141,9 +142,11 @@ func main() {
 	}
 }
 
-// combine merges two counts of one word (the pr and cps callback).
+// combine merges two counts of one word (the pr and cps callback), writing
+// the sum into existing as mimir.CombineFunc allows.
 func combine(_ []byte, existing, incoming []byte) ([]byte, error) {
-	return mimir.Uint64Bytes(mimir.BytesUint64(existing) + mimir.BytesUint64(incoming)), nil
+	binary.LittleEndian.PutUint64(existing, mimir.BytesUint64(existing)+mimir.BytesUint64(incoming))
+	return existing, nil
 }
 
 // runWC counts words across all ranks of world and gathers the totals at

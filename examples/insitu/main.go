@@ -9,6 +9,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"math"
@@ -63,7 +64,8 @@ func main() {
 	arena := mimir.NewArena(0)
 
 	sumCounts := func(_ []byte, existing, incoming []byte) ([]byte, error) {
-		return mimir.Uint64Bytes(mimir.BytesUint64(existing) + mimir.BytesUint64(incoming)), nil
+		binary.LittleEndian.PutUint64(existing, mimir.BytesUint64(existing)+mimir.BytesUint64(incoming))
+		return existing, nil
 	}
 
 	var mu sync.Mutex

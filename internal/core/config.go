@@ -84,9 +84,13 @@ type ReduceFunc func(key []byte, vals *kvbuf.ValueIter, emit Emitter) error
 
 // CombineFunc merges two values of the same key into one. It backs both the
 // KV compression callback (applied in the map phase, before aggregate) and
-// the partial-reduction callback (applied in place of convert+reduce). The
-// returned slice may alias existing, which the engine updates in place when
-// the length is unchanged.
+// the partial-reduction callback (applied in place of convert+reduce).
+// existing is the engine's own copy of the value merged so far — usually
+// the hash-bucket entry itself — and is the callback's to overwrite: a
+// merge that keeps the length should write its result there and return it,
+// which costs no copy and no allocation (workloads.Int64VecAdd does).
+// incoming is read-only and valid only during the call. A result returned
+// in any other slice is copied by the engine before the callback runs again.
 type CombineFunc func(key, existing, incoming []byte) ([]byte, error)
 
 // Input feeds a rank's share of the job input, one record at a time. Each

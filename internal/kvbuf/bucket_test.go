@@ -353,3 +353,83 @@ func TestConvertOOM(t *testing.T) {
 		t.Fatalf("Convert = %v, want ErrNoMemory", err)
 	}
 }
+
+// residueKeys returns n distinct keys whose HashKey is r modulo p — the key
+// population one rank of a p-rank job holds under the default partitioner.
+func residueKeys(n int, r, p uint64) [][]byte {
+	keys := make([][]byte, 0, n)
+	for i := 0; len(keys) < n; i++ {
+		k := []byte(fmt.Sprintf("word-%d", i))
+		if HashKey(k)%p == r {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// TestBucketProbeBoundedUnderRankResidue: a bucket only ever sees keys of
+// one HashKey residue class (the rank's), so its chains must not be drawn
+// from the bits that picked the rank. Indexed by HashKey itself, the
+// longest chain grows with the rank count (at 64 ranks, 64 times the keys
+// per reachable head); indexed by slotHash it stays that of an unfiltered
+// population.
+func TestBucketProbeBoundedUnderRankResidue(t *testing.T) {
+	const n = 1 << 14
+	longest := func(keys [][]byte) int {
+		a := mem.NewArena(0)
+		b, err := NewBucket(a, 64<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Free()
+		for _, k := range keys {
+			if err := b.Put(k, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.LongestChain()
+	}
+	base := longest(residueKeys(n, 0, 1))
+	for _, p := range []uint64{2, 8, 64} {
+		r := p - 1
+		if got := longest(residueKeys(n, r, p)); got > 2*base {
+			t.Errorf("keys = %d mod %d: longest chain %d, unfiltered population %d (want <= 2x)", r, p, got, base)
+		}
+	}
+}
+
+// TestConvertAllocs pins convert's heap traffic: it may allocate per page
+// and per doubling of its tables, never per KV.
+func TestConvertAllocs(t *testing.T) {
+	const kvs, pageSize = 1 << 15, 64 << 10
+	keys := residueKeys(512, 3, 8)
+	hint := Hint{Key: StrZ(), Val: Fixed(8)}
+	a := mem.NewArena(0)
+	val := make([]byte, 8)
+	fill := func() *KVC {
+		in := NewKVC(a, pageSize, hint)
+		for i := 0; i < kvs; i++ {
+			if err := in.Append(keys[i%len(keys)], val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return in
+	}
+	in := fill()
+	pages := int(in.ReservedBytes()/pageSize) + 1
+	in.Free()
+	// AllocsPerRun also counts the refill; appends reuse pooled pages and
+	// allocate only the page table.
+	perRun := testing.AllocsPerRun(5, func() {
+		out, err := Convert(fill(), a, pageSize, hint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Free()
+	})
+	// Input, output and index pages, plus ~log2 growth steps of the four
+	// tables (entries, heads, records, page lists).
+	if limit := float64(4*pages + 64); perRun > limit {
+		t.Errorf("Convert of %d KVs on %d pages: %.0f allocs, want <= %.0f (none per KV)", kvs, pages, perRun, limit)
+	}
+}

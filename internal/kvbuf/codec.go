@@ -259,8 +259,10 @@ func (h Hint) FixedSize() (int, bool) {
 	return 0, false
 }
 
-// HashKey returns the 64-bit FNV-1a hash of k, used to partition KVs across
-// ranks and to index combiner buckets.
+// HashKey returns the 64-bit FNV-1a hash of k. The engines route a KV to
+// rank HashKey(k) % P, so the keys one rank holds all share a residue; the
+// buckets therefore never index by this value directly but by slotHash, a
+// remix of it.
 func HashKey(k []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -273,3 +275,26 @@ func HashKey(k []byte) uint64 {
 	}
 	return h
 }
+
+// slotHash is the hash the buckets index by: HashKey pushed through the
+// 64-bit murmur3 finalizer, a bijection under which every output bit
+// depends on every input bit. One hash pass over the key thus serves three
+// moduli — HashKey % P picks the rank, the remix's low bits pick the chain
+// head inside a Bucket and its high 32 bits pick the shard inside a
+// ShardedBucket (shardOf). The fields must be disjoint: a rank holds only
+// keys of one HashKey residue and a shard only keys of one shardOf value,
+// so an index drawn from bits that already chose the rank or the shard
+// reaches 1/P (or 1/shards) of the chain heads and chains grow P× too long.
+func slotHash(k []byte) uint64 {
+	h := HashKey(k)
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// shardOf maps a slotHash to one of n shards from its high 32 bits
+// (multiply-shift, so any n — not just powers of two — divides them evenly).
+func shardOf(h uint64, n int) int { return int((h >> 32) * uint64(n) >> 32) }

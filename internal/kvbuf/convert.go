@@ -26,33 +26,27 @@ func Convert(in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) 
 
 // ConvertOn is Convert with the output KMVC's pages registered on a
 // PageStore for out-of-core eviction. Both passes stream: pass 1 pins the
-// (possibly spilled) input pages one at a time while reserving records,
-// pass 2 drains the input while scattering values into pinned output
-// pages, so residency never doubles even when both containers exceed the
-// watermark. The per-key index bucket stays purely in-memory — it is
-// random-access on every KV and must live in the arena headroom above the
-// watermark.
+// (possibly spilled) input pages one at a time while counting, pass 2
+// drains the input while scattering values into pinned output pages, so
+// residency never doubles even when both containers exceed the watermark.
+// The per-key index bucket stays purely in-memory — it is random-access on
+// every KV and must live in the arena headroom above the watermark.
+//
+// Each KV costs one bucket probe per pass. Pass 1 finds the key's entry and
+// bumps its stat in place; records are then reserved by walking the entries
+// in insertion order, so a key's record id is its entry index and pass 2 is
+// a probe straight into AppendValue.
 func ConvertOn(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) {
-	// Pass 1: per-key statistics in a hash bucket. Values are fixed 12-byte
-	// records: [count uint32][valBytes uint32][recID uint32].
 	idx, err := NewBucketOn(store, arena, pageSize)
 	if err != nil {
 		return nil, err
 	}
 	defer idx.Free()
 
-	var stat [12]byte
+	// Pass 1: per-key statistics.
 	err = in.Scan(func(k, v []byte) error {
-		binary.LittleEndian.PutUint32(stat[0:], 1)
-		binary.LittleEndian.PutUint32(stat[4:], uint32(len(v)))
-		binary.LittleEndian.PutUint32(stat[8:], 0)
-		return idx.Upsert(k, stat[:], func(existing, incoming []byte) ([]byte, error) {
-			count := binary.LittleEndian.Uint32(existing[0:]) + 1
-			vb := binary.LittleEndian.Uint32(existing[4:]) + binary.LittleEndian.Uint32(incoming[4:])
-			binary.LittleEndian.PutUint32(existing[0:], count)
-			binary.LittleEndian.PutUint32(existing[4:], vb)
-			return existing, nil
-		})
+		_, err := idx.tally(slotHash(k), k, len(v))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -60,34 +54,58 @@ func ConvertOn(store PageStore, in *KVC, arena *mem.Arena, pageSize int, hint Hi
 
 	// Reserve all records in first-appearance order (deterministic output).
 	out := NewKMVCOn(store, arena, pageSize, hint)
-	err = idx.Scan(func(k, v []byte) error {
-		count := int(binary.LittleEndian.Uint32(v[0:]))
-		valBytes := int(binary.LittleEndian.Uint32(v[4:]))
-		id, err := out.NewRecord(k, count, valBytes)
-		if err != nil {
-			return err
+	for i := 0; i < idx.Len(); i++ {
+		k, st := idx.Entry(i)
+		if _, err := out.NewRecord(k, statCount(st), statValBytes(st)); err != nil {
+			out.Free()
+			return nil, err
 		}
-		binary.LittleEndian.PutUint32(v[8:], uint32(id))
-		return nil
-	})
-	if err != nil {
-		out.Free()
-		return nil, err
 	}
 
 	// Pass 2: scatter values; drain the input as its pages are consumed.
 	err = in.Drain(func(k, v []byte) error {
-		sv, ok := idx.Get(k)
-		if !ok {
-			return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
+		i := idx.find(slotHash(k), k)
+		if i < 0 {
+			return errUnindexed(k)
 		}
-		return out.AppendValue(int(binary.LittleEndian.Uint32(sv[8:])), v)
+		return out.AppendValue(int(i), v)
 	})
 	if err != nil {
 		out.Free()
 		return nil, err
 	}
 	return out, nil
+}
+
+// The index bucket's value for one unique key is a fixed 12-byte stat,
+// [count uint32][valBytes uint32][recID uint32]. recID is written only by
+// ConvertParallel, whose records are reserved in the shards' merged order
+// rather than any one shard's entry order.
+const statBytes = 12
+
+func statCount(st []byte) int    { return int(binary.LittleEndian.Uint32(st[0:])) }
+func statValBytes(st []byte) int { return int(binary.LittleEndian.Uint32(st[4:])) }
+func statRecID(st []byte) int    { return int(binary.LittleEndian.Uint32(st[8:])) }
+
+// tally is convert's pass-1 step: it counts one more value of vlen bytes
+// under k (h must be slotHash(k)), bumping the key's stat in place or
+// inserting a fresh one, and reports whether the key was new.
+func (b *Bucket) tally(h uint64, k []byte, vlen int) (fresh bool, err error) {
+	if i := b.find(h, k); i >= 0 {
+		st := b.value(i)
+		binary.LittleEndian.PutUint32(st[0:], binary.LittleEndian.Uint32(st[0:])+1)
+		binary.LittleEndian.PutUint32(st[4:], binary.LittleEndian.Uint32(st[4:])+uint32(vlen))
+		return false, nil
+	}
+	var st [statBytes]byte
+	binary.LittleEndian.PutUint32(st[0:], 1)
+	binary.LittleEndian.PutUint32(st[4:], uint32(vlen))
+	err = b.insert(h, k, st[:])
+	return err == nil, err
+}
+
+func errUnindexed(k []byte) error {
+	return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
 }
 
 // ConvertParallel is Convert with both passes sharded across a worker pool.
@@ -111,50 +129,39 @@ func ConvertParallel(in *KVC, arena *mem.Arena, pageSize int, hint Hint, workers
 	if workers < 1 {
 		workers = 1
 	}
-	// Pass 1: per-key statistics, sharded. Same 12-byte stat records as the
-	// serial pass: [count uint32][valBytes uint32][recID uint32].
 	idx, err := NewShardedBucket(arena, pageSize, workers)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer idx.Free()
 
+	// Pass 1: per-key statistics, sharded.
 	work := make([]int64, workers)
 	if err := parallelShards(workers, func(w int) error {
-		var stat [12]byte
 		var seq uint64
 		return in.Scan(func(k, v []byte) error {
 			cur := seq
 			seq++
-			if idx.ShardOf(k) != w {
+			h := slotHash(k)
+			if shardOf(h, workers) != w {
 				return nil
 			}
 			work[w] += int64(len(k) + len(v))
-			binary.LittleEndian.PutUint32(stat[0:], 1)
-			binary.LittleEndian.PutUint32(stat[4:], uint32(len(v)))
-			binary.LittleEndian.PutUint32(stat[8:], 0)
-			return idx.Upsert(w, cur, k, stat[:], func(existing, incoming []byte) ([]byte, error) {
-				count := binary.LittleEndian.Uint32(existing[0:]) + 1
-				vb := binary.LittleEndian.Uint32(existing[4:]) + binary.LittleEndian.Uint32(incoming[4:])
-				binary.LittleEndian.PutUint32(existing[0:], count)
-				binary.LittleEndian.PutUint32(existing[4:], vb)
-				return existing, nil
-			})
+			return idx.tally(w, cur, h, k, len(v))
 		})
 	}); err != nil {
 		return nil, nil, err
 	}
 
-	// Reserve all records serially in merged first-appearance order.
+	// Reserve all records serially in merged first-appearance order, leaving
+	// each key's record id in its stat.
 	out := NewKMVC(arena, pageSize, hint)
-	err = idx.Scan(func(k, v []byte) error {
-		count := int(binary.LittleEndian.Uint32(v[0:]))
-		valBytes := int(binary.LittleEndian.Uint32(v[4:]))
-		id, err := out.NewRecord(k, count, valBytes)
+	err = idx.Scan(func(k, st []byte) error {
+		id, err := out.NewRecord(k, statCount(st), statValBytes(st))
 		if err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint32(v[8:], uint32(id))
+		binary.LittleEndian.PutUint32(st[8:], uint32(id))
 		return nil
 	})
 	if err != nil {
@@ -175,15 +182,17 @@ func ConvertParallel(in *KVC, arena *mem.Arena, pageSize int, hint Hint, workers
 				firstErr = err
 			} else {
 				err := parallelShards(workers, func(w int) error {
+					shard := idx.shards[w]
 					return in.scanPage(p, func(k, v []byte) error {
-						if idx.ShardOf(k) != w {
+						h := slotHash(k)
+						if shardOf(h, workers) != w {
 							return nil
 						}
-						sv, ok := idx.Get(k)
-						if !ok {
-							return fmt.Errorf("kvbuf: convert pass 2 found unindexed key %q", k)
+						e := shard.find(h, k)
+						if e < 0 {
+							return errUnindexed(k)
 						}
-						return out.AppendValue(int(binary.LittleEndian.Uint32(sv[8:])), v)
+						return out.AppendValue(statRecID(shard.value(e)), v)
 					})
 				})
 				in.buf.unpinPage(i)

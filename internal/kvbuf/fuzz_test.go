@@ -78,8 +78,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzConvert drives the two-pass KV→KMV convert with arbitrary KV streams
-// and hint modes: the KMV output must hold exactly the input multiset
-// (grouped by key), and all arena memory must be returned after Free.
+// and hint modes: the KMV output must be the input regrouped by key — records
+// in first-appearance order, values in arrival order — and all arena memory
+// must be returned after Free.
 func FuzzConvert(f *testing.F) {
 	f.Add([]byte("the quick brown fox the lazy dog the end"), uint8(0), uint8(0))
 	f.Add([]byte("aaaa bb c dddddd bb aaaa"), uint8(2), uint8(0))
@@ -112,26 +113,43 @@ func FuzzConvert(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Convert: %v", err)
 		}
-		got := map[kv]int{}
-		total := 0
-		err = kmv.Scan(func(key []byte, vals *ValueIter) error {
-			for v, ok := vals.Next(); ok; v, ok = vals.Next() {
-				got[kv{string(key), string(v)}]++
-				total++
+		// One record per unique key in first-appearance order, each with
+		// the key's values in arrival order: flattened, the KMV is the
+		// input stably regrouped by first appearance.
+		firstSeen := map[string]int{}
+		groups := [][]kv{}
+		for _, w := range want {
+			i, ok := firstSeen[w.k]
+			if !ok {
+				i = len(groups)
+				firstSeen[w.k] = i
+				groups = append(groups, nil)
 			}
+			groups[i] = append(groups[i], w)
+		}
+		rec := 0
+		err = kmv.Scan(func(key []byte, vals *ValueIter) error {
+			if rec >= len(groups) {
+				t.Fatalf("KMV holds more than the %d unique keys inserted", len(groups))
+			}
+			g := groups[rec]
+			if vals.Len() != len(g) {
+				t.Fatalf("record %d (%q) holds %d values, want %d", rec, key, vals.Len(), len(g))
+			}
+			for i := 0; i < len(g); i++ {
+				v, _ := vals.Next()
+				if string(key) != g[i].k || string(v) != g[i].v {
+					t.Fatalf("record %d value %d = (%q, %q), want (%q, %q)", rec, i, key, v, g[i].k, g[i].v)
+				}
+			}
+			rec++
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("Scan: %v", err)
 		}
-		if total != len(want) {
-			t.Fatalf("KMV holds %d values, inserted %d", total, len(want))
-		}
-		for _, w := range want {
-			if got[w] <= 0 {
-				t.Fatalf("KV (%q, %q) lost in convert", w.k, w.v)
-			}
-			got[w]--
+		if rec != len(groups) {
+			t.Fatalf("KMV holds %d records, want %d", rec, len(groups))
 		}
 		kmv.Free()
 		if arena.Used() != 0 {

@@ -7,9 +7,18 @@ import (
 	"mimir/internal/mem"
 )
 
-// bucketEntryBytes is the accounting charge per hash-bucket entry (hash,
-// refs, lengths, chain link).
+// bucketEntryBytes is the accounting charge per hash-bucket entry.
 const bucketEntryBytes = 40
+
+// headsPerCharged is how many chain heads the bucket keeps per charged one.
+// The arena is charged bucketEntryBytes per entry and 4 bytes per head of a
+// table of n heads that doubles when the entries reach 2n. A bucketEntry
+// really takes 32 bytes, and the 8 it leaves pay for a second head per
+// charged one: 4n more bytes against 8 per entry saved, covered from n/2
+// entries on — always, once the table has grown, and from 32 entries under
+// the initial 64 heads. Chains therefore hold 0.5–1 entries on average
+// instead of 1–2 for the same charge.
+const headsPerCharged = 2
 
 // Bucket is the hash bucket used by the KV compression and partial
 // reduction optimizations: it holds one KV per unique key and merges
@@ -30,12 +39,16 @@ type Bucket struct {
 	headCharged int64
 }
 
+// bucketEntry locates one key's bytes and links its chain. tag is the low
+// half of the key's slotHash: its low bits pick the chain head, and the
+// whole of it filters chain walks so that a key comparison is almost
+// always a match.
 type bucketEntry struct {
-	hash   uint64
 	keyRef ref
 	valRef ref
 	keyLen int32
 	valLen int32
+	tag    uint32
 	next   int32
 }
 
@@ -70,6 +83,8 @@ func (b *Bucket) alloc(n int64) error {
 	return b.arena.Alloc(n)
 }
 
+// setHeads charges a heads table of n entries and rebuilds the chains over
+// headsPerCharged*n heads.
 func (b *Bucket) setHeads(n int) error {
 	charge := int64(n) * 4
 	if err := b.alloc(charge); err != nil {
@@ -79,14 +94,15 @@ func (b *Bucket) setHeads(n int) error {
 		b.arena.Free(b.headCharged)
 	}
 	b.headCharged = charge
-	b.heads = make([]int32, n)
+	b.heads = make([]int32, headsPerCharged*n)
 	for i := range b.heads {
 		b.heads[i] = -1
 	}
+	mask := uint32(len(b.heads) - 1)
 	for i := range b.entries {
-		slot := b.entries[i].hash & uint64(n-1)
-		b.entries[i].next = b.heads[slot]
-		b.heads[slot] = int32(i)
+		e := &b.entries[i]
+		e.next = b.heads[e.tag&mask]
+		b.heads[e.tag&mask] = int32(i)
 	}
 	return nil
 }
@@ -102,34 +118,45 @@ func (b *Bucket) MemoryBytes() int64 {
 // GarbageBytes returns dead bytes left by size-changing value updates.
 func (b *Bucket) GarbageBytes() int64 { return b.garbage }
 
+// find is the bucket's one probe: it returns the index of k's entry — its
+// position in insertion order — or -1. h must be slotHash(k). Every other
+// operation, and both passes of convert, are this probe plus a read or a
+// write of the entry it names.
 func (b *Bucket) find(h uint64, k []byte) int32 {
-	for i := b.heads[h&uint64(len(b.heads)-1)]; i >= 0; i = b.entries[i].next {
+	tag := uint32(h)
+	for i := b.heads[tag&uint32(len(b.heads)-1)]; i >= 0; {
 		e := &b.entries[i]
-		if e.hash == h && int(e.keyLen) == len(k) &&
-			bytes.Equal(b.data.at(e.keyRef, int(e.keyLen)), k) {
+		if e.tag == tag && int(e.keyLen) == len(k) &&
+			bytes.Equal(b.data.at(e.keyRef, len(k)), k) {
 			return i
 		}
+		i = e.next
 	}
 	return -1
 }
 
+// value returns entry i's value bytes, aliasing bucket memory.
+func (b *Bucket) value(i int32) []byte {
+	e := &b.entries[i]
+	return b.data.at(e.valRef, int(e.valLen))
+}
+
 // Get returns the value stored for k. The slice aliases bucket memory.
 func (b *Bucket) Get(k []byte) ([]byte, bool) {
-	i := b.find(HashKey(k), k)
+	i := b.find(slotHash(k), k)
 	if i < 0 {
 		return nil, false
 	}
-	e := &b.entries[i]
-	return b.data.at(e.valRef, int(e.valLen)), true
+	return b.value(i), true
 }
 
 // Put inserts (k, v), replacing any existing value. Same-length replacement
 // is done in place; a different length appends new storage and leaves the
 // old bytes as garbage.
 func (b *Bucket) Put(k, v []byte) error {
-	h := HashKey(k)
+	h := slotHash(k)
 	if i := b.find(h, k); i >= 0 {
-		return b.replaceValue(&b.entries[i], v)
+		return b.setValue(i, v)
 	}
 	return b.insert(h, k, v)
 }
@@ -138,24 +165,27 @@ func (b *Bucket) Put(k, v []byte) error {
 // otherwise merge(existing, v) produces the replacement value. This is the
 // paper's combiner protocol — "the partial-reduction callback is called,
 // which reduces these two KVs into a single KV. The existing KV in the hash
-// bucket then is replaced with the reduced version."
+// bucket then is replaced with the reduced version." existing aliases the
+// entry's own bytes, so a merge that writes its result there and returns it
+// costs no copy and no allocation.
 func (b *Bucket) Upsert(k, v []byte, merge func(existing, incoming []byte) ([]byte, error)) error {
-	h := HashKey(k)
+	h := slotHash(k)
 	i := b.find(h, k)
 	if i < 0 {
 		return b.insert(h, k, v)
 	}
-	e := &b.entries[i]
-	merged, err := merge(b.data.at(e.valRef, int(e.valLen)), v)
+	merged, err := merge(b.value(i), v)
 	if err != nil {
 		return err
 	}
-	return b.replaceValue(e, merged)
+	return b.setValue(i, merged)
 }
 
-func (b *Bucket) replaceValue(e *bucketEntry, v []byte) error {
+// setValue replaces entry i's value. v may be the entry's own bytes.
+func (b *Bucket) setValue(i int32, v []byte) error {
+	e := &b.entries[i]
 	if len(v) == int(e.valLen) {
-		copy(b.data.at(e.valRef, int(e.valLen)), v)
+		copy(b.data.at(e.valRef, len(v)), v)
 		return nil
 	}
 	r, err := b.data.append(v)
@@ -168,9 +198,11 @@ func (b *Bucket) replaceValue(e *bucketEntry, v []byte) error {
 	return nil
 }
 
+// insert appends a new entry for (k, v); h must be slotHash(k) and k absent.
+// The new entry's index is Len()-1.
 func (b *Bucket) insert(h uint64, k, v []byte) error {
-	if len(b.entries) >= 2*len(b.heads) {
-		if err := b.setHeads(2 * len(b.heads)); err != nil {
+	if charged := int(b.headCharged / 4); len(b.entries) >= 2*charged {
+		if err := b.setHeads(2 * charged); err != nil {
 			return err
 		}
 	}
@@ -187,11 +219,12 @@ func (b *Bucket) insert(h uint64, k, v []byte) error {
 		b.arena.Free(bucketEntryBytes)
 		return err
 	}
-	slot := h & uint64(len(b.heads)-1)
+	tag := uint32(h)
+	slot := tag & uint32(len(b.heads)-1)
 	b.entries = append(b.entries, bucketEntry{
-		hash: h, keyRef: kr, valRef: vr,
+		keyRef: kr, valRef: vr,
 		keyLen: int32(len(k)), valLen: int32(len(v)),
-		next: b.heads[slot],
+		tag: tag, next: b.heads[slot],
 	})
 	b.heads[slot] = int32(len(b.entries) - 1)
 	return nil

@@ -92,8 +92,9 @@ func (c *KMVC) NewRecord(key []byte, nvals, valBytes int) (int, error) {
 
 // AppendValue writes the next value into record id (pass two of convert).
 // The write lands on whatever page holds the record — typically a sealed
-// one — so the page is pinned (restoring it if convert pass 2 finds it
-// spilled) and marked dirty for the duration of the scatter.
+// one — so with a PageStore attached the page is pinned (restoring it if
+// convert pass 2 finds it spilled) and marked dirty around the scatter;
+// without one every page is resident and the value is written directly.
 func (c *KMVC) AppendValue(id int, v []byte) error {
 	if id < 0 || id >= len(c.recs) {
 		return fmt.Errorf("kvbuf: bad KMV record id %d", id)
@@ -105,13 +106,21 @@ func (c *KMVC) AppendValue(id int, v []byte) error {
 	if err := c.hint.Val.check("value", v); err != nil {
 		return err
 	}
-	if _, err := c.buf.pinPage(rec.r.page()); err != nil {
+	if c.buf.store == nil {
+		return c.putValue(id, rec, v)
+	}
+	page := rec.r.page()
+	if _, err := c.buf.pinPage(page); err != nil {
 		return err
 	}
-	defer func() {
-		c.buf.markDirty(rec.r.page())
-		c.buf.unpinPage(rec.r.page())
-	}()
+	err := c.putValue(id, rec, v)
+	c.buf.markDirty(page)
+	c.buf.unpinPage(page)
+	return err
+}
+
+// putValue encodes v at rec's cursor; the record's page must be resident.
+func (c *KMVC) putValue(id int, rec *kmvRec, v []byte) error {
 	buf := c.buf.at(rec.r, rec.size)
 	pos := rec.cursor
 	need := c.hint.Val.headerSize() + c.hint.Val.dataSize(len(v))

@@ -59,10 +59,13 @@ func NewShardedBucket(arena *mem.Arena, pageSize, nshards int) (*ShardedBucket, 
 // NumShards returns the shard count.
 func (b *ShardedBucket) NumShards() int { return len(b.shards) }
 
-// ShardOf returns the shard owning key k. It reuses the key hash that
-// routes KVs to ranks, so sharding adds no new hash pass.
+// ShardOf returns the shard owning key k: shardOf over the high bits of
+// slotHash, which neither the rank routing (HashKey % P) nor the shards'
+// own chain index (slotHash's low bits) uses. Sharding by HashKey itself
+// would put every key of a rank into one shard whenever the shard count
+// divides the rank count.
 func (b *ShardedBucket) ShardOf(k []byte) int {
-	return int(HashKey(k) % uint64(len(b.shards)))
+	return shardOf(slotHash(k), len(b.shards))
 }
 
 // Upsert merges (k, v) into shard (which must equal ShardOf(k)), recording
@@ -77,6 +80,16 @@ func (b *ShardedBucket) Upsert(shard int, seq uint64, k, v []byte, merge func(ex
 		b.seqs[shard] = append(b.seqs[shard], seq)
 	}
 	return nil
+}
+
+// tally is Bucket.tally on shard (which must own h), recording seq if the
+// key is new — convert's sharded pass-1 step, under Upsert's ownership rule.
+func (b *ShardedBucket) tally(shard int, seq, h uint64, k []byte, vlen int) error {
+	fresh, err := b.shards[shard].tally(h, k, vlen)
+	if fresh {
+		b.seqs[shard] = append(b.seqs[shard], seq)
+	}
+	return err
 }
 
 // Get returns the value stored for k. The slice aliases bucket memory.

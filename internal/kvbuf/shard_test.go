@@ -315,3 +315,28 @@ func FuzzShardMerge(f *testing.F) {
 		}
 	})
 }
+
+// TestShardBalanceUnderRankResidue: every key a rank holds has the same
+// HashKey residue modulo the rank count, so a shard index taken from
+// HashKey itself puts all of them in one shard whenever the shard count
+// divides the rank count — and the worker pool runs on one worker.
+func TestShardBalanceUnderRankResidue(t *testing.T) {
+	keys := residueKeys(1<<13, 3, 8)
+	for _, shards := range []int{2, 4, 8} {
+		sb, err := NewShardedBucket(mem.NewArena(0), 64<<10, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := make([]int, shards)
+		for _, k := range keys {
+			held[sb.ShardOf(k)]++
+		}
+		sb.Free()
+		mean := float64(len(keys)) / float64(shards)
+		for s, n := range held {
+			if f := float64(n); f < 0.75*mean || f > 1.25*mean {
+				t.Errorf("%d shards: shard %d holds %d of %d keys, want within 25%% of %.0f", shards, s, n, len(keys), mean)
+			}
+		}
+	}
+}

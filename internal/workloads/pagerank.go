@@ -70,18 +70,18 @@ func PageRankHint() kvbuf.Hint { return kvbuf.Hint{Key: kvbuf.Fixed(8), Val: kvb
 // by element-wise addition. It is the partial-reduce (and compression)
 // combiner for PageRank (one lane: a contribution sum) and k-means
 // (Dims+1 lanes: coordinate sums and a count) — commutative and
-// associative, so hot-key splitting may engage.
+// associative, so hot-key splitting may engage. The sums are written into
+// existing, which core.CombineFunc hands over, so a merge allocates nothing.
 func Int64VecAdd(_ []byte, existing, incoming []byte) ([]byte, error) {
 	if len(existing) != len(incoming) || len(existing)%8 != 0 {
 		return nil, fmt.Errorf("workloads: int64 vector add on %d vs %d byte values", len(existing), len(incoming))
 	}
-	out := make([]byte, len(existing))
 	for i := 0; i < len(existing); i += 8 {
 		a := int64(binary.LittleEndian.Uint64(existing[i:]))
 		b := int64(binary.LittleEndian.Uint64(incoming[i:]))
-		binary.LittleEndian.PutUint64(out[i:], uint64(a+b))
+		binary.LittleEndian.PutUint64(existing[i:], uint64(a+b))
 	}
-	return out, nil
+	return existing, nil
 }
 
 // Int64VecReduce is the reduce-phase equivalent of Int64VecAdd for runs

@@ -7,10 +7,7 @@ package mimir_test
 // as custom metrics alongside the usual ns/op.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -403,30 +400,7 @@ func TestWorkersBenchBaseline(t *testing.T) {
 	if got.MapSpeedup8 < 2 {
 		t.Errorf("map-phase speedup at 8 workers = %.2fx, want >= 2x", got.MapSpeedup8)
 	}
-	if out := os.Getenv("MIMIR_BENCH_OUT"); out != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (GOMAXPROCS=%d)", out, runtime.GOMAXPROCS(0))
-		return
-	}
-	raw, err := os.ReadFile("BENCH_workers.json")
-	if err != nil {
-		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
-	}
-	var want benchWorkersBaseline
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse BENCH_workers.json: %v", err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("sweep drifted from committed BENCH_workers.json\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
+	holdBaseline(t, "BENCH_workers.json", got)
 }
 
 // BenchmarkAblationHintEncoding isolates the KV-hint's effect on an

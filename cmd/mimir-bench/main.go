@@ -22,9 +22,11 @@ import (
 	"strings"
 	"time"
 
+	"mimir/internal/driver"
 	"mimir/internal/expt"
 	"mimir/internal/metrics"
 	"mimir/internal/platform"
+	"mimir/internal/workloads"
 )
 
 func main() {
@@ -51,19 +53,19 @@ func main() {
 		return
 	}
 
-	// -fig accepts a figure number ("8") or a single panel ("8c").
+	// -fig accepts a figure ("8", "mrc") or a single panel of one ("8c").
 	want := strings.TrimPrefix(strings.ToLower(*fig), "fig")
-	wantFig := strings.TrimRight(want, "abcd")
-	wantPanel := strings.TrimPrefix(want, wantFig)
 	ran := 0
 	for _, e := range expt.All {
 		id := strings.TrimPrefix(e.ID, "fig")
-		if want != "" && id != wantFig {
+		wantPanel, isPanel := strings.CutPrefix(want, id)
+		isPanel = isPanel && len(wantPanel) == 1 && strings.Contains("abcd", wantPanel)
+		if want != "" && want != id && !isPanel {
 			continue
 		}
 		start := time.Now()
 		for _, f := range e.Gen() {
-			if wantPanel != "" && !strings.HasSuffix(f.ID, wantPanel) {
+			if isPanel && !strings.HasSuffix(f.ID, wantPanel) {
 				continue
 			}
 			if *asJSON {
@@ -92,9 +94,7 @@ func runSingle(bench string, nodes, rpn int, size int64, engineArg, perrank stri
 		Plat:         platform.Comet(),
 		Nodes:        nodes,
 		RanksPerNode: rpn,
-		Hint:         true,
-		PR:           true,
-		Seed:         42,
+		JobConfig:    driver.JobConfig{Hint: true, PR: true, Seed: expt.Seed},
 	}
 	switch engineArg {
 	case "mimir":
@@ -108,13 +108,13 @@ func runSingle(bench string, nodes, rpn int, size int64, engineArg, perrank stri
 	}
 	switch bench {
 	case "wcu":
-		spec.Bench, spec.SizeBytes = expt.WCUniform, size
+		spec.Kind, spec.TotalBytes = driver.JobWordCount, size
 	case "wcw":
-		spec.Bench, spec.SizeBytes = expt.WCWikipedia, size
+		spec.Kind, spec.Dist, spec.TotalBytes = driver.JobWordCount, workloads.Wikipedia, size
 	case "oc":
-		spec.Bench, spec.Points = expt.OC, size
+		spec.Kind, spec.Points = driver.JobOctree, size
 	case "bfs":
-		spec.Bench, spec.Scale = expt.BFS, int(size)
+		spec.Kind, spec.Scale = driver.JobBFS, int(size)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (want wcu, wcw, oc, or bfs)\n", bench)
 		os.Exit(2)

@@ -1,12 +1,10 @@
 // Command mimir-wc counts words in real files with the Mimir engine,
-// spreading the work over MPI ranks.
+// spreading the work over in-process MPI ranks (goroutines).
 //
-//	mimir-wc [-ranks 8] [-transport inproc|tcp] [-top 20] [-hint] [-pr] [-cps] [-partitioner sample] file...
+//	mimir-wc [-ranks 8] [-top 20] [-hint] [-pr] [-cps] [-partitioner sample] file...
 //
-// With no files it reads standard input. The default transport runs the
-// ranks as goroutines in this process; -transport=tcp runs each rank as its
-// own OS process (this process becomes rank 0 and forks the others), which
-// requires file arguments — the forked workers cannot re-read stdin.
+// With no files it reads standard input. For one OS process per rank over
+// TCP, see mimir-worker -spawn.
 package main
 
 import (
@@ -19,7 +17,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"mimir"
 )
@@ -27,23 +24,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mimir-wc: ")
-	// The environment-forwarded compression setting seeds its flag default
-	// (the same decode spawned workers use), so MIMIR_TCP_COMPRESS and the
-	// flag cannot disagree; an explicit flag still wins.
-	envOpts, envErr := mimir.TCPOptionsFromEnv()
 	ranks := flag.Int("ranks", 8, "number of ranks")
-	transportArg := flag.String("transport", "inproc", "rank placement: inproc (goroutines) or tcp (one OS process per rank)")
 	top := flag.Int("top", 20, "how many of the most frequent words to print")
 	hint := flag.Bool("hint", true, "use the KV-hint (strz keys, fixed 8-byte counts)")
 	pr := flag.Bool("pr", true, "use partial reduction instead of convert+reduce")
 	cps := flag.Bool("cps", false, "use KV compression before the shuffle")
 	workers := flag.Int("workers", 0, "per-rank worker pool size (0 = all cores, 1 = serial)")
-	compress := flag.Bool("compress", envOpts.Compress, "with -transport=tcp: compress wire frames (flate, per frame)")
 	partArg := flag.String("partitioner", "", "key->rank strategy: hash (default) or sample (sampled weighted ranges)")
 	flag.Parse()
-	if envErr != nil {
-		log.Fatal(envErr)
-	}
 	part, err := mimir.PartitionerByName(*partArg)
 	if err != nil {
 		log.Fatal(err)
@@ -60,59 +48,16 @@ func main() {
 		opts.Combiner = combine
 	}
 
-	// A copy of this binary forked by -transport=tcp joins the parent's
-	// world via the environment; it reads the same files and exits quietly
-	// (rank 0 holds the gathered result).
-	if world, ok, err := mimir.TCPWorldFromEnv(); ok {
-		if err != nil {
-			log.Fatal(err)
-		}
-		lines, err := readLines(flag.Args())
-		if err != nil {
-			log.Fatal(err)
-		}
-		if _, err := runWC(world, lines, opts); err != nil {
-			log.Fatal(err)
-		}
-		if err := world.Close(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	lines, err := readLines(flag.Args())
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var world *mimir.World
-	var children *mimir.TCPChildren
-	switch *transportArg {
-	case "inproc":
-		world = mimir.NewWorld(*ranks)
-	case "tcp":
-		if len(flag.Args()) == 0 {
-			log.Fatal("-transport=tcp requires file arguments (forked workers cannot re-read stdin)")
-		}
-		world, children, err = mimir.SpawnTCPWorldOpts(*ranks, mimir.TCPOptions{Compress: *compress})
-		if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown -transport %q (want inproc or tcp)", *transportArg)
-	}
-
-	start := time.Now()
+	world := mimir.NewWorld(*ranks)
 	counts, err := runWC(world, lines, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	world.Close()
-	if children != nil {
-		if err := children.Wait(); err != nil {
-			log.Fatalf("worker failed: %v", err)
-		}
-	}
 
 	type wc struct {
 		w string
@@ -137,9 +82,6 @@ func main() {
 		}
 		fmt.Printf("%8d  %s\n", e.n, e.w)
 	}
-	if *transportArg == "tcp" {
-		fmt.Fprintf(os.Stderr, "[%d ranks over tcp in %v]\n", *ranks, time.Since(start).Round(time.Millisecond))
-	}
 }
 
 // combine merges two counts of one word (the pr and cps callback), writing
@@ -150,11 +92,10 @@ func combine(_ []byte, existing, incoming []byte) ([]byte, error) {
 }
 
 // runWC counts words across all ranks of world and gathers the totals at
-// rank 0. The returned map is non-nil only on the process hosting rank 0.
+// rank 0.
 func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uint64, error) {
 	cfg.Arena = mimir.NewArena(0)
 	counts := map[string]uint64{}
-	gotRankZero := false
 	err := world.Run(func(c *mimir.Comm) error {
 		var mine []mimir.Record
 		for i := c.Rank(); i < len(lines); i += c.Size() {
@@ -184,10 +125,9 @@ func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uin
 			return err
 		}
 		defer out.Free()
-		// Serialize this rank's totals (ranks hold disjoint hash-partitioned
-		// key sets) and gather them at rank 0, so the merge works whether
-		// the other ranks share this process or not. Words cannot contain
-		// whitespace, so "word count" lines are unambiguous.
+		// Serialize this rank's totals (ranks hold disjoint key sets) and
+		// gather them at rank 0. Words cannot contain whitespace, so "word
+		// count" lines are unambiguous.
 		var sb strings.Builder
 		err = out.Scan(func(k, v []byte) error {
 			fmt.Fprintf(&sb, "%s %d\n", k, mimir.BytesUint64(v))
@@ -203,7 +143,6 @@ func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uin
 		if c.Rank() != 0 {
 			return nil
 		}
-		gotRankZero = true
 		for _, buf := range gathered {
 			sc := bufio.NewScanner(strings.NewReader(string(buf)))
 			sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -219,9 +158,6 @@ func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uin
 	})
 	if err != nil {
 		return nil, err
-	}
-	if !gotRankZero {
-		return nil, nil
 	}
 	return counts, nil
 }

@@ -1,8 +1,8 @@
 // Command mimir-worker runs one distributed job — WordCount by default, or
-// any -job kind (terasort, pagerank, kmeans, bfs) — over its deterministic
-// synthetic corpus, with each MPI rank in its own OS process connected by
-// the TCP transport — the multi-process counterpart of the in-process
-// worlds every other command uses.
+// any -job kind (terasort, pagerank, kmeans, bfs, octree) — over its
+// deterministic synthetic corpus, with each MPI rank in its own OS process
+// connected by the TCP transport — the multi-process counterpart of the
+// in-process worlds every other command uses.
 //
 // Launch modes:
 //
@@ -76,11 +76,11 @@ func main() {
 		window    = flag.Duration("reconnect-window", 0, "with -fault-policy retry: give up on an unreachable peer after this long (0 = default 10s)")
 		compress  = flag.Bool("compress", false, "compress TCP wire frames (flate, per frame); trades CPU for bytes on the wire")
 
-		job        = flag.String("job", "", "job kind: wordcount (default), terasort, pagerank, kmeans, or bfs")
+		job        = flag.String("job", "", "job kind: wordcount (default), terasort, pagerank, kmeans, bfs, or octree")
 		rows       = flag.Int64("rows", 0, "terasort: total rows across all ranks (0 = default)")
 		scale      = flag.Int("scale", 0, "pagerank/bfs: log2 of the vertex count (0 = default)")
 		edgeFactor = flag.Int("edgefactor", 0, "pagerank/bfs: edges per vertex (0 = default)")
-		points     = flag.Int64("points", 0, "kmeans: total points across all ranks (0 = default)")
+		points     = flag.Int64("points", 0, "kmeans, octree: total points across all ranks (0 = default)")
 		kArg       = flag.Int("k", 0, "kmeans: cluster count (0 = default)")
 		dims       = flag.Int("dims", 0, "kmeans: point dimensionality (0 = default)")
 		rounds     = flag.Int("rounds", 0, "iterative jobs: max rounds (0 = workload default)")

@@ -148,7 +148,7 @@ func printView(view *membership.View) {
 func submit(cl *jobsvc.Client, args []string) {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	var spec jobsvc.Spec
-	fs.StringVar(&spec.Job, "job", "", "job kind: wordcount (default), terasort, pagerank, kmeans, or bfs")
+	fs.StringVar(&spec.Job, "job", "", "job kind: wordcount (default), terasort, pagerank, kmeans, bfs, or octree")
 	fs.Int64Var(&spec.Bytes, "bytes", 1<<20, "total corpus bytes across all ranks (wordcount)")
 	fs.StringVar(&spec.Dist, "dist", "uniform", "corpus distribution: uniform or wikipedia")
 	fs.Uint64Var(&spec.Seed, "seed", 42, "corpus seed")
@@ -162,7 +162,7 @@ func submit(cl *jobsvc.Client, args []string) {
 	fs.Int64Var(&spec.Rows, "rows", 0, "terasort: total rows across all ranks (0 = default)")
 	fs.IntVar(&spec.Scale, "scale", 0, "pagerank/bfs: log2 of the vertex count (0 = default)")
 	fs.IntVar(&spec.EdgeFactor, "edgefactor", 0, "pagerank/bfs: edges per vertex (0 = default)")
-	fs.Int64Var(&spec.Points, "points", 0, "kmeans: total points across all ranks (0 = default)")
+	fs.Int64Var(&spec.Points, "points", 0, "kmeans, octree: total points across all ranks (0 = default)")
 	fs.IntVar(&spec.K, "k", 0, "kmeans: cluster count (0 = default)")
 	fs.IntVar(&spec.Dims, "dims", 0, "kmeans: point dimensionality (0 = default)")
 	fs.IntVar(&spec.Rounds, "rounds", 0, "iterative jobs: max rounds (0 = workload default)")

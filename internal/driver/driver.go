@@ -13,10 +13,12 @@ import (
 	"mimir/internal/mpi"
 )
 
-// WordCountConfig is JobConfig under the name the wordcount callers spell.
+// WordCountConfig is JobConfig under its pre-JobConfig name. It and WordCount
+// exist only because the frozen bench/ module spells them; in-repo code
+// uses JobConfig and RunJob.
 type WordCountConfig = JobConfig
 
-// WordCount is RunJob with Kind set to wordcount.
+// WordCount is RunJob with Kind set to wordcount (kept for bench/ only).
 func WordCount(world *mpi.World, cfg WordCountConfig, sum *metrics.Summary) ([]byte, error) {
 	cfg.Kind = JobWordCount
 	return RunJob(world, cfg, sum)

@@ -22,6 +22,7 @@ const (
 	JobPageRank  = "pagerank"
 	JobKMeans    = "kmeans"
 	JobBFS       = "bfs"
+	JobOctree    = "octree"
 )
 
 // JobConfig describes one distributed job of any kind. Every input is
@@ -89,10 +90,11 @@ type JobConfig struct {
 	// Graph jobs: 2^Scale vertices (default 8), EdgeFactor edges per vertex.
 	Scale      int
 	EdgeFactor int
-	// k-means: total points (default 1<<12) and geometry.
+	// k-means and octree: total points (default 1<<12); k-means geometry.
 	Points  int64
 	K, Dims int
-	// MaxRounds caps iterative jobs (0 = workload default).
+	// MaxRounds caps iterative jobs and octree's refinement depth (0 =
+	// workload default).
 	MaxRounds int
 }
 
@@ -147,6 +149,22 @@ func (c JobConfig) KVHint() kvbuf.Hint {
 	return kvbuf.DefaultHint()
 }
 
+// NewEngine builds one rank's Mimir engine over arena from the job's engine
+// knobs — the one constructor RunJob and the experiment harness share, so a
+// JobConfig knob reaches the engine the same way whoever runs the job. part
+// is the resolved Partitioner name and spillFS the spill policies' target.
+func (c JobConfig) NewEngine(comm *mpi.Comm, arena *mem.Arena, part partition.Partitioner,
+	spillFS *pfs.FS) *workloads.MimirEngine {
+	eng := workloads.NewMimirEngine(comm, arena)
+	eng.PageSize = c.PageSize
+	eng.CommBuf = c.CommBuf
+	eng.Workers = c.Workers
+	eng.Partitioner = part
+	eng.OutOfCore = c.OutOfCore
+	eng.SpillFS = spillFS
+	return eng
+}
+
 // RunRank runs the job's stages on one rank's engine: the single place a
 // JobConfig becomes stage options and a workload call. fs (nil = free)
 // charges input reading. With out non-nil the rank's share of the canonical
@@ -197,6 +215,8 @@ func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (w
 //	kmeans:   "<cluster %04d> <coords> n=<count>" (rank 0 only: the
 //	          all-gathered table is global)
 //	bfs:      "<vertex %016x> <parent %016x>" over visited vertices
+//	octree:   "levels=<n> dense=<deepest level> total_dense=<all levels>"
+//	          (rank 0 only: every rank holds the all-gathered dense sets)
 func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -213,13 +233,7 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 	}
 	var out []byte
 	err = world.Run(func(c *mpi.Comm) error {
-		eng := workloads.NewMimirEngine(c, mem.NewArena(cfg.MemBytes))
-		eng.PageSize = cfg.PageSize
-		eng.CommBuf = cfg.CommBuf
-		eng.Workers = cfg.Workers
-		eng.Partitioner = part
-		eng.OutOfCore = cfg.OutOfCore
-		eng.SpillFS = spillFS
+		eng := cfg.NewEngine(c, mem.NewArena(cfg.MemBytes), part, spillFS)
 		var mine bytes.Buffer
 		stats, _, err := cfg.RunRank(eng, nil, &mine)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"mimir/internal/core"
@@ -29,6 +30,7 @@ func TestRunJobSmoke(t *testing.T) {
 		{JobConfig{Kind: JobKMeans, Points: 600, K: 5, Dims: 2, Seed: 3, Hint: true, PR: true}, 5},
 		{JobConfig{Kind: JobBFS, Scale: 7, Seed: 4, Hint: true}, -1},
 		{JobConfig{Kind: JobWordCount, TotalBytes: 8 << 10, Seed: 5, Hint: true}, -1},
+		{JobConfig{Kind: JobOctree, Points: 1 << 12, Seed: 6, Hint: true, PR: true}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.cfg.Kind, func(t *testing.T) {
@@ -66,6 +68,24 @@ func TestRunJobSmoke(t *testing.T) {
 				}
 			} else if !bytes.Equal(out, compressed) {
 				t.Fatal("cps changed the output")
+			}
+			// The worker pool never changes the bytes, at any world size.
+			// (Across world sizes the corpus itself differs: the generators
+			// seed per rank.)
+			for _, size := range []int{2, 4} {
+				serial, pooled := tc.cfg, tc.cfg
+				serial.Workers, pooled.Workers = 1, 4
+				a, err := RunJob(testWorld(size), serial, nil)
+				if err != nil {
+					t.Fatalf("%d ranks, 1 worker: %v", size, err)
+				}
+				b, err := RunJob(testWorld(size), pooled, nil)
+				if err != nil {
+					t.Fatalf("%d ranks, 4 workers: %v", size, err)
+				}
+				if len(a) == 0 || !bytes.Equal(a, b) {
+					t.Fatalf("%d ranks: output differs between Workers 1 and 4 (%d vs %d bytes)", size, len(a), len(b))
+				}
 			}
 		})
 	}
@@ -169,11 +189,14 @@ func TestPageRankRoundCheckpointRepartition(t *testing.T) {
 // TestRunJobOnRound: the round hook fires on every rank each round and its
 // error fails the job.
 func TestRunJobOnRound(t *testing.T) {
+	var mu sync.Mutex // the hook runs on every rank's goroutine
 	fired := map[string]bool{}
 	cfg := JobConfig{
 		Kind: JobKMeans, Points: 400, K: 3, Dims: 2, Seed: 1,
 		OnRound: func(rank, round int) error {
+			mu.Lock()
 			fired[fmt.Sprintf("%d.%d", rank, round)] = true
+			mu.Unlock()
 			return nil
 		},
 	}

@@ -67,6 +67,14 @@ var kinds = []kind{
 		iterative: true,
 		run:       runBFS,
 	},
+	{
+		// Octants are counted like words: the same sum combiner.
+		name: JobOctree,
+		hint: func(*JobConfig) kvbuf.Hint { return workloads.OCHint() },
+		pr:   workloads.WordCountCombine,
+		cps:  workloads.WordCountCombine,
+		run:  runOctree,
+	},
 }
 
 // JobKinds lists every kind RunJob accepts, in presentation order.
@@ -165,4 +173,17 @@ func runBFS(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOp
 		fmt.Fprintf(out, "%016x %016x\n", v, res.Parents[v])
 	}
 	return res.Stats, res.Depth, nil
+}
+
+func runOctree(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
+	_ workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
+	res, err := workloads.RunOctree(e, fs, workloads.OCConfig{
+		TotalPoints: c.Points, Seed: c.Seed, MaxLevel: c.MaxRounds,
+	}, opts)
+	if err == nil && out != nil && e.Comm().Rank() == 0 {
+		fmt.Fprintf(out, "levels=%d dense=%d total_dense=%d\n", res.Levels, res.DenseOctants, res.TotalDense)
+	}
+	// One job-level round: the refinement levels are octree's own loop, not
+	// the shared round driver's.
+	return res.Stats, 1, err
 }

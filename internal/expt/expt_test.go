@@ -5,12 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"mimir/internal/driver"
 	"mimir/internal/platform"
+	"mimir/internal/workloads"
 )
 
 // These tests assert the paper's qualitative claims on cheap, targeted runs
 // (single specs rather than whole figures). The full sweeps live behind
 // `go test -bench` and cmd/mimir-bench.
+
+// wcJob is the WordCount job over a paper-scale dataset size.
+func wcJob(dist workloads.Distribution, size string) driver.JobConfig {
+	return driver.JobConfig{Kind: driver.JobWordCount, Dist: dist, TotalBytes: PaperSize(size), Seed: Seed}
+}
 
 func TestMRMPIInMemoryLimitsMatchPaper(t *testing.T) {
 	// Figure 8a: MR-MPI (64M) handles 512M of uniform text on a Comet node
@@ -28,7 +35,7 @@ func TestMRMPIInMemoryLimitsMatchPaper(t *testing.T) {
 	}
 	for _, c := range cases {
 		r := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: c.page,
-			Bench: WCUniform, SizeBytes: PaperSize(c.size), Seed: Seed})
+			JobConfig: wcJob(workloads.Uniform, c.size)})
 		if r.Failed() {
 			t.Fatalf("page=%d size=%s failed: %v", c.page, c.size, r.Err)
 		}
@@ -44,7 +51,7 @@ func TestMimirRunsLargerThanMRMPI(t *testing.T) {
 	// Comet node — 4x more than MR-MPI's best configuration.
 	plat := platform.Comet()
 	r := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir,
-		Bench: WCUniform, SizeBytes: PaperSize("16G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "16G")})
 	if !r.InMemory() {
 		t.Fatalf("Mimir 16G not in memory: err=%v spilled=%d", r.Err, r.SpilledBytes)
 	}
@@ -54,16 +61,15 @@ func TestMimirUsesLessMemoryThanMRMPI(t *testing.T) {
 	// Figure 8: at sizes both can handle, Mimir's peak memory is at least
 	// 25% below MR-MPI (64M).
 	plat := platform.Comet()
-	for _, bench := range []Bench{WCUniform, WCWikipedia} {
-		m := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Bench: bench,
-			SizeBytes: PaperSize("256M"), Seed: Seed})
+	for _, dist := range []workloads.Distribution{workloads.Uniform, workloads.Wikipedia} {
+		m := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: wcJob(dist, "256M")})
 		b := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.PageSize,
-			Bench: bench, SizeBytes: PaperSize("256M"), Seed: Seed})
+			JobConfig: wcJob(dist, "256M")})
 		if m.Failed() || b.Failed() {
-			t.Fatalf("%v: unexpected failure (%v / %v)", bench, m.Err, b.Err)
+			t.Fatalf("dist %v: unexpected failure (%v / %v)", dist, m.Err, b.Err)
 		}
 		if float64(m.PeakPerProc) > 0.75*float64(b.PeakPerProc) {
-			t.Errorf("%v: Mimir peak %d not 25%% below MR-MPI %d", bench, m.PeakPerProc, b.PeakPerProc)
+			t.Errorf("dist %v: Mimir peak %d not 25%% below MR-MPI %d", dist, m.PeakPerProc, b.PeakPerProc)
 		}
 	}
 }
@@ -72,10 +78,9 @@ func TestInMemoryTimesComparable(t *testing.T) {
 	// "As long as the dataset can be computed in memory, the execution
 	// times of the two frameworks are comparable."
 	plat := platform.Comet()
-	m := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Bench: WCUniform,
-		SizeBytes: PaperSize("512M"), Seed: Seed})
+	m := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: wcJob(workloads.Uniform, "512M")})
 	b := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("512M"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "512M")})
 	if !m.InMemory() || !b.InMemory() {
 		t.Fatal("expected both in memory at 512M")
 	}
@@ -90,9 +95,9 @@ func TestSpillCliff(t *testing.T) {
 	// than the last in-memory point at half its size.
 	plat := platform.Comet()
 	inMem := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("4G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "4G")})
 	spill := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("8G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "8G")})
 	if !inMem.InMemory() {
 		t.Fatal("4G should be in memory")
 	}
@@ -108,9 +113,9 @@ func TestMRMPIPeakIsDatasetIndependent(t *testing.T) {
 	// MR-MPI's pages are static: peak memory does not grow with the data.
 	plat := platform.Comet()
 	small := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.PageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("256M"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "256M")})
 	big := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.PageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("4G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "4G")})
 	if small.PeakPerProc != big.PeakPerProc {
 		t.Errorf("MR-MPI peak varies with dataset: %d vs %d", small.PeakPerProc, big.PeakPerProc)
 	}
@@ -120,13 +125,13 @@ func TestCPSExtendsMimirRange(t *testing.T) {
 	// Figure 12a on Mira: baseline Mimir OOMs at 8G; with compression it
 	// completes in memory — 16x MR-MPI's best (512M).
 	plat := platform.Mira()
-	base := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Bench: WCUniform,
-		SizeBytes: PaperSize("8G"), Seed: Seed})
+	base := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: wcJob(workloads.Uniform, "8G")})
 	if !base.Failed() {
 		t.Errorf("baseline Mimir at 8G on Mira should OOM (peak %d)", base.PeakPerProc)
 	}
-	cps := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, CPS: true, Bench: WCUniform,
-		SizeBytes: PaperSize("8G"), Seed: Seed})
+	job := wcJob(workloads.Uniform, "8G")
+	job.CPS = true
+	cps := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: job})
 	if !cps.InMemory() {
 		t.Errorf("Mimir(cps) at 8G on Mira should run in memory: err=%v", cps.Err)
 	}
@@ -135,10 +140,10 @@ func TestCPSExtendsMimirRange(t *testing.T) {
 func TestCPSDoesNotChangeMRMPIPeak(t *testing.T) {
 	// "With MR-MPI we do not observe any impact on peak memory usage."
 	plat := platform.Comet()
-	base := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-		Bench: WCUniform, SizeBytes: PaperSize("2G"), Seed: Seed})
-	cps := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize, CPS: true,
-		Bench: WCUniform, SizeBytes: PaperSize("2G"), Seed: Seed})
+	job := wcJob(workloads.Uniform, "2G")
+	base := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize, JobConfig: job})
+	job.CPS = true
+	cps := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize, JobConfig: job})
 	if base.PeakPerProc != cps.PeakPerProc {
 		t.Errorf("MR-MPI peak changed with cps: %d vs %d", base.PeakPerProc, cps.PeakPerProc)
 	}
@@ -149,8 +154,9 @@ func TestLadderMonotoneMemory(t *testing.T) {
 	// increase peak memory, and hint+pr must be well below baseline.
 	plat := platform.Mira()
 	run := func(hint, pr bool) Result {
-		return Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Hint: hint, PR: pr,
-			Bench: WCWikipedia, SizeBytes: PaperSize("2G"), Seed: Seed})
+		job := wcJob(workloads.Wikipedia, "2G")
+		job.Hint, job.PR = hint, pr
+		return Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: job})
 	}
 	base := run(false, false)
 	hint := run(true, false)
@@ -169,8 +175,10 @@ func TestLadderMonotoneMemory(t *testing.T) {
 func TestHintImprovesBFSTime(t *testing.T) {
 	// "The KV-hint optimization also improves the performance of BFS."
 	plat := platform.Mira()
-	base := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Bench: BFS, Scale: 9, Seed: Seed})
-	hint := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, Hint: true, Bench: BFS, Scale: 9, Seed: Seed})
+	job := driver.JobConfig{Kind: driver.JobBFS, Scale: 9, Seed: Seed}
+	base := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: job})
+	job.Hint = true
+	hint := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: job})
 	if base.Failed() || hint.Failed() {
 		t.Fatalf("failures: %v %v", base.Err, hint.Err)
 	}
@@ -184,8 +192,9 @@ func TestWeakScalingMimirFlat(t *testing.T) {
 	// within 2x of 2 nodes.
 	plat := platform.Comet()
 	at := func(nodes int) Result {
-		return Run(Spec{Plat: plat, Nodes: nodes, RanksPerNode: 8, Engine: Mimir,
-			Bench: WCUniform, SizeBytes: PaperSize("256M") * int64(nodes), Seed: Seed})
+		job := wcJob(workloads.Uniform, "256M")
+		job.TotalBytes *= int64(nodes)
+		return Run(Spec{Plat: plat, Nodes: nodes, RanksPerNode: 8, Engine: Mimir, JobConfig: job})
 	}
 	t2, t8 := at(2), at(8)
 	if t2.Failed() || t8.Failed() {
@@ -255,23 +264,14 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-func TestBenchString(t *testing.T) {
-	names := map[Bench]string{WCUniform: "WC (Uniform)", WCWikipedia: "WC (Wikipedia)", OC: "OC", BFS: "BFS"}
-	for b, want := range names {
-		if b.String() != want {
-			t.Errorf("%d.String() = %q", int(b), b.String())
-		}
-	}
-}
-
 func TestMultiNodeMemoryIsPerNode(t *testing.T) {
 	// Running the same total dataset on more nodes must lower the
 	// per-process peak: the data spreads over more arenas.
 	plat := platform.Comet()
 	one := Run(Spec{Plat: plat, Nodes: 1, RanksPerNode: 8, Engine: Mimir,
-		Bench: WCUniform, SizeBytes: PaperSize("1G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "1G")})
 	four := Run(Spec{Plat: plat, Nodes: 4, RanksPerNode: 8, Engine: Mimir,
-		Bench: WCUniform, SizeBytes: PaperSize("1G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "1G")})
 	if one.Failed() || four.Failed() {
 		t.Fatalf("failures: %v %v", one.Err, four.Err)
 	}
@@ -285,9 +285,9 @@ func TestSkewFindsTheHotNode(t *testing.T) {
 	// exceed the average node's: the hot words concentrate somewhere.
 	plat := platform.Comet()
 	r := Run(Spec{Plat: plat, Nodes: 4, RanksPerNode: 8, Engine: Mimir,
-		Bench: WCWikipedia, SizeBytes: PaperSize("2G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Wikipedia, "2G")})
 	u := Run(Spec{Plat: plat, Nodes: 4, RanksPerNode: 8, Engine: Mimir,
-		Bench: WCUniform, SizeBytes: PaperSize("2G"), Seed: Seed})
+		JobConfig: wcJob(workloads.Uniform, "2G")})
 	if r.Failed() || u.Failed() {
 		t.Fatalf("failures: %v %v", r.Err, u.Err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mimir/internal/core"
+	"mimir/internal/driver"
 	"mimir/internal/kvbuf"
 	"mimir/internal/mrmpi"
 	"mimir/internal/platform"
@@ -12,9 +13,6 @@ import (
 
 // Seed used by all experiments (datasets are deterministic).
 const Seed = 42
-
-// paperPow2 converts a paper-scale 2^n count to the scaled count (2^(n-10)).
-func paperPow2(n int) int64 { return 1 << uint(n-10) }
 
 // All maps figure ids to their generators, in paper order.
 var All = []struct {
@@ -36,20 +34,122 @@ var All = []struct {
 	{"figmrc", FigMRC, "MRC ablation: TeraSort / PageRank / k-means"},
 }
 
+// variant is one value of a sweep axis: a row (dataset size, node count,
+// zipf exponent, job) or a series (engine, optimization rung), written as
+// the edit it makes to a cell's spec.
+type variant struct {
+	name string
+	set  func(*Spec)
+}
+
+// cross declares one panel's cells: every row crossed with every series,
+// rows outermost, each cell the base spec edited by its row and then its
+// series.
+func cross(base Spec, rows, series []variant) []Cell {
+	var cells []Cell
+	for _, row := range rows {
+		for _, ser := range series {
+			spec := base
+			row.set(&spec)
+			ser.set(&spec)
+			cells = append(cells, Cell{Series: ser.name, X: row.name, Spec: spec})
+		}
+	}
+	return cells
+}
+
+// panel runs cells and plots them as one figure panel.
+func panel(id, title, xlabel string, cells []Cell) *Figure {
+	f := &Figure{ID: id, Title: title, XLabel: xlabel}
+	for _, c := range RunCells(cells) {
+		f.Add(c.Series, c.X, c.Result)
+	}
+	return f
+}
+
+// Row axes: the paper's dataset sweeps. Each benchmark is a driver job kind
+// plus the one size field its sweep varies.
+
+// wcRows sweeps WordCount over paper-scale dataset sizes.
+func wcRows(dist workloads.Distribution, labels ...string) []variant {
+	rows := make([]variant, len(labels))
+	for i, label := range labels {
+		rows[i] = variant{label, func(s *Spec) {
+			s.Kind, s.Dist, s.TotalBytes = driver.JobWordCount, dist, PaperSize(label)
+		}}
+	}
+	return rows
+}
+
+// pow2Rows sweeps 2^lo..2^hi paper-scale items (1024x fewer here) through
+// set, which receives the scaled exponent.
+func pow2Rows(lo, hi int, set func(s *Spec, exp int)) []variant {
+	var rows []variant
+	for n := lo; n <= hi; n++ {
+		rows = append(rows, variant{Pow2Label(n), func(s *Spec) { set(s, n-10) }})
+	}
+	return rows
+}
+
+// ocRows sweeps octree clustering over 2^lo..2^hi paper-scale points.
+func ocRows(lo, hi int) []variant {
+	return pow2Rows(lo, hi, func(s *Spec, exp int) { s.Kind, s.Points = driver.JobOctree, 1<<exp })
+}
+
+// bfsRows sweeps BFS over 2^lo..2^hi paper-scale vertices.
+func bfsRows(lo, hi int) []variant {
+	return pow2Rows(lo, hi, func(s *Spec, exp int) { s.Kind, s.Scale = driver.JobBFS, exp })
+}
+
+// nodeRows is the weak-scaling axis: the base spec holds the per-node
+// dataset, each row scales it to the job total for its node count.
+func nodeRows(nodes ...int) []variant {
+	rows := make([]variant, len(nodes))
+	for i, n := range nodes {
+		rows[i] = variant{fmt.Sprint(n), func(s *Spec) {
+			s.Nodes = n
+			s.TotalBytes *= int64(n)
+			s.Points *= int64(n)
+			if s.Scale > 0 {
+				s.Scale += log2int(n)
+			}
+		}}
+	}
+	return rows
+}
+
+func log2int(n int) int {
+	k := 0
+	for 1<<uint(k+1) <= n {
+		k++
+	}
+	return k
+}
+
+// Series axes: engines and optimization rungs.
+
+func mimirV(name string, hint, pr, cps bool) variant {
+	return variant{name, func(s *Spec) { s.Engine, s.Hint, s.PR, s.CPS = Mimir, hint, pr, cps }}
+}
+
+func mrmpiV(name string, page int, cps bool) variant {
+	return variant{name, func(s *Spec) { s.Engine, s.MRMPIPage, s.CPS = MRMPI, page, cps }}
+}
+
+// oneNode is the figures' base spec: one node of plat, the experiments'
+// seed (the weak-scaling rows overwrite Nodes).
+func oneNode(plat *platform.Platform) Spec {
+	return Spec{Plat: plat, Nodes: 1, JobConfig: driver.JobConfig{Seed: Seed}}
+}
+
 // Fig1 reproduces Figure 1: single-node execution time of WordCount with
 // MR-MPI on Comet, 1G to 64G. Beyond the in-memory limit the time collapses
 // by orders of magnitude (the paper's "1000X degradation in performance").
 func Fig1() []*Figure {
-	f := &Figure{ID: "fig1", Title: "Single-node execution time of WordCount with MR-MPI on Comet", XLabel: "dataset size"}
 	plat := platform.Comet()
-	for _, label := range []string{"1G", "2G", "4G", "8G", "16G", "32G", "64G"} {
-		r := Run(Spec{
-			Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-			Bench: WCUniform, SizeBytes: PaperSize(label), Seed: Seed,
-		})
-		f.Add("MR-MPI (512M)", label, r)
-	}
-	return []*Figure{f}
+	return []*Figure{panel("fig1", "Single-node execution time of WordCount with MR-MPI on Comet", "dataset size",
+		cross(oneNode(plat), wcRows(workloads.Uniform, "1G", "2G", "4G", "8G", "16G", "32G", "64G"),
+			[]variant{mrmpiV("MR-MPI (512M)", plat.MaxPageSize, false)}))}
 }
 
 // Fig7 reproduces Figure 7: total KV bytes of WordCount over the Wikipedia
@@ -95,71 +195,32 @@ func kvSizes(totalBytes int64) (def, hinted int64) {
 	return def, hinted
 }
 
-// comparison sweeps shared by Figures 8, 9, 11, 12, 13.
-type sweep struct {
-	bench  Bench
-	labels []string          // row labels (paper scale)
-	size   func(string) Spec // fills the size fields from a label
-}
-
-func wcSweep(bench Bench, labels []string) sweep {
-	return sweep{bench: bench, labels: labels, size: func(label string) Spec {
-		return Spec{Bench: bench, SizeBytes: PaperSize(label)}
-	}}
-}
-
-func ocSweep(lo, hi int) sweep {
-	var labels []string
-	for n := lo; n <= hi; n++ {
-		labels = append(labels, Pow2Label(n))
+// fourPanels declares the paper's four-benchmark figure shape on one node:
+// WC (Uniform), WC (Wikipedia), OC and BFS, each panel its own row sweep
+// and series set.
+func fourPanels(id, prefix string, plat *platform.Platform, wcLabels []string,
+	oc, bfs []variant, series func(kind string) []variant) []*Figure {
+	base, where := oneNode(plat), ", one "+plat.Name+" node"
+	return []*Figure{
+		panel(id+"a", prefix+"WC (Uniform)"+where, "dataset size",
+			cross(base, wcRows(workloads.Uniform, wcLabels...), series(driver.JobWordCount))),
+		panel(id+"b", prefix+"WC (Wikipedia)"+where, "dataset size",
+			cross(base, wcRows(workloads.Wikipedia, wcLabels...), series(driver.JobWordCount))),
+		panel(id+"c", prefix+"OC"+where, "number of points",
+			cross(base, oc, series(driver.JobOctree))),
+		panel(id+"d", prefix+"BFS"+where, "number of vertices",
+			cross(base, bfs, series(driver.JobBFS))),
 	}
-	return sweep{bench: OC, labels: labels, size: func(label string) Spec {
-		var n int
-		fmt.Sscanf(label, "2^%d", &n)
-		return Spec{Bench: OC, Points: paperPow2(n)}
-	}}
 }
 
-func bfsSweep(lo, hi int) sweep {
-	var labels []string
-	for n := lo; n <= hi; n++ {
-		labels = append(labels, Pow2Label(n))
+// vsMRMPI is the Figure 8/9/10 series set: Mimir against MR-MPI at the
+// default and the largest feasible page.
+func vsMRMPI(plat *platform.Platform) []variant {
+	return []variant{
+		mimirV("Mimir", false, false, false),
+		mrmpiV(fmt.Sprintf("MR-MPI (%s)", SizeLabel(int64(plat.PageSize))), plat.PageSize, false),
+		mrmpiV(fmt.Sprintf("MR-MPI (%s)", SizeLabel(int64(plat.MaxPageSize))), plat.MaxPageSize, false),
 	}
-	return sweep{bench: BFS, labels: labels, size: func(label string) Spec {
-		var n int
-		fmt.Sscanf(label, "2^%d", &n)
-		return Spec{Bench: BFS, Scale: n - 10}
-	}}
-}
-
-// variant is one line of a comparison figure.
-type variant struct {
-	name string
-	set  func(*Spec)
-}
-
-// runComparison produces one figure panel: each variant swept over the rows.
-func runComparison(id, title, xlabel string, plat *platform.Platform, sw sweep, variants []variant) *Figure {
-	f := &Figure{ID: id, Title: title, XLabel: xlabel}
-	for _, label := range sw.labels {
-		for _, v := range variants {
-			spec := sw.size(label)
-			spec.Plat = plat
-			spec.Nodes = 1
-			spec.Seed = Seed
-			v.set(&spec)
-			f.Add(v.name, label, Run(spec))
-		}
-	}
-	return f
-}
-
-func mimirV() variant {
-	return variant{"Mimir", func(s *Spec) { s.Engine = Mimir }}
-}
-
-func mrmpiV(name string, page int) variant {
-	return variant{name, func(s *Spec) { s.Engine = MRMPI; s.MRMPIPage = page }}
 }
 
 // Fig8 reproduces Figure 8: peak memory usage and execution times of the
@@ -167,99 +228,48 @@ func mrmpiV(name string, page int) variant {
 // pages.
 func Fig8() []*Figure {
 	plat := platform.Comet()
-	variants := []variant{
-		mimirV(),
-		mrmpiV("MR-MPI (64M)", plat.PageSize),
-		mrmpiV("MR-MPI (512M)", plat.MaxPageSize),
-	}
-	return []*Figure{
-		runComparison("fig8a", "WC (Uniform), one Comet node", "dataset size", plat,
-			wcSweep(WCUniform, []string{"256M", "512M", "1G", "2G", "4G", "8G", "16G"}), variants),
-		runComparison("fig8b", "WC (Wikipedia), one Comet node", "dataset size", plat,
-			wcSweep(WCWikipedia, []string{"256M", "512M", "1G", "2G", "4G", "8G", "16G"}), variants),
-		runComparison("fig8c", "OC, one Comet node", "number of points", plat,
-			ocSweep(24, 30), variants),
-		runComparison("fig8d", "BFS, one Comet node", "number of vertices", plat,
-			bfsSweep(19, 26), variants),
-	}
+	return fourPanels("fig8", "", plat, []string{"256M", "512M", "1G", "2G", "4G", "8G", "16G"},
+		ocRows(24, 30), bfsRows(19, 26), func(string) []variant { return vsMRMPI(plat) })
 }
 
 // Fig9 reproduces Figure 9: the same comparison on one Mira node (64 MB and
 // 128 MB MR-MPI pages).
 func Fig9() []*Figure {
 	plat := platform.Mira()
-	variants := []variant{
-		mimirV(),
-		mrmpiV("MR-MPI (64M)", plat.PageSize),
-		mrmpiV("MR-MPI (128M)", plat.MaxPageSize),
-	}
-	wcLabels := []string{"64M", "128M", "256M", "512M", "1G", "2G"}
-	return []*Figure{
-		runComparison("fig9a", "WC (Uniform), one Mira node", "dataset size", plat,
-			wcSweep(WCUniform, wcLabels), variants),
-		runComparison("fig9b", "WC (Wikipedia), one Mira node", "dataset size", plat,
-			wcSweep(WCWikipedia, wcLabels), variants),
-		runComparison("fig9c", "OC, one Mira node", "number of points", plat,
-			ocSweep(22, 27), variants),
-		runComparison("fig9d", "BFS, one Mira node", "number of vertices", plat,
-			bfsSweep(18, 22), variants),
-	}
-}
-
-// weakScaling runs one weak-scaling panel: per-node size fixed, node count
-// swept.
-func weakScaling(id, title string, plat *platform.Platform, bench Bench, perNode Spec,
-	nodes []int, ranksPerNode int, variants []variant) *Figure {
-	f := &Figure{ID: id, Title: title, XLabel: "number of nodes"}
-	for _, n := range nodes {
-		for _, v := range variants {
-			spec := perNode
-			spec.Plat = plat
-			spec.Bench = bench
-			spec.Nodes = n
-			spec.RanksPerNode = ranksPerNode
-			spec.Seed = Seed
-			// Scale the per-node quantity to the job total.
-			spec.SizeBytes *= int64(n)
-			spec.Points *= int64(n)
-			if spec.Scale > 0 {
-				spec.Scale += log2int(n)
-			}
-			v.set(&spec)
-			f.Add(v.name, fmt.Sprint(n), Run(spec))
-		}
-	}
-	return f
-}
-
-func log2int(n int) int {
-	k := 0
-	for 1<<uint(k+1) <= n {
-		k++
-	}
-	return k
+	return fourPanels("fig9", "", plat, []string{"64M", "128M", "256M", "512M", "1G", "2G"},
+		ocRows(22, 27), bfsRows(18, 22), func(string) []variant { return vsMRMPI(plat) })
 }
 
 // Fig10 reproduces Figure 10: weak scalability of WordCount, 512 MB/node on
-// Comet and 256 MB/node on Mira, 2..64 nodes.
+// Comet and 256 MB/node on Mira, 2..64 nodes. MR-MPI's spill threshold is
+// per rank (page size vs per-rank KV bytes), so these runs keep the
+// platforms' true ranks-per-node: up to 1,536 in-process ranks on "64 Comet
+// nodes".
 func Fig10() []*Figure {
-	comet := platform.Comet()
-	mira := platform.Mira()
-	nodes := []int{2, 4, 8, 16, 32, 64}
-	cometV := []variant{mimirV(), mrmpiV("MR-MPI (64M)", comet.PageSize), mrmpiV("MR-MPI (512M)", comet.MaxPageSize)}
-	miraV := []variant{mimirV(), mrmpiV("MR-MPI (64M)", mira.PageSize), mrmpiV("MR-MPI (128M)", mira.MaxPageSize)}
-	// MR-MPI's spill threshold is per rank (page size vs per-rank KV bytes),
-	// so the weak-scaling runs keep the platforms' true ranks-per-node: up
-	// to 1,536 in-process ranks on "64 Comet nodes".
+	nodes := nodeRows(2, 4, 8, 16, 32, 64)
+	wc := func(id string, plat *platform.Platform, dist workloads.Distribution, distName, perNode string) *Figure {
+		base := oneNode(plat)
+		base.Kind, base.Dist, base.TotalBytes = driver.JobWordCount, dist, PaperSize(perNode)
+		return panel(id, fmt.Sprintf("WC (%s, %s/node, %s)", distName, perNode, plat.Name), "number of nodes",
+			cross(base, nodes, vsMRMPI(plat)))
+	}
+	comet, mira := platform.Comet(), platform.Mira()
 	return []*Figure{
-		weakScaling("fig10a", "WC (Uniform, 512M/node, Comet)", comet, WCUniform,
-			Spec{SizeBytes: PaperSize("512M")}, nodes, comet.CoresPerNode, cometV),
-		weakScaling("fig10b", "WC (Wikipedia, 512M/node, Comet)", comet, WCWikipedia,
-			Spec{SizeBytes: PaperSize("512M")}, nodes, comet.CoresPerNode, cometV),
-		weakScaling("fig10c", "WC (Uniform, 256M/node, Mira)", mira, WCUniform,
-			Spec{SizeBytes: PaperSize("256M")}, nodes, mira.CoresPerNode, miraV),
-		weakScaling("fig10d", "WC (Wikipedia, 256M/node, Mira)", mira, WCWikipedia,
-			Spec{SizeBytes: PaperSize("256M")}, nodes, mira.CoresPerNode, miraV),
+		wc("fig10a", comet, workloads.Uniform, "Uniform", "512M"),
+		wc("fig10b", comet, workloads.Wikipedia, "Wikipedia", "512M"),
+		wc("fig10c", mira, workloads.Uniform, "Uniform", "256M"),
+		wc("fig10d", mira, workloads.Wikipedia, "Wikipedia", "256M"),
+	}
+}
+
+// cpsSeries is the Figure 11/12 series set: both engines with and without
+// KV compression, MR-MPI at the given page size.
+func cpsSeries(page int) []variant {
+	return []variant{
+		mimirV("Mimir", false, false, false),
+		mimirV("Mimir (cps)", false, false, true),
+		mrmpiV("MR-MPI", page, false),
+		mrmpiV("MR-MPI (cps)", page, true),
 	}
 }
 
@@ -268,23 +278,8 @@ func Fig10() []*Figure {
 // without cps, on larger sweeps than Figure 8.
 func Fig11() []*Figure {
 	plat := platform.Comet()
-	variants := []variant{
-		mimirV(),
-		{"Mimir (cps)", func(s *Spec) { s.Engine = Mimir; s.CPS = true }},
-		mrmpiV("MR-MPI", plat.MaxPageSize),
-		{"MR-MPI (cps)", func(s *Spec) { s.Engine = MRMPI; s.MRMPIPage = plat.MaxPageSize; s.CPS = true }},
-	}
-	wcLabels := []string{"512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"}
-	return []*Figure{
-		runComparison("fig11a", "KV compression: WC (Uniform), one Comet node", "dataset size", plat,
-			wcSweep(WCUniform, wcLabels), variants),
-		runComparison("fig11b", "KV compression: WC (Wikipedia), one Comet node", "dataset size", plat,
-			wcSweep(WCWikipedia, wcLabels), variants),
-		runComparison("fig11c", "KV compression: OC, one Comet node", "number of points", plat,
-			ocSweep(25, 32), variants),
-		runComparison("fig11d", "KV compression: BFS, one Comet node", "number of vertices", plat,
-			bfsSweep(20, 26), variants),
-	}
+	return fourPanels("fig11", "KV compression: ", plat, []string{"512M", "1G", "2G", "4G", "8G", "16G", "32G", "64G"},
+		ocRows(25, 32), bfsRows(20, 26), func(string) []variant { return cpsSeries(plat.MaxPageSize) })
 }
 
 // Fig12 reproduces Figure 12: KV compression on one Mira node. Per the
@@ -292,60 +287,38 @@ func Fig11() []*Figure {
 // OC and BFS.
 func Fig12() []*Figure {
 	plat := platform.Mira()
-	varsFor := func(page int) []variant {
-		return []variant{
-			mimirV(),
-			{"Mimir (cps)", func(s *Spec) { s.Engine = Mimir; s.CPS = true }},
-			mrmpiV("MR-MPI", page),
-			{"MR-MPI (cps)", func(s *Spec) { s.Engine = MRMPI; s.MRMPIPage = page; s.CPS = true }},
-		}
-	}
-	wcLabels := []string{"256M", "512M", "1G", "2G", "4G", "8G"}
-	return []*Figure{
-		runComparison("fig12a", "KV compression: WC (Uniform), one Mira node", "dataset size", plat,
-			wcSweep(WCUniform, wcLabels), varsFor(plat.MaxPageSize)),
-		runComparison("fig12b", "KV compression: WC (Wikipedia), one Mira node", "dataset size", plat,
-			wcSweep(WCWikipedia, wcLabels), varsFor(plat.MaxPageSize)),
-		runComparison("fig12c", "KV compression: OC, one Mira node", "number of points", plat,
-			ocSweep(24, 29), varsFor(plat.PageSize)),
-		runComparison("fig12d", "KV compression: BFS, one Mira node", "number of vertices", plat,
-			bfsSweep(18, 23), varsFor(plat.PageSize)),
-	}
+	return fourPanels("fig12", "KV compression: ", plat, []string{"256M", "512M", "1G", "2G", "4G", "8G"},
+		ocRows(24, 29), bfsRows(18, 23), func(kind string) []variant {
+			if kind == driver.JobWordCount {
+				return cpsSeries(plat.MaxPageSize)
+			}
+			return cpsSeries(plat.PageSize)
+		})
 }
 
 // ladder returns the paper's optimization ladder for Figure 13/14. BFS does
 // not support partial reduction (map-only), matching the paper.
-func ladder(bench Bench) []variant {
-	if bench == BFS {
+func ladder(kind string) []variant {
+	if kind == driver.JobBFS {
 		return []variant{
-			mimirV(),
-			{"Mimir (hint)", func(s *Spec) { s.Engine = Mimir; s.Hint = true }},
-			{"Mimir (hint;cps)", func(s *Spec) { s.Engine = Mimir; s.Hint = true; s.CPS = true }},
+			mimirV("Mimir", false, false, false),
+			mimirV("Mimir (hint)", true, false, false),
+			mimirV("Mimir (hint;cps)", true, false, true),
 		}
 	}
 	return []variant{
-		mimirV(),
-		{"Mimir (hint)", func(s *Spec) { s.Engine = Mimir; s.Hint = true }},
-		{"Mimir (hint;pr)", func(s *Spec) { s.Engine = Mimir; s.Hint = true; s.PR = true }},
-		{"Mimir (hint;pr;cps)", func(s *Spec) { s.Engine = Mimir; s.Hint = true; s.PR = true; s.CPS = true }},
+		mimirV("Mimir", false, false, false),
+		mimirV("Mimir (hint)", true, false, false),
+		mimirV("Mimir (hint;pr)", true, true, false),
+		mimirV("Mimir (hint;pr;cps)", true, true, true),
 	}
 }
 
 // Fig13 reproduces Figure 13: the effect of stacking hint, pr, and cps on
 // one Mira node.
 func Fig13() []*Figure {
-	plat := platform.Mira()
-	wcLabels := []string{"256M", "512M", "1G", "2G", "4G", "8G"}
-	return []*Figure{
-		runComparison("fig13a", "Optimizations: WC (Uniform), one Mira node", "dataset size", plat,
-			wcSweep(WCUniform, wcLabels), ladder(WCUniform)),
-		runComparison("fig13b", "Optimizations: WC (Wikipedia), one Mira node", "dataset size", plat,
-			wcSweep(WCWikipedia, wcLabels), ladder(WCWikipedia)),
-		runComparison("fig13c", "Optimizations: OC, one Mira node", "number of points", plat,
-			ocSweep(24, 29), ladder(OC)),
-		runComparison("fig13d", "Optimizations: BFS, one Mira node", "number of vertices", plat,
-			bfsSweep(18, 23), ladder(BFS)),
-	}
+	return fourPanels("fig13", "Optimizations: ", platform.Mira(), []string{"256M", "512M", "1G", "2G", "4G", "8G"},
+		ocRows(24, 29), bfsRows(18, 23), ladder)
 }
 
 // FigSpill extends the paper: WordCount ladders on one Mira node crossing
@@ -357,28 +330,26 @@ func Fig13() []*Figure {
 // memory and its out-of-core traffic below MR-MPI's whole-page spills.
 func FigSpill() []*Figure {
 	plat := platform.Mira()
-	variants := []variant{
-		{"Mimir (error)", func(s *Spec) { s.Engine = Mimir }},
-		{"Mimir (spill)", func(s *Spec) { s.Engine = Mimir; s.OutOfCore = core.SpillWhenNeeded }},
-		{"Mimir (spill-always)", func(s *Spec) { s.Engine = Mimir; s.OutOfCore = core.SpillAlways }},
-		{"MR-MPI (error)", func(s *Spec) {
-			s.Engine = MRMPI
-			s.MRMPIPage = plat.MaxPageSize
-			s.MRMPIMode = mrmpi.ErrorIfExceeds
-		}},
-		mrmpiV("MR-MPI (spill)", plat.MaxPageSize), // spill-when-needed, the library default
-		{"MR-MPI (spill-always)", func(s *Spec) {
-			s.Engine = MRMPI
-			s.MRMPIPage = plat.MaxPageSize
-			s.MRMPIMode = mrmpi.SpillAlways
-		}},
+	mimirOOC := func(name string, ooc core.OutOfCore) variant {
+		return variant{name, func(s *Spec) { s.Engine, s.OutOfCore = Mimir, ooc }}
+	}
+	mrmpiOOC := func(name string, mode mrmpi.Mode) variant {
+		return variant{name, func(s *Spec) { s.Engine, s.MRMPIPage, s.MRMPIMode = MRMPI, plat.MaxPageSize, mode }}
+	}
+	series := []variant{
+		mimirOOC("Mimir (error)", core.Error),
+		mimirOOC("Mimir (spill)", core.SpillWhenNeeded),
+		mimirOOC("Mimir (spill-always)", core.SpillAlways),
+		mrmpiOOC("MR-MPI (error)", mrmpi.ErrorIfExceeds),
+		mrmpiOOC("MR-MPI (spill)", mrmpi.SpillWhenNeeded), // the library default
+		mrmpiOOC("MR-MPI (spill-always)", mrmpi.SpillAlways),
 	}
 	wcLabels := []string{"1G", "2G", "4G", "8G", "16G", "32G"}
 	return []*Figure{
-		runComparison("figspilla", "Out-of-core: WC (Uniform), one Mira node", "dataset size", plat,
-			wcSweep(WCUniform, wcLabels), variants),
-		runComparison("figspillb", "Out-of-core: WC (Wikipedia), one Mira node", "dataset size", plat,
-			wcSweep(WCWikipedia, wcLabels), variants),
+		panel("figspilla", "Out-of-core: WC (Uniform), one Mira node", "dataset size",
+			cross(oneNode(plat), wcRows(workloads.Uniform, wcLabels...), series)),
+		panel("figspillb", "Out-of-core: WC (Wikipedia), one Mira node", "dataset size",
+			cross(oneNode(plat), wcRows(workloads.Wikipedia, wcLabels...), series)),
 	}
 }
 
@@ -388,17 +359,21 @@ func FigSpill() []*Figure {
 // ranks per node for tractability — node-level memory ratios, which decide
 // where each ladder rung runs out of memory, are preserved.
 func Fig14() []*Figure {
-	plat := platform.Mira()
-	nodes := []int{2, 4, 8, 16, 32, 64, 128}
-	const rpn = 4
+	nodes := nodeRows(2, 4, 8, 16, 32, 64, 128)
+	weak := func(id, title string, perNode driver.JobConfig) *Figure {
+		perNode.Seed = Seed
+		base := Spec{Plat: platform.Mira(), RanksPerNode: 4, JobConfig: perNode}
+		return panel(id, "Ladder weak scaling: "+title, "number of nodes",
+			cross(base, nodes, ladder(perNode.Kind)))
+	}
 	return []*Figure{
-		weakScaling("fig14a", "Ladder weak scaling: WC (Uniform, 2G/node, Mira)", plat, WCUniform,
-			Spec{SizeBytes: PaperSize("2G")}, nodes, rpn, ladder(WCUniform)),
-		weakScaling("fig14b", "Ladder weak scaling: WC (Wikipedia, 2G/node, Mira)", plat, WCWikipedia,
-			Spec{SizeBytes: PaperSize("2G")}, nodes, rpn, ladder(WCWikipedia)),
-		weakScaling("fig14c", "Ladder weak scaling: OC (2^27 points/node, Mira)", plat, OC,
-			Spec{Points: paperPow2(27)}, nodes, rpn, ladder(OC)),
-		weakScaling("fig14d", "Ladder weak scaling: BFS (2^22 vertices/node, Mira)", plat, BFS,
-			Spec{Scale: 12}, nodes, rpn, ladder(BFS)),
+		weak("fig14a", "WC (Uniform, 2G/node, Mira)",
+			driver.JobConfig{Kind: driver.JobWordCount, TotalBytes: PaperSize("2G")}),
+		weak("fig14b", "WC (Wikipedia, 2G/node, Mira)",
+			driver.JobConfig{Kind: driver.JobWordCount, Dist: workloads.Wikipedia, TotalBytes: PaperSize("2G")}),
+		weak("fig14c", "OC (2^27 points/node, Mira)",
+			driver.JobConfig{Kind: driver.JobOctree, Points: 1 << 17}),
+		weak("fig14d", "BFS (2^22 vertices/node, Mira)",
+			driver.JobConfig{Kind: driver.JobBFS, Scale: 12}),
 	}
 }

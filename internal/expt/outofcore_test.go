@@ -8,6 +8,7 @@ import (
 	"mimir/internal/core"
 	"mimir/internal/mem"
 	"mimir/internal/platform"
+	"mimir/internal/workloads"
 )
 
 // skipUnderRace skips the minutes-long out-of-core scenarios under the race
@@ -45,8 +46,7 @@ func miniMira() *platform.Platform {
 func TestOutOfCorePastTheMemoryWall(t *testing.T) {
 	skipUnderRace(t)
 	plat := miniMira()
-	spec := Spec{Plat: plat, Nodes: 1, Engine: Mimir, Bench: WCWikipedia,
-		SizeBytes: PaperSize("4G"), Seed: Seed}
+	spec := Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: wcJob(workloads.Wikipedia, "4G")}
 
 	fail := Run(spec)
 	if !fail.Failed() || !errors.Is(fail.Err, mem.ErrNoMemory) {
@@ -81,13 +81,13 @@ func TestOutOfCoreCliff(t *testing.T) {
 	skipUnderRace(t)
 	roomy := miniMira()
 	roomy.NodeMemory = 32 * platform.MiB
-	inMem := Run(Spec{Plat: roomy, Nodes: 1, Engine: Mimir, Bench: WCWikipedia,
-		SizeBytes: PaperSize("4G"), Seed: Seed})
+	inMem := Run(Spec{Plat: roomy, Nodes: 1, Engine: Mimir, JobConfig: wcJob(workloads.Wikipedia, "4G")})
 	if !inMem.InMemory() {
 		t.Fatalf("4G on a 32G node should run in memory: err=%v spilled=%d", inMem.Err, inMem.SpilledBytes)
 	}
-	spill := Run(Spec{Plat: miniMira(), Nodes: 1, Engine: Mimir, Bench: WCWikipedia,
-		SizeBytes: PaperSize("4G"), Seed: Seed, OutOfCore: core.SpillWhenNeeded})
+	job := wcJob(workloads.Wikipedia, "4G")
+	job.OutOfCore = core.SpillWhenNeeded
+	spill := Run(Spec{Plat: miniMira(), Nodes: 1, Engine: Mimir, JobConfig: job})
 	if spill.Failed() {
 		t.Fatalf("4G spill run failed: %v", spill.Err)
 	}

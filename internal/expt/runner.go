@@ -1,8 +1,10 @@
 // Package expt is the experiment harness that regenerates every figure of
-// the paper's evaluation (Section IV). Each figure function returns a
-// Figure whose rows mirror the paper's x-axis sweep and whose series mirror
-// the paper's lines; cmd/mimir-bench prints them and bench_test.go exposes
-// one testing.B benchmark per figure.
+// the paper's evaluation (Section IV). A sweep is data — a []Cell, each
+// cell a driver.JobConfig on a platform — and one loop (RunCells over Run)
+// executes it; each figure function returns Figures whose rows mirror the
+// paper's x-axis sweep and whose series mirror the paper's lines.
+// cmd/mimir-bench prints them and bench_test.go exposes one testing.B
+// benchmark per figure.
 //
 // Scaling: all sizes are 1024x smaller than the paper's (see
 // internal/platform); row labels keep the paper-scale names, so the row
@@ -10,18 +12,15 @@
 package expt
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
-	"mimir/internal/core"
 	"mimir/internal/driver"
 	"mimir/internal/mem"
 	"mimir/internal/metrics"
 	"mimir/internal/mpi"
 	"mimir/internal/mrmpi"
 	"mimir/internal/partition"
-	"mimir/internal/pfs"
 	"mimir/internal/platform"
 	"mimir/internal/spill"
 	"mimir/internal/workloads"
@@ -36,48 +35,18 @@ const (
 	MRMPI
 )
 
-// Bench selects one of the paper's benchmarks.
-type Bench int
-
-// The paper's three benchmarks (WordCount appears with two datasets), the
-// parameterized zipf WordCount the skew matrix sweeps, and the MRC
-// multi-round suite (TeraSort / PageRank / k-means).
-const (
-	WCUniform Bench = iota
-	WCWikipedia
-	OC
-	BFS
-	WCZipf
-	TeraSort
-	PageRank
-	KMeans
-)
-
-// String names the benchmark as the paper does.
-func (b Bench) String() string {
-	switch b {
-	case WCUniform:
-		return "WC (Uniform)"
-	case WCWikipedia:
-		return "WC (Wikipedia)"
-	case OC:
-		return "OC"
-	case BFS:
-		return "BFS"
-	case WCZipf:
-		return "WC (Zipf)"
-	case TeraSort:
-		return "TeraSort"
-	case PageRank:
-		return "PageRank"
-	case KMeans:
-		return "k-means"
-	}
-	return fmt.Sprintf("Bench(%d)", int(b))
-}
-
-// Spec describes one experimental run (one point of one figure).
+// Spec describes one experimental run: a driver job (the embedded JobConfig
+// — kind, dataset, optimizations and engine knobs, exactly as RunJob reads
+// them) plus what only the harness knows: the platform and its shape, and
+// which engine runs the job. Three JobConfig fields read differently here:
+// a zero PageSize / CommBuf is the platform's page size, a zero Workers
+// pins 1 (serial) — never GOMAXPROCS: host core count may not leak into a
+// simulated result — and MemBytes, when set, replaces the platform's node
+// memory with that much per rank. The engine knobs are Mimir's; MR-MPI
+// honors only CPS, as in the original library.
 type Spec struct {
+	driver.JobConfig
+
 	Plat  *platform.Platform
 	Nodes int
 	// RanksPerNode overrides the platform's core count; the multi-node
@@ -90,37 +59,6 @@ type Spec struct {
 	// MRMPIMode selects MR-MPI's out-of-core mode (zero value:
 	// spill-when-needed, the library default).
 	MRMPIMode mrmpi.Mode
-	// OutOfCore selects Mimir's out-of-core policy (zero value: Error — the
-	// paper's fail-on-ErrNoMemory behavior). The spill policies evict
-	// container pages to the platform's spill file system.
-	OutOfCore core.OutOfCore
-	// Optimizations (Mimir honors all three; MR-MPI only CPS).
-	Hint, PR, CPS bool
-	// Workers sets each Mimir rank's intra-process worker pool; the zero
-	// value pins 1 (serial), never GOMAXPROCS (see newMimirEngine). Set
-	// explicitly to model hybrid MPI+threads runs.
-	Workers int
-
-	Bench Bench
-	// WC: total dataset bytes (scaled). OC/k-means: total points.
-	// BFS/PageRank: graph scale. TeraSort: total rows.
-	SizeBytes int64
-	Points    int64
-	Scale     int
-	Rows      int64
-	Seed      uint64
-	// Multi-round knobs: the iteration cap (0 = workload default) and
-	// k-means geometry (0 = workload defaults).
-	MaxRounds int
-	K, Dims   int
-
-	// WCZipf knobs: the zipf exponent, the contention mass diverted to the
-	// hottest key, and the partitioner name ("", "hash", or "sample") —
-	// the skew-matrix axes (Mimir only; MR-MPI has no pluggable partitioner).
-	Skew        float64
-	Contention  float64
-	Partitioner string
-
 	// PerRank optionally collects per-rank distribution samples (phase
 	// times, shuffle and spill traffic, total rank time) for the ranks this
 	// process hosts; render or serialize it with metrics.Summary.
@@ -137,14 +75,19 @@ type Result struct {
 	// paper reports "peak memory usage").
 	PeakPerProc int64
 	// SpilledBytes counts out-of-core write traffic: MR-MPI page spills, or
-	// Mimir container evictions under a Spec.OutOfCore spill policy (0 for
+	// Mimir container evictions under a spill OutOfCore policy (0 for
 	// Mimir's default Error policy).
 	SpilledBytes int64
 	// ShuffledBytes sums exchange traffic over all ranks and stages.
 	ShuffledBytes int64
-	// Rounds is the multi-round benches' executed round count (stages for
-	// the iterative jobs; 1-stage benches report their stage count).
+	// Rounds is the executed round count of the shared round loop (1 for
+	// the kinds that do not run it).
 	Rounds int
+	// RoundPeaks[i] is PeakPerProc as of the end of round i (sampled at the
+	// next round's barrier; the last entry is the final peak). The arena
+	// peak is monotone, so the series shows which round drives the job's
+	// memory footprint.
+	RoundPeaks []int64
 	// SpillIOSec sums, over all ranks, the simulated seconds spent on
 	// Mimir's spill I/O (0 for MR-MPI, whose spill time is inside Time).
 	SpillIOSec float64
@@ -163,19 +106,49 @@ func (r Result) InMemory() bool { return r.Err == nil && r.SpilledBytes == 0 }
 // Failed reports whether the run could not complete at all.
 func (r Result) Failed() bool { return r.Err != nil }
 
+// Cell is one point of a sweep, as data: the figure line (Series) and x
+// value it plots at, and the spec to run. RunCells fills Result.
+type Cell struct {
+	Series, X string
+	Spec      Spec
+	Result    Result
+}
+
+// RunCells runs every cell in order — the one loop behind every figure and
+// matrix — and returns the same cells, measured.
+func RunCells(cells []Cell) []Cell {
+	for i := range cells {
+		cells[i].Result = Run(cells[i].Spec)
+	}
+	return cells
+}
+
 // Run executes one spec on a fresh in-process world and gathers metrics.
 func Run(spec Spec) Result {
-	plat := spec.Plat
+	plat, cfg := spec.Plat, spec.JobConfig
 	rpn := spec.RanksPerNode
 	if rpn <= 0 {
 		rpn = plat.CoresPerNode
 	}
-	world := mpi.NewWorld(mpi.Config{Size: spec.Nodes * rpn, Net: plat.Net})
+	part, err := partition.ByName(cfg.Partitioner)
+	if err != nil {
+		return Result{Err: err, Time: math.NaN()}
+	}
+	if cfg.PageSize == 0 {
+		cfg.PageSize = plat.PageSize
+	}
+	if cfg.CommBuf == 0 {
+		cfg.CommBuf = plat.PageSize
+	}
+	cfg.Workers = max(cfg.Workers, 1)
 
 	// One memory arena per node; the node's memory is shared by its ranks.
 	// Per-process budget scales with ranks per node so that reducing the
 	// rank count (for tractability) does not inflate per-node memory.
 	nodeMem := plat.NodeMemory
+	if cfg.MemBytes > 0 {
+		nodeMem = cfg.MemBytes * int64(rpn)
+	}
 	arenas := make([]*mem.Arena, spec.Nodes)
 	groups := make([]*spill.Group, spec.Nodes)
 	for i := range arenas {
@@ -187,23 +160,32 @@ func Run(spec Spec) Result {
 	inputFS := plat.InputFSFor(spec.Nodes)
 	spillFS := plat.SpillFSFor(spec.Nodes)
 
-	part, err := partition.ByName(spec.Partitioner)
-	if err != nil {
-		return Result{Err: err}
+	// tops[rank][i] is the rank's node-arena peak at the top of round i;
+	// each rank goroutine appends only to its own slice.
+	tops := make([][]int64, spec.Nodes*rpn)
+	onRound := cfg.OnRound
+	cfg.OnRound = func(rank, round int) error {
+		tops[rank] = append(tops[rank], arenas[rank/rpn].Peak())
+		if onRound != nil {
+			return onRound(rank, round)
+		}
+		return nil
 	}
 
-	return runRanks(world, arenas, rpn, func(c *mpi.Comm, arena *mem.Arena) (workloads.StageStats, int, error) {
+	world := mpi.NewWorld(mpi.Config{Size: spec.Nodes * rpn, Net: plat.Net})
+	var mu sync.Mutex
+	var res Result
+	err = world.Run(func(c *mpi.Comm) error {
+		node := c.Rank() / rpn
 		var eng workloads.Engine
 		switch spec.Engine {
 		case Mimir:
-			me := newMimirEngine(c, arena, plat, spec.Workers)
-			me.OutOfCore = spec.OutOfCore
-			me.SpillFS = spillFS
-			me.SpillGroup = groups[c.Rank()/rpn]
-			me.Partitioner = part
+			me := cfg.NewEngine(c, arenas[node], part, spillFS)
+			me.SpillGroup = groups[node]
+			me.Costs = plat.Costs()
 			eng = me
 		case MRMPI:
-			mre := workloads.NewMRMPIEngine(c, arena, spillFS)
+			mre := workloads.NewMRMPIEngine(c, arenas[node], spillFS)
 			mre.PageSize = spec.MRMPIPage
 			if mre.PageSize <= 0 {
 				mre.PageSize = plat.PageSize
@@ -212,35 +194,20 @@ func Run(spec Spec) Result {
 			mre.Costs = plat.Costs()
 			eng = mre
 		}
-		stats, rounds, err := runBench(eng, inputFS, spec)
-		if err == nil && spec.PerRank != nil {
-			stats.Record(spec.PerRank)
-			spec.PerRank.Add("rank-sec", c.Clock().Now())
-		}
-		return stats, rounds, err
-	})
-}
-
-// runRanks runs perRank on every rank of world — rank r on node arena
-// arenas[r/rpn] — and folds the ranks' stats, the world's clock and the
-// arena peaks into one Result: the tail Run and the MRC matrix share.
-func runRanks(world *mpi.World, arenas []*mem.Arena, rpn int,
-	perRank func(c *mpi.Comm, arena *mem.Arena) (workloads.StageStats, int, error)) Result {
-	var mu sync.Mutex
-	var res Result
-	err := world.Run(func(c *mpi.Comm) error {
-		stats, rounds, err := perRank(c, arenas[c.Rank()/rpn])
+		stats, rounds, err := cfg.RunRank(eng, inputFS, nil)
 		if err != nil {
 			return err
+		}
+		if spec.PerRank != nil {
+			stats.Record(spec.PerRank)
+			spec.PerRank.Add("rank-sec", c.Clock().Now())
 		}
 		mu.Lock()
 		res.SpilledBytes += stats.SpilledBytes
 		res.ShuffledBytes += stats.ShuffledBytes
 		res.SpillIOSec += stats.SpillIOSec
 		res.OverlapSavedSec += stats.OverlapSavedSec
-		if rounds > res.Rounds {
-			res.Rounds = rounds // identical on every rank for multi-round jobs
-		}
+		res.Rounds = rounds // identical on every rank
 		mu.Unlock()
 		return nil
 	})
@@ -249,74 +216,19 @@ func runRanks(world *mpi.World, arenas []*mem.Arena, rpn int,
 		res.Err = err
 		res.Time = math.NaN()
 	}
-	var maxPeak int64
-	for _, a := range arenas {
-		if a.Peak() > maxPeak {
-			maxPeak = a.Peak()
+	// The end of round i is the top of round i+1; the last round — and any
+	// round no hook sampled — ends at the final peak.
+	res.RoundPeaks = make([]int64, res.Rounds)
+	for rank, top := range tops {
+		final := arenas[rank/rpn].Peak()
+		res.PeakPerProc = max(res.PeakPerProc, final/int64(rpn))
+		for r := range res.RoundPeaks {
+			v := final
+			if r+1 < len(top) {
+				v = top[r+1]
+			}
+			res.RoundPeaks[r] = max(res.RoundPeaks[r], v/int64(rpn))
 		}
 	}
-	res.PeakPerProc = maxPeak / int64(rpn)
 	return res
-}
-
-// newMimirEngine builds one rank's Mimir engine the way every simulated
-// figure does: the platform's page size and compute costs, and a pool of
-// workers — where, unlike core.Config, 0 pins 1 (serial), NOT GOMAXPROCS.
-// Host core count may never leak into a simulated result; this is the one
-// place that holds.
-func newMimirEngine(c *mpi.Comm, arena *mem.Arena, plat *platform.Platform, workers int) *workloads.MimirEngine {
-	me := workloads.NewMimirEngine(c, arena)
-	me.PageSize = plat.PageSize
-	me.CommBuf = plat.PageSize
-	me.Costs = plat.Costs()
-	me.Workers = max(workers, 1)
-	return me
-}
-
-// benchKind names each benchmark's row in the driver's job table. OC, the
-// one benchmark that is not a driver job, has none.
-var benchKind = map[Bench]string{
-	WCUniform: driver.JobWordCount, WCWikipedia: driver.JobWordCount, WCZipf: driver.JobWordCount,
-	BFS: driver.JobBFS, TeraSort: driver.JobTeraSort, PageRank: driver.JobPageRank, KMeans: driver.JobKMeans,
-}
-
-// jobConfig expresses the spec's benchmark as a driver job. The engine knobs
-// (Workers, Partitioner, OutOfCore) are not copied: the harness sets them on
-// the engines it builds over the shared node arenas.
-func (spec Spec) jobConfig() driver.JobConfig {
-	kind, ok := benchKind[spec.Bench]
-	if !ok {
-		kind = spec.Bench.String() // RunRank rejects it as an unknown kind
-	}
-	cfg := driver.JobConfig{
-		Kind: kind, Seed: spec.Seed, Hint: spec.Hint, PR: spec.PR, CPS: spec.CPS,
-		TotalBytes: spec.SizeBytes, Rows: spec.Rows, Scale: spec.Scale,
-		Points: spec.Points, K: spec.K, Dims: spec.Dims, MaxRounds: spec.MaxRounds,
-		UseZipf: spec.Bench == WCZipf, ZipfSkew: spec.Skew, Contention: spec.Contention,
-	}
-	if spec.Bench == WCWikipedia {
-		cfg.Dist = workloads.Wikipedia
-	}
-	return cfg
-}
-
-func runBench(eng workloads.Engine, fs *pfs.FS, spec Spec) (workloads.StageStats, int, error) {
-	if spec.Bench != OC {
-		return spec.jobConfig().RunRank(eng, fs, nil)
-	}
-	// Octree clustering is the one benchmark outside the driver's table.
-	opts := workloads.StageOpts{}
-	if spec.Hint {
-		opts.Hint = workloads.OCHint()
-	}
-	if spec.PR {
-		opts.PartialReduce = workloads.WordCountCombine
-	}
-	if spec.CPS {
-		opts.Combiner = workloads.WordCountCombine
-	}
-	r, err := workloads.RunOctree(eng, fs, workloads.OCConfig{
-		TotalPoints: spec.Points, Seed: spec.Seed,
-	}, opts)
-	return r.Stats, 1, err
 }

@@ -3,7 +3,9 @@ package expt
 import (
 	"testing"
 
+	"mimir/internal/driver"
 	"mimir/internal/platform"
+	"mimir/internal/workloads"
 )
 
 // Golden-shape regression tests: the quantitative targets from DESIGN.md §3
@@ -21,7 +23,7 @@ func TestShapeFig1SpillCliff(t *testing.T) {
 	plat := platform.Comet()
 	run := func(label string) Result {
 		return Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.MaxPageSize,
-			Bench: WCUniform, SizeBytes: PaperSize(label), Seed: Seed})
+			JobConfig: wcJob(workloads.Uniform, label)})
 	}
 	inMem := run("4G")
 	spill := run("32G")
@@ -46,21 +48,16 @@ func TestShapeFig8PeakReductions(t *testing.T) {
 	plat := platform.Comet()
 	cases := []struct {
 		name      string
-		spec      Spec
+		job       driver.JobConfig
 		reduction float64
 	}{
-		{"WC", Spec{Bench: WCUniform, SizeBytes: PaperSize("256M")}, 0.25},
-		{"OC", Spec{Bench: OC, Points: 1 << 14}, 0.34},  // 2^24 paper points
-		{"BFS", Spec{Bench: BFS, Scale: 9}, 0.64},       // 2^19 paper vertices
+		{"WC", wcJob(workloads.Uniform, "256M"), 0.25},
+		{"OC", driver.JobConfig{Kind: driver.JobOctree, Points: 1 << 14, Seed: Seed}, 0.34}, // 2^24 paper points
+		{"BFS", driver.JobConfig{Kind: driver.JobBFS, Scale: 9, Seed: Seed}, 0.64},          // 2^19 paper vertices
 	}
 	for _, c := range cases {
-		mimirSpec, mrmpiSpec := c.spec, c.spec
-		mimirSpec.Plat, mimirSpec.Nodes, mimirSpec.Seed = plat, 1, Seed
-		mimirSpec.Engine = Mimir
-		mrmpiSpec.Plat, mrmpiSpec.Nodes, mrmpiSpec.Seed = plat, 1, Seed
-		mrmpiSpec.Engine, mrmpiSpec.MRMPIPage = MRMPI, plat.PageSize
-		m := Run(mimirSpec)
-		b := Run(mrmpiSpec)
+		m := Run(Spec{Plat: plat, Nodes: 1, Engine: Mimir, JobConfig: c.job})
+		b := Run(Spec{Plat: plat, Nodes: 1, Engine: MRMPI, MRMPIPage: plat.PageSize, JobConfig: c.job})
 		if m.Failed() || b.Failed() {
 			t.Fatalf("%s: unexpected failure (%v / %v)", c.name, m.Err, b.Err)
 		}

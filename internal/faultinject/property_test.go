@@ -27,7 +27,7 @@ import (
 
 const propRanks = 3
 
-var propConfig = driver.WordCountConfig{
+var propConfig = driver.JobConfig{
 	Dist:       workloads.Uniform,
 	TotalBytes: 1 << 16,
 	Seed:       5,
@@ -130,7 +130,7 @@ func faultedMesh(spec faultinject.Spec) ([]transport.Transport, error) {
 // fault-free reference byte-for-byte or abort everywhere — bounded by a
 // watchdog, so a hang is a failure, not a timeout.
 func TestWordCountUnderRandomFaults(t *testing.T) {
-	ref, err := driver.WordCount(mpi.NewWorld(mpi.Config{
+	ref, err := driver.RunJob(mpi.NewWorld(mpi.Config{
 		Size: propRanks,
 		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
 	}), propConfig, nil)
@@ -179,7 +179,7 @@ func runFaultedWordCount(spec faultinject.Spec, ref []byte) error {
 			go func(r int) {
 				defer wg.Done()
 				world := mpi.NewWorld(mpi.Config{Transport: trs[r]})
-				outs[r], errs[r] = driver.WordCount(world, propConfig, nil)
+				outs[r], errs[r] = driver.RunJob(world, propConfig, nil)
 				world.Close()
 			}(r)
 		}

@@ -48,7 +48,7 @@ import (
 // admission.
 type Spec struct {
 	// Job selects the kind: "" or "wordcount" (default), "terasort",
-	// "pagerank", "kmeans", "bfs" (see driver.JobKinds).
+	// "pagerank", "kmeans", "bfs", "octree" (see driver.JobKinds).
 	Job string `json:"job,omitempty"`
 	// Bytes is the total corpus size across all ranks (default 1 MiB;
 	// wordcount only).

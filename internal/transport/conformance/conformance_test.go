@@ -245,7 +245,7 @@ func TestFaultedTCPConformanceWorkers(t *testing.T) {
 // in-process reference run.
 func TestWordCountWorkersCrossTransport(t *testing.T) {
 	const size = 3
-	cfg := driver.WordCountConfig{
+	cfg := driver.JobConfig{
 		Dist:       workloads.Uniform,
 		TotalBytes: 1 << 16,
 		Seed:       5,
@@ -253,7 +253,7 @@ func TestWordCountWorkersCrossTransport(t *testing.T) {
 		PR:         true,
 		Workers:    1,
 	}
-	ref, err := driver.WordCount(mpi.NewWorld(mpi.Config{
+	ref, err := driver.RunJob(mpi.NewWorld(mpi.Config{
 		Size: size,
 		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
 	}), cfg, nil)
@@ -277,7 +277,7 @@ func TestWordCountWorkersCrossTransport(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				world := mpi.NewWorld(mpi.Config{Transport: trs[r]})
-				outs[r], errs[r] = driver.WordCount(world, cfg, nil)
+				outs[r], errs[r] = driver.RunJob(world, cfg, nil)
 				world.Close()
 			}(r)
 		}

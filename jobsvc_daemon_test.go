@@ -58,7 +58,7 @@ func daemonReference(t *testing.T, seed uint64) []byte {
 		Size: daemonRanks,
 		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
 	})
-	out, err := driver.WordCount(world, driver.WordCountConfig{
+	out, err := driver.RunJob(world, driver.JobConfig{
 		Dist:       workloads.Uniform,
 		TotalBytes: 1 << 16,
 		Seed:       seed,

@@ -41,7 +41,7 @@ func elasticReference(t *testing.T, seed uint64, size int) []byte {
 		Size: size,
 		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
 	})
-	out, err := driver.WordCount(world, driver.WordCountConfig{
+	out, err := driver.RunJob(world, driver.JobConfig{
 		Dist:       workloads.Uniform,
 		TotalBytes: 1 << 16,
 		Seed:       seed,

@@ -12,9 +12,7 @@ package mimir_test
 //	MIMIR_BENCH_OUT=BENCH_membership.json go test -run TestMembershipBenchBaseline .
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"mimir/internal/core"
@@ -51,7 +49,7 @@ type membershipPoint struct {
 func seedMembershipCkpt(tb testing.TB, fs *pfs.FS, name string, size int) {
 	tb.Helper()
 	world := mpi.NewWorld(mpi.Config{Size: size, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-	_, err := driver.WordCount(world, driver.WordCountConfig{
+	_, err := driver.RunJob(world, driver.JobConfig{
 		Dist:       workloads.Uniform,
 		TotalBytes: 1 << 20,
 		Seed:       42,
@@ -160,28 +158,5 @@ func TestMembershipBenchBaseline(t *testing.T) {
 			t.Errorf("%d -> %d: rebalance took no simulated time", pt.From, pt.To)
 		}
 	}
-	if out := os.Getenv("MIMIR_BENCH_OUT"); out != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-		return
-	}
-	raw, err := os.ReadFile("BENCH_membership.json")
-	if err != nil {
-		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
-	}
-	var want benchMembershipBaseline
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse BENCH_membership.json: %v", err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("sweep drifted from committed BENCH_membership.json\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
+	holdBaseline(t, "BENCH_membership.json", got)
 }

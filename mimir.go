@@ -391,6 +391,7 @@ const (
 	JobPageRank  = driver.JobPageRank
 	JobKMeans    = driver.JobKMeans
 	JobBFS       = driver.JobBFS
+	JobOctree    = driver.JobOctree
 )
 
 var (

@@ -16,24 +16,27 @@ package mimir_test
 //	MIMIR_BENCH_OUT=BENCH_mrc.json go test -run TestMRCBenchBaseline .
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
+	"mimir/internal/driver"
 	"mimir/internal/expt"
 )
 
-// benchMRCSpec is the committed sweep: the default MRC matrix — jobs
-// {terasort, pagerank, kmeans} x ladder {base, hint, hint;pr} at 4 ranks,
-// 2^13 rows / 2^9 vertices / 2^12 points, seed 42.
-func benchMRCSpec() expt.MRCSpec { return expt.MRCSpec{} }
+// benchMRCCells is the committed sweep (FigMRC's): jobs {terasort,
+// pagerank, kmeans} x ladder {base, hint, hint;pr} at 4 ranks, 2^13 rows /
+// 2^9 vertices / 2^12 points in 8 clusters of 3 dimensions, seed 42.
+func benchMRCCells() []expt.Cell {
+	return expt.MRCCells(driver.JobConfig{
+		Seed: expt.Seed, Rows: 1 << 13, Scale: 9, Points: 1 << 12, K: 8, Dims: 3,
+	}, driver.JobTeraSort, driver.JobPageRank, driver.JobKMeans)
+}
 
 // benchMRCBaseline is the committed shape of BENCH_mrc.json.
 type benchMRCBaseline struct {
-	Benchmark string         `json:"benchmark"`
-	Workload  string         `json:"workload"`
-	Note      string         `json:"note"`
-	Points    []expt.MRCCell `json:"points"`
+	Benchmark string        `json:"benchmark"`
+	Workload  string        `json:"workload"`
+	Note      string        `json:"note"`
+	Points    []expt.MRCRow `json:"points"`
 }
 
 func benchMRCRun() benchMRCBaseline {
@@ -45,11 +48,11 @@ func benchMRCRun() benchMRCBaseline {
 			"Pinned here: round counts, per-round arena peaks, and the ladder claims — " +
 			"the KV-hint cuts exchange traffic, partial reduction cuts the iterative " +
 			"jobs' arena peaks.",
-		Points: expt.MRCMatrix(benchMRCSpec()),
+		Points: expt.MRCRows(expt.RunCells(benchMRCCells())),
 	}
 }
 
-func (b *benchMRCBaseline) point(t *testing.T, job, variant string) expt.MRCCell {
+func (b *benchMRCBaseline) point(t *testing.T, job, variant string) expt.MRCRow {
 	t.Helper()
 	for _, p := range b.Points {
 		if p.Job == job && p.Variant == variant {
@@ -57,7 +60,7 @@ func (b *benchMRCBaseline) point(t *testing.T, job, variant string) expt.MRCCell
 		}
 	}
 	t.Fatalf("BENCH_mrc point (%s, %s) missing", job, variant)
-	return expt.MRCCell{}
+	return expt.MRCRow{}
 }
 
 // TestMRCBenchBaseline regenerates the sweep and holds it against the
@@ -116,28 +119,5 @@ func TestMRCBenchBaseline(t *testing.T) {
 		}
 	}
 
-	if out := os.Getenv("MIMIR_BENCH_OUT"); out != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-		return
-	}
-	raw, err := os.ReadFile("BENCH_mrc.json")
-	if err != nil {
-		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
-	}
-	var want benchMRCBaseline
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse BENCH_mrc.json: %v", err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("sweep drifted from committed BENCH_mrc.json\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
+	holdBaseline(t, "BENCH_mrc.json", got)
 }

@@ -1,10 +1,38 @@
 package mimir_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"runtime"
 	"testing"
 )
+
+// holdBaseline is the tail every committed simulated sweep shares: got must
+// serialize to exactly the bytes of the committed file, or — with
+// MIMIR_BENCH_OUT set — is written there instead, regenerating the baseline.
+func holdBaseline(t *testing.T, file string, got any) {
+	t.Helper()
+	buf, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	if out := os.Getenv("MIMIR_BENCH_OUT"); out != "" {
+		if err := os.WriteFile(out, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", out)
+		return
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Errorf("sweep drifted from committed %s\n got: %s\nwant: %s", file, buf, want)
+	}
+}
 
 // TestSimulatedBaselinesIgnoreGOMAXPROCS holds the committed simulated
 // sweeps (BENCH_mrc / BENCH_skew / BENCH_workers) to their "byte-identical

@@ -12,35 +12,29 @@ package mimir_test
 //	MIMIR_BENCH_OUT=BENCH_skew.json go test -run TestSkewBenchBaseline .
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
+	"mimir/internal/driver"
 	"mimir/internal/expt"
 )
 
-// benchSkewSpec is the committed sweep: skew {0, 1.1} x partitioner
+// benchSkewCells is the committed sweep: skew {0, 1.1} x partitioner
 // {hash, sample} at 4 ranks (one per node, so peak_per_rank_bytes is an
 // exact arena peak), 1 MiB "1G" corpus, KV-hint on, PR off (container
 // memory then tracks record traffic — the imbalance sampling fixes).
-func benchSkewSpec() expt.SkewSpec {
-	return expt.SkewSpec{
-		Skews:        []float64{0, 1.1},
-		Workers:      []int{1},
-		Ranks:        []int{4},
-		Partitioners: []string{"hash", "sample"},
-		SizeBytes:    expt.PaperSize("1G"),
-		Contention:   0.1,
-		Seed:         expt.Seed,
-	}
+func benchSkewCells() []expt.Cell {
+	return expt.SkewCells(driver.JobConfig{
+		Seed: expt.Seed, Hint: true,
+		TotalBytes: expt.PaperSize("1G"), Contention: 0.1,
+	}, []float64{0, 1.1}, "hash", "sample")
 }
 
 // benchSkewBaseline is the committed shape of BENCH_skew.json.
 type benchSkewBaseline struct {
-	Benchmark string          `json:"benchmark"`
-	Workload  string          `json:"workload"`
-	Note      string          `json:"note"`
-	Points    []expt.SkewCell `json:"points"`
+	Benchmark string         `json:"benchmark"`
+	Workload  string         `json:"workload"`
+	Note      string         `json:"note"`
+	Points    []expt.SkewRow `json:"points"`
 }
 
 func benchSkewRun() benchSkewBaseline {
@@ -51,11 +45,11 @@ func benchSkewRun() benchSkewBaseline {
 			"on any host; drift means the engine's cost or memory accounting changed. " +
 			"The claim pinned here: under skew the sampled weighted ranges beat hash " +
 			"partitioning on both job time and the busiest rank's arena peak.",
-		Points: expt.SkewMatrix(benchSkewSpec()),
+		Points: expt.SkewRows(expt.RunCells(benchSkewCells())),
 	}
 }
 
-func (b *benchSkewBaseline) point(t *testing.T, skew float64, part string) expt.SkewCell {
+func (b *benchSkewBaseline) point(t *testing.T, skew float64, part string) expt.SkewRow {
 	t.Helper()
 	for _, p := range b.Points {
 		if p.Skew == skew && p.Partitioner == part {
@@ -63,7 +57,7 @@ func (b *benchSkewBaseline) point(t *testing.T, skew float64, part string) expt.
 		}
 	}
 	t.Fatalf("BENCH_skew point (skew %.1f, %s) missing", skew, part)
-	return expt.SkewCell{}
+	return expt.SkewRow{}
 }
 
 // TestSkewBenchBaseline regenerates the sweep and holds it against the
@@ -92,28 +86,5 @@ func TestSkewBenchBaseline(t *testing.T) {
 		t.Errorf("zipf 0: sample time %.4fs more than 25%% over hash %.4fs", s0.TimeSec, h0.TimeSec)
 	}
 
-	if out := os.Getenv("MIMIR_BENCH_OUT"); out != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-		return
-	}
-	raw, err := os.ReadFile("BENCH_skew.json")
-	if err != nil {
-		t.Fatalf("read baseline (regenerate with MIMIR_BENCH_OUT): %v", err)
-	}
-	var want benchSkewBaseline
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("parse BENCH_skew.json: %v", err)
-	}
-	gotJSON, _ := json.Marshal(got)
-	wantJSON, _ := json.Marshal(want)
-	if string(gotJSON) != string(wantJSON) {
-		t.Errorf("sweep drifted from committed BENCH_skew.json\n got: %s\nwant: %s", gotJSON, wantJSON)
-	}
+	holdBaseline(t, "BENCH_skew.json", got)
 }

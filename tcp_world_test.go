@@ -24,7 +24,7 @@ const testModeEnv = "MIMIR_TEST_MODE"
 
 // tcpTestConfig is the corpus every process of the wordcount tests runs;
 // parent and workers must agree on it.
-var tcpTestConfig = driver.WordCountConfig{
+var tcpTestConfig = driver.JobConfig{
 	Dist:       workloads.Wikipedia,
 	TotalBytes: 1 << 18,
 	Seed:       7,
@@ -51,7 +51,7 @@ func TestMain(m *testing.M) {
 	}
 	switch mode := os.Getenv(testModeEnv); mode {
 	case "wordcount":
-		if _, err := driver.WordCount(world, tcpTestConfig, nil); err != nil {
+		if _, err := driver.RunJob(world, tcpTestConfig, nil); err != nil {
 			fmt.Fprintln(os.Stderr, "worker wordcount:", err)
 			os.Exit(1)
 		}
@@ -60,7 +60,7 @@ func TestMain(m *testing.M) {
 	case "wordcount-abort":
 		// A scheduled fault kills one rank mid-job; every rank — the killed
 		// one and the survivors — must come back with ErrAborted.
-		if _, err := driver.WordCount(world, tcpTestConfig, nil); errors.Is(err, mimir.ErrAborted) {
+		if _, err := driver.RunJob(world, tcpTestConfig, nil); errors.Is(err, mimir.ErrAborted) {
 			os.Exit(0)
 		} else {
 			fmt.Fprintf(os.Stderr, "worker wordcount-abort: err = %v, want ErrAborted\n", err)
@@ -98,7 +98,7 @@ func TestTCPWordCountMatchesInProcess(t *testing.T) {
 		t.Skip("forks processes")
 	}
 	const ranks = 4
-	want, err := driver.WordCount(mimir.NewWorld(ranks), tcpTestConfig, nil)
+	want, err := driver.RunJob(mimir.NewWorld(ranks), tcpTestConfig, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTCPWordCountMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := driver.WordCount(world, tcpTestConfig, nil)
+	got, err := driver.RunJob(world, tcpTestConfig, nil)
 	if err != nil {
 		children.Kill()
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestTCPWordCountSurvivesInjectedResets(t *testing.T) {
 		t.Skip("forks processes")
 	}
 	const ranks = 4
-	want, err := driver.WordCount(mimir.NewWorld(ranks), tcpTestConfig, nil)
+	want, err := driver.RunJob(mimir.NewWorld(ranks), tcpTestConfig, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestTCPWordCountSurvivesInjectedResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := metrics.NewSummary()
-	got, err := driver.WordCount(world, tcpTestConfig, sum)
+	got, err := driver.RunJob(world, tcpTestConfig, sum)
 	if err != nil {
 		children.Kill()
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestTCPInjectedKillAbortsSurvivors(t *testing.T) {
 	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := driver.WordCount(world, tcpTestConfig, nil)
+		_, err := driver.RunJob(world, tcpTestConfig, nil)
 		errc <- err
 	}()
 	select {

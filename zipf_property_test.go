@@ -44,11 +44,11 @@ func propSeed(t *testing.T) int64 {
 // canonical gathered output. Local runs share one in-process world; tcp
 // builds a fresh 4-process-shaped loopback mesh (one world per transport,
 // every rank in this process).
-func runZipfWC(t *testing.T, cfg driver.WordCountConfig, tcp bool) []byte {
+func runZipfWC(t *testing.T, cfg driver.JobConfig, tcp bool) []byte {
 	t.Helper()
 	if !tcp {
 		world := mpi.NewWorld(mpi.Config{Size: propWorldSize, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-		out, err := driver.WordCount(world, cfg, nil)
+		out, err := driver.RunJob(world, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func runZipfWC(t *testing.T, cfg driver.WordCountConfig, tcp bool) []byte {
 		go func(r int, world *mpi.World) {
 			defer wg.Done()
 			defer world.Close()
-			o, err := driver.WordCount(world, cfg, nil)
+			o, err := driver.RunJob(world, cfg, nil)
 			errs[r] = err
 			if r == 0 {
 				out = o
@@ -125,7 +125,7 @@ func TestZipfPartitionerEquivalence(t *testing.T) {
 				Rand:     mathrand.New(mathrand.NewSource(propSeed(t))),
 			}
 			err := quick.Check(func(seed uint64) bool {
-				base := driver.WordCountConfig{
+				base := driver.JobConfig{
 					TotalBytes: 32 << 10, Seed: seed,
 					Hint: true, PR: true, Workers: tc.workers,
 					UseZipf: true, ZipfSkew: tc.skew, Contention: 0.25,
@@ -158,7 +158,7 @@ func TestZipfPartitionerEquivalence(t *testing.T) {
 // sample partitioner keeps every key whole, so any disagreement between the
 // PR and no-PR sample runs (both canonical) is the split machinery's fault.
 func TestZipfSplitMergeMatchesPlainReduce(t *testing.T) {
-	base := driver.WordCountConfig{
+	base := driver.JobConfig{
 		TotalBytes: 32 << 10, Seed: uint64(propSeed(t)),
 		Hint: true, UseZipf: true, ZipfSkew: 1.1, Contention: 0.3,
 		Partitioner: "sample",

@@ -3,7 +3,7 @@ package driver
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mimir/internal/core"
 	"mimir/internal/kvbuf"
@@ -205,11 +205,12 @@ func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (w
 // 0 and is byte-identical for a given (cfg, world size) regardless of
 // transport or process layout. When sum is non-nil, every local rank records
 // its stage stats and total time into it (the per-rank distribution view).
-// Canonical formats, one line per record, lexically sorted:
+// Canonical formats, one line per record, in byte order of the lines (each
+// rank sorts its own block, rank 0 merges them):
 //
 //	wordcount: "<word> <count>"           — one line per distinct word
-//	terasort: "<key hex> <payload hex>"  — one line per row; the lexical
-//	          sort of fixed-width hex equals key order, so the output is
+//	terasort: "<key hex> <payload hex>"  — one line per row; the byte
+//	          order of fixed-width hex equals key order, so the output is
 //	          the globally sorted row sequence
 //	pagerank: "<vertex %016x> <score>"   — score in fixed-point units
 //	kmeans:   "<cluster %04d> <coords> n=<count>" (rank 0 only: the
@@ -243,16 +244,15 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 			stats.Record(sum)
 			sum.Add("rank-sec", c.Clock().Now())
 		}
-		gathered, err := c.Gatherv(mine.Bytes(), 0)
+		// Every rank sorts its own lines — most kinds stream them sorted
+		// already — so what is left for rank 0 is a merge of sorted blocks.
+		gathered, err := c.Gatherv(sortLines(mine.Bytes()), 0)
 		if err != nil {
 			return err
 		}
-		if c.Rank() != 0 {
-			return nil
+		if c.Rank() == 0 {
+			out = canonicalize(gathered)
 		}
-		// Ranks hold disjoint key sets in engine order; one global sort
-		// makes the output canonical.
-		out = canonicalize(gathered)
 		return nil
 	})
 	if err != nil {
@@ -267,24 +267,124 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 	return out, nil
 }
 
-// canonicalize splits gathered per-rank buffers into lines and sorts them
-// into the one canonical global order.
-func canonicalize(gathered [][]byte) []byte {
-	var lines []string
-	for _, buf := range gathered {
-		for _, l := range bytes.Split(buf, []byte{'\n'}) {
-			if len(l) > 0 {
-				lines = append(lines, string(l))
-			}
+// nextLine splits the first line off block: the line without its '\n' and
+// what follows it. A last line with no terminator is still a line. Lines
+// order by their bytes without the terminator — the order sort.Strings gives
+// the line strings — so "ab" sorts before "ab\x01" although '\n' > 0x01.
+func nextLine(block []byte) (line, rest []byte) {
+	if i := bytes.IndexByte(block, '\n'); i >= 0 {
+		return block[:i], block[i+1:]
+	}
+	return block, nil
+}
+
+// sortLines returns block's non-empty lines in sorted order, each ended by
+// '\n'. One linear pass proves that most blocks already are that (terasort,
+// pagerank, bfs, kmeans and octree stream in order) and returns them as they
+// came; only a block that fails it (wordcount's engine order) is sorted, by
+// line position — the bytes move once, into the result.
+func sortLines(block []byte) []byte {
+	sorted := len(block) == 0 || block[len(block)-1] == '\n'
+	var prev []byte
+	for rest := block; sorted && len(rest) > 0; {
+		var line []byte
+		line, rest = nextLine(rest)
+		sorted = len(line) > 0 && bytes.Compare(prev, line) <= 0
+		prev = line
+	}
+	if sorted {
+		return block
+	}
+	var lines [][]byte
+	for rest := block; len(rest) > 0; {
+		var line []byte
+		if line, rest = nextLine(rest); len(line) > 0 {
+			lines = append(lines, line)
 		}
 	}
-	sort.Strings(lines)
-	var all bytes.Buffer
-	for _, l := range lines {
-		all.WriteString(l)
-		all.WriteByte('\n')
+	slices.SortFunc(lines, bytes.Compare)
+	out := make([]byte, 0, len(block)+1)
+	for _, line := range lines {
+		out = append(append(out, line...), '\n')
 	}
-	return all.Bytes()
+	return out
+}
+
+// canonicalize merges the ranks' sorted blocks (see sortLines) into the one
+// canonical global order. When the data says the blocks are also in order
+// among themselves — a range-partitioned job's are: rank order is key
+// order — that is their concatenation.
+func canonicalize(blocks [][]byte) []byte {
+	if blocksInOrder(blocks) {
+		return bytes.Join(blocks, nil)
+	}
+	return mergeLines(blocks)
+}
+
+// blocksInOrder reports whether no block's first line sorts before the last
+// line of the non-empty block ahead of it. A block's last line is found from
+// its end, so the check reads two lines per block, not the data.
+func blocksInOrder(blocks [][]byte) bool {
+	var last []byte
+	for _, b := range blocks {
+		if len(b) == 0 {
+			continue
+		}
+		first, _ := nextLine(b)
+		if bytes.Compare(last, first) > 0 {
+			return false
+		}
+		body := b[:len(b)-1] // sortLines ended the last line
+		last = body[bytes.LastIndexByte(body, '\n')+1:]
+	}
+	return true
+}
+
+// mergeLines is the k-way merge of sorted blocks: a binary min-heap of the
+// blocks keyed by their current first line, so each output line costs
+// O(log ranks) line compares and the bytes move once.
+func mergeLines(blocks [][]byte) []byte {
+	type cursor struct{ line, rest []byte }
+	var heap []cursor
+	total := 0
+	for _, b := range blocks {
+		if len(b) > 0 {
+			line, rest := nextLine(b)
+			heap = append(heap, cursor{line, rest})
+			total += len(b)
+		}
+	}
+	sift := func(i int) {
+		for {
+			min := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(heap); c++ {
+				if bytes.Compare(heap[c].line, heap[min].line) < 0 {
+					min = c
+				}
+			}
+			if min == i {
+				return
+			}
+			heap[i], heap[min] = heap[min], heap[i]
+			i = min
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		sift(i)
+	}
+	out := make([]byte, 0, total)
+	for len(heap) > 0 {
+		top := &heap[0]
+		out = append(append(out, top.line...), '\n')
+		if len(top.rest) > 0 {
+			top.line, top.rest = nextLine(top.rest)
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		sift(0)
+	}
+	return out
 }
 
 // recordFaultStats appends the world's fault-recovery counters to sum:

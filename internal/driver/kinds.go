@@ -2,8 +2,11 @@ package driver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"mimir/internal/core"
 	"mimir/internal/kvbuf"
@@ -96,7 +99,9 @@ func runWordCount(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.S
 	var sink func(k, v []byte) error
 	if out != nil {
 		sink = func(k, v []byte) error {
-			fmt.Fprintf(out, "%s %d\n", k, core.BytesUint64(v))
+			b := append(append(out.AvailableBuffer(), k...), ' ')
+			b = strconv.AppendUint(b, core.BytesUint64(v), 10)
+			out.Write(append(b, '\n'))
 			return nil
 		}
 	}
@@ -108,8 +113,14 @@ func runTeraSort(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.St
 	_ workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
 	var sink func(k, v []byte) error
 	if out != nil {
+		// Every line is the same width and the sampled ranges leave this rank
+		// close to an even share of the rows: buy the block once, with slack.
+		line := int64(2*(workloads.DefaultTeraKeyBytes+workloads.DefaultTeraValBytes) + 2)
+		share := c.Rows/int64(e.Comm().Size()) + 1
+		out.Grow(int((share + share/8) * line))
 		sink = func(k, v []byte) error {
-			fmt.Fprintf(out, "%x %x\n", k, v)
+			b := append(hex.AppendEncode(out.AvailableBuffer(), k), ' ')
+			out.Write(append(hex.AppendEncode(b, v), '\n'))
 			return nil
 		}
 	}
@@ -122,7 +133,8 @@ func runPageRank(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.St
 	var sink func(v uint64, score int64) error
 	if out != nil {
 		sink = func(v uint64, score int64) error {
-			fmt.Fprintf(out, "%016x %d\n", v, score)
+			b := append(appendHex16(out.AvailableBuffer(), v), ' ')
+			out.Write(append(strconv.AppendInt(b, score, 10), '\n'))
 			return nil
 		}
 	}
@@ -168,11 +180,19 @@ func runBFS(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOp
 	for v := range res.Parents {
 		verts = append(verts, v)
 	}
-	sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
+	slices.Sort(verts)
 	for _, v := range verts {
-		fmt.Fprintf(out, "%016x %016x\n", v, res.Parents[v])
+		b := append(appendHex16(out.AvailableBuffer(), v), ' ')
+		out.Write(append(appendHex16(b, res.Parents[v]), '\n'))
 	}
 	return res.Stats, res.Depth, nil
+}
+
+// appendHex16 appends v as fmt's %016x: sixteen lower-case hex digits.
+func appendHex16(b []byte, v uint64) []byte {
+	var be [8]byte
+	binary.BigEndian.PutUint64(be[:], v)
+	return hex.AppendEncode(b, be[:])
 }
 
 func runOctree(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,

@@ -29,16 +29,24 @@ func mrcWorld(t *testing.T, size int, fn func(c *mpi.Comm, e *MimirEngine) error
 	}
 }
 
-// TestTeraSortOracle runs the sort at several sizes and row counts and
-// feeds every rank's block to the linear verifier: global order, boundary
-// disjointness, and input-multiset equality.
+// TestTeraSortOracle runs the sort at several sizes, row counts and row
+// geometries and feeds every rank's block to the linear verifier: global
+// order, boundary disjointness, and input-multiset equality. The 2+3-byte
+// rows are shorter than the sort's 8-byte prefix and repeat keys with
+// different payloads.
 func TestTeraSortOracle(t *testing.T) {
 	for _, tc := range []struct {
-		ranks int
-		rows  int64
-	}{{1, 256}, {4, 2048}, {4, 3}, {4, 0}, {8, 1000}} {
-		t.Run(fmt.Sprintf("r%d_n%d", tc.ranks, tc.rows), func(t *testing.T) {
-			cfg := TeraSortConfig{Rows: tc.rows, Seed: 7}
+		ranks    int
+		rows     int64
+		key, val int // 0 = the default geometry
+	}{{1, 256, 0, 0}, {4, 2048, 0, 0}, {4, 3, 0, 0}, {4, 0, 0, 0}, {8, 1000, 0, 0},
+		{1, 3000, 2, 3}, {2, 3000, 2, 3}, {3, 3000, 2, 3}} {
+		name := fmt.Sprintf("r%d_n%d", tc.ranks, tc.rows)
+		if tc.key != 0 {
+			name += fmt.Sprintf("_k%dv%d", tc.key, tc.val)
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := TeraSortConfig{Rows: tc.rows, Seed: 7, KeyBytes: tc.key, ValBytes: tc.val}
 			blocks := make([][]byte, tc.ranks)
 			var mu sync.Mutex
 			mrcWorld(t, tc.ranks, func(c *mpi.Comm, e *MimirEngine) error {

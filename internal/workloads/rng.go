@@ -30,12 +30,14 @@ func mix64(x uint64) uint64 {
 // coordinate of a dataset. Because the stream depends only on the logical
 // record index — not on which worker or how many workers generate it — any
 // sharding of the record space reproduces identical content, making
-// Workers>1 runs byte-identical to serial ones.
-func streamFor(seed uint64, rank int, record int64) *rng {
+// Workers>1 runs byte-identical to serial ones. The stream comes back by
+// value: generators open one per record, and a pointer would put each on
+// the heap.
+func streamFor(seed uint64, rank int, record int64) rng {
 	h := mix64(seed + 0x9E3779B97F4A7C15)
 	h = mix64(h ^ mix64(uint64(rank)+0xD1B54A32D192ED03))
 	h = mix64(h ^ mix64(uint64(record)+0x8CB92BA72F3D8DD7))
-	return &rng{state: h}
+	return rng{state: h}
 }
 
 func (r *rng) next() uint64 {

@@ -91,7 +91,7 @@ func ZipfTextInput(fs *pfs.FS, clock *simtime.Clock, cfg ZipfConfig, seed uint64
 				if cfg.Contention > 0 && r.float64() < cfg.Contention {
 					id = 0
 				} else {
-					id = table.sample(r)
+					id = table.sample(&r)
 				}
 				buf = wordFor(buf, id, Wikipedia)
 				buf = append(buf, ' ')

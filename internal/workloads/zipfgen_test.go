@@ -22,7 +22,8 @@ func TestStreamForIndependence(t *testing.T) {
 	seen := map[uint64]string{}
 	for rank := 0; rank < 4; rank++ {
 		for rec := int64(0); rec < 64; rec++ {
-			v := streamFor(1, rank, rec).next()
+			r := streamFor(1, rank, rec)
+			v := r.next()
 			if at, dup := seen[v]; dup {
 				t.Fatalf("stream (%d,%d) collides with %s", rank, rec, at)
 			}

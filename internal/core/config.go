@@ -79,7 +79,10 @@ type Record struct {
 type MapFunc func(rec Record, emit Emitter) error
 
 // ReduceFunc is the user-defined reduce callback: it folds the value list of
-// one unique key into any number of output KVs.
+// one unique key into any number of output KVs. key, vals and every value
+// vals yields are valid only during the call: they alias container memory,
+// and the engine reuses the iterator for the next key. Emit copies what it
+// is given.
 type ReduceFunc func(key []byte, vals *kvbuf.ValueIter, emit Emitter) error
 
 // CombineFunc merges two values of the same key into one. It backs both the

@@ -153,7 +153,9 @@ func (c *KMVC) ReservedBytes() int64 {
 }
 
 // Scan calls fn for every record in creation order with the key and an
-// iterator over its values. Slices alias container memory.
+// iterator over its values. Slices alias container memory, and the
+// iterator is reused for the next record: neither may be kept after fn
+// returns.
 func (c *KMVC) Scan(fn func(key []byte, vals *ValueIter) error) error {
 	return c.ScanRange(0, len(c.recs), fn)
 }
@@ -170,6 +172,7 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 	if hi > len(c.recs) {
 		hi = len(c.recs)
 	}
+	it := &ValueIter{} // one per call, reset per record: fn must not keep it
 	for i := lo; i < hi; i++ {
 		rec := &c.recs[i]
 		if rec.written != rec.nvals {
@@ -185,7 +188,7 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 		pos := c.hint.Key.headerSize() + 4
 		key := buf[pos : pos+rec.keyLen]
 		pos += c.hint.Key.dataSize(rec.keyLen)
-		it := &ValueIter{buf: buf[pos:], n: rec.nvals, mode: c.hint.Val}
+		*it = ValueIter{buf: buf[pos:], n: rec.nvals, mode: c.hint.Val}
 		err := fn(key, it)
 		c.buf.unpinPage(rec.r.page())
 		if err != nil {

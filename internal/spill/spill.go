@@ -599,16 +599,24 @@ func (s *Store) restore(st *pstate) error {
 			return fmt.Errorf("spill: restoring page: %w", err)
 		}
 	}
-	var data []byte
+	if err := s.readBack(st); err != nil {
+		return fmt.Errorf("spill: reading back page: %w", err)
+	}
+	return nil
+}
+
+// readBack refills a page that has just been given a buffer from its spill
+// copy, reading straight into the buffer, and counts the restore. On
+// failure the page is evicted again.
+func (s *Store) readBack(st *pstate) error {
 	var err error
 	s.charged(func() {
-		data, err = s.cfg.FS.ReadAt(s.cfg.Clock, s.name, st.off, int64(st.spilledLen))
+		err = s.cfg.FS.ReadInto(s.cfg.Clock, s.name, st.off, st.page.Buf[:st.spilledLen])
 	})
 	if err != nil {
 		st.page.Evict()
-		return fmt.Errorf("spill: reading back page: %w", err)
+		return err
 	}
-	copy(st.page.Buf, data)
 	st.page.Used = st.spilledLen
 	s.stats.Restores++
 	s.stats.RestoredBytes += int64(st.spilledLen)
@@ -637,21 +645,11 @@ func (s *Store) prefetchAfter(i int) {
 		if err := st.page.Restore(st.size); err != nil {
 			return
 		}
-		var data []byte
-		var err error
-		s.charged(func() {
-			data, err = s.cfg.FS.ReadAt(s.cfg.Clock, s.name, st.off, int64(st.spilledLen))
-		})
-		if err != nil {
-			st.page.Evict()
+		if s.readBack(st) != nil {
 			return
 		}
-		copy(st.page.Buf, data)
-		st.page.Used = st.spilledLen
 		st.prefetched = true
 		st.lastUse = s.nextTick()
-		s.stats.Restores++
-		s.stats.RestoredBytes += int64(st.spilledLen)
 		fetched++
 	}
 }

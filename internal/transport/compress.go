@@ -49,11 +49,14 @@ var compressors = sync.Pool{New: func() any {
 	return &compressor{fw: fw}
 }}
 
-// decompressor pairs a pooled flate reader with its source so the whole
-// inflate path is allocation-free after warmup.
+// decompressor pairs a pooled flate reader with its source and the byte
+// that probes for trailing data, so after warmup inflating allocates only
+// the Huffman tables compress/flate rebuilds for every stream it is reset
+// to.
 type decompressor struct {
-	fr io.ReadCloser
-	br bytes.Reader
+	fr  io.ReadCloser
+	br  bytes.Reader
+	one [1]byte
 }
 
 var decompressors = sync.Pool{New: func() any {
@@ -81,10 +84,14 @@ func compressPayload(dst, data []byte) ([]byte, bool) {
 	return out, len(out)-len(dst) < len(data)
 }
 
-// decompressPayload inflates a CompressedFlag payload. rawLen is
-// attacker-controlled until the stream proves it has the bytes, so the
-// output grows chunk by chunk (mirroring readBody) instead of trusting the
-// prefix, and the stream must produce exactly rawLen bytes followed by EOF.
+// decompressPayload inflates a CompressedFlag payload into a buffer from the
+// frame pool, which the consumer hands back via Recycle like any received
+// payload. rawLen is attacker-controlled until the stream proves it has the
+// bytes: a claim within the poolable range is bounded by its size class and
+// is allocated whole (as readFramePooled trusts a poolable frame length);
+// above it the output grows chunk by chunk (mirroring readBody) instead of
+// trusting the prefix. Either way the stream must produce exactly rawLen
+// bytes followed by EOF.
 func decompressPayload(comp []byte) ([]byte, error) {
 	if len(comp) < 4 {
 		return nil, fmt.Errorf("%w: truncated compressed payload (%d bytes)", ErrBadFrame, len(comp))
@@ -100,11 +107,12 @@ func decompressPayload(comp []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: inflate reset: %v", ErrBadFrame, err)
 	}
 	const chunk = 1 << 20
-	first := rawLen
-	if first > chunk {
-		first = chunk
+	var out []byte
+	if rawLen <= 1<<maxBufBits {
+		out = getBuf(rawLen)[:rawLen]
+	} else {
+		out = make([]byte, chunk)
 	}
-	out := make([]byte, first)
 	if _, err := io.ReadFull(d.fr, out); err != nil {
 		return nil, fmt.Errorf("%w: inflate: %v", ErrBadFrame, err)
 	}
@@ -119,8 +127,7 @@ func decompressPayload(comp []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: inflate: %v", ErrBadFrame, err)
 		}
 	}
-	var one [1]byte
-	if _, err := io.ReadFull(d.fr, one[:]); err == nil {
+	if _, err := io.ReadFull(d.fr, d.one[:]); err == nil {
 		return nil, fmt.Errorf("%w: compressed payload longer than declared %d bytes", ErrBadFrame, rawLen)
 	}
 	return out, nil

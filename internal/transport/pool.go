@@ -7,17 +7,25 @@ import (
 	"sync/atomic"
 )
 
-// Size-classed buffer pool for the frame write path. Replay entries and
-// compression scratch are the only steady-state allocations per frame; both
-// recycle here, so the send path settles to a handful of fixed-size heap
-// objects per frame (pool bookkeeping) instead of a fresh frame-sized copy.
+// Size-classed buffer pool for both frame paths. Every frame-sized buffer
+// in steady state comes from here and returns here: replay entries and
+// compression scratch on the send side; received payloads and inflated
+// payloads on the receive side, which the consumer hands back via Recycle.
+// A frame therefore costs a handful of fixed-size heap objects (pool
+// boxing, the Frame header, queue nodes), never a fresh frame-sized copy.
 //
 // Lifecycle rules:
 //   - getBuf(n) returns a zero-length slice with capacity ≥ n. The caller
 //     owns it exclusively until putBuf.
-//   - putBuf(b) recycles by capacity class. Buffers whose append outgrew
-//     their class land in the next class up; off-range capacities are
-//     dropped for the GC.
+//   - putBuf(b) recycles by capacity class, rounding the capacity down.
+//     Buffers whose append outgrew their class land in the next class up;
+//     off-range capacities are dropped for the GC. Rounding down means a
+//     buffer must come back whole: a subslice that starts past its first
+//     byte has lost capacity and is filed one class too low, where it never
+//     again serves the class it was drawn from — so every getBuf of that
+//     class allocates afresh. This is why readFramePooled reads a payload
+//     into a pooled buffer of its own instead of delivering a slice of a
+//     pooled header+payload body.
 //   - A buffer handed to the replay ledger is owned by the ledger and only
 //     recycled by pruneReplayLocked — and never while a reconnect is
 //     replaying a snapshot of the ledger (tcpPeer.replaying), since the

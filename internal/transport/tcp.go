@@ -1618,52 +1618,65 @@ func (p *tcpPeer) writeAckLocked(n uint64) error {
 	return writeConnChunks(p.conn, buf, p.t.cfg.Deadline)
 }
 
-// readFramePooled is ReadFrame with the body drawn from the frame pool
+// frameScratch holds one frame's length prefix and header. The reader
+// goroutine owns one for its lifetime: a stack array handed to io.ReadFull
+// escapes, so a per-call array would cost an allocation per frame.
+type frameScratch [4 + frameHeaderLen]byte
+
+// readFramePooled is ReadFrame with the payload drawn from the frame pool
 // instead of a fresh allocation: the receive path is per-frame hot, and the
 // consumer hands data buffers back via Recycle once the payload is copied
-// out. Bodies above the poolable range keep readBody's chunked growth (a
-// lying length prefix must not allocate its claim up front); poolable sizes
-// can be trusted whole, since the pool class bounds the allocation anyway.
-// The pooled body is recycled here whenever the frame does not alias it
-// (bare-header frames and compressed payloads, which inflate into a fresh
-// buffer).
-func readFramePooled(r io.Reader) (*Frame, error) {
-	var pre [4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+// out. The prefix and header go to hdr, the payload alone to getBuf(len),
+// so a delivered f.Data is the whole pooled buffer at its full class
+// capacity and Recycle files it back into the class it came from. Payloads
+// above the poolable range keep readBody's chunked growth (a lying length
+// prefix must not allocate its claim up front); poolable sizes can be
+// trusted whole, since the pool class bounds the allocation anyway. The
+// pooled payload is recycled here whenever the frame does not deliver it
+// (compressed payloads inflate into a second pooled buffer, and decoding
+// errors deliver nothing).
+func readFramePooled(r io.Reader, hdr *frameScratch) (*Frame, error) {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(pre[:]))
+	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n < frameHeaderLen {
 		return nil, fmt.Errorf("%w: length %d below header size %d", ErrBadFrame, n, frameHeaderLen)
 	}
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: length %d exceeds limit %d", ErrBadFrame, n, MaxFrameSize)
 	}
-	if n > 1<<maxBufBits {
-		body, err := readBody(r, n)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, fmt.Errorf("%w: truncated frame body: %v", ErrBadFrame, err)
-		}
-		return parseFrameBody(body)
-	}
-	body := getBuf(n)[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		putBuf(body)
+	truncated := func(err error) error {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, fmt.Errorf("%w: truncated frame body: %v", ErrBadFrame, err)
+		return fmt.Errorf("%w: truncated frame body: %v", ErrBadFrame, err)
 	}
-	f, err := parseFrameBody(body)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return nil, truncated(err)
+	}
+	var payload []byte
+	switch m := n - frameHeaderLen; {
+	case m == 0:
+	case m <= 1<<maxBufBits:
+		payload = getBuf(m)[:m]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			putBuf(payload)
+			return nil, truncated(err)
+		}
+	default:
+		var err error
+		if payload, err = readBody(r, m); err != nil {
+			return nil, truncated(err)
+		}
+	}
+	f, err := parseFrameParts(hdr[4:], payload)
 	if err != nil {
-		putBuf(body)
+		putBuf(payload)
 		return nil, err
 	}
-	if len(f.Data) == 0 || &f.Data[0] != &body[frameHeaderLen] {
-		putBuf(body)
+	if len(payload) > 0 && (len(f.Data) == 0 || &f.Data[0] != &payload[0]) {
+		putBuf(payload)
 	}
 	return f, nil
 }
@@ -1687,8 +1700,9 @@ func (t *TCP) readLoop(p *tcpPeer, conn net.Conn, gen int, done chan struct{}) {
 	defer t.readers.Done()
 	defer close(done) // quiesce waits on this before a resume snapshot
 	br := bufio.NewReaderSize(conn, 64<<10)
+	hdr := new(frameScratch)
 	for {
-		f, err := readFramePooled(br)
+		f, err := readFramePooled(br, hdr)
 		if err != nil {
 			if p.sawBye() || t.isClosing() {
 				return

@@ -211,35 +211,45 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 	return b, nil
 }
 
-// parseFrameBody decodes the post-length portion of a frame. body is owned
-// by the caller and an uncompressed payload is aliased, not copied (ReadFrame
-// passes a fresh buffer; DecodeFrame documents aliasing via the consumed
-// count); a compressed payload is inflated into a fresh buffer. The CRC is
-// checked before anything else — over the wire bytes, compressed or not — so
-// corruption never reaches the inflater.
+// parseFrameBody decodes the post-length portion of a frame held in one
+// buffer (ReadFrame's fresh body, or DecodeFrame's input, which documents
+// aliasing via the consumed count).
 func parseFrameBody(body []byte) (*Frame, error) {
+	return parseFrameParts(body[:frameHeaderLen], body[frameHeaderLen:])
+}
+
+// parseFrameParts decodes a frame from its header (the frameHeaderLen bytes
+// after the length prefix) and its payload, which may live in separate
+// buffers. Both are owned by the caller. An uncompressed payload is
+// delivered as is — f.Data is payload itself, not a copy — so a payload
+// drawn whole from the frame pool reaches the consumer as the pooled buffer;
+// a compressed payload is inflated into a buffer from the frame pool and
+// payload is left unreferenced. The CRC is checked before anything else —
+// over the wire bytes, compressed or not — so corruption never reaches the
+// inflater.
+func parseFrameParts(hdr, payload []byte) (*Frame, error) {
 	const crcOff = frameHeaderLen - 4
-	want := binary.BigEndian.Uint32(body[crcOff:])
-	got := crc32.Update(0, crcTab, body[:crcOff])
-	got = crc32.Update(got, crcTab, body[frameHeaderLen:])
+	want := binary.BigEndian.Uint32(hdr[crcOff:])
+	got := crc32.Update(0, crcTab, hdr[:crcOff])
+	got = crc32.Update(got, crcTab, payload)
 	if got != want {
-		return nil, fmt.Errorf("%w: crc mismatch (got %#x want %#x, %d bytes)", ErrBadFrame, got, want, len(body))
+		return nil, fmt.Errorf("%w: crc mismatch (got %#x want %#x, %d bytes)", ErrBadFrame, got, want, frameHeaderLen+len(payload))
 	}
-	raw := body[0]
+	raw := hdr[0]
 	f := &Frame{
 		Op:      raw &^ CompressedFlag,
-		Src:     binary.BigEndian.Uint32(body[1:]),
-		Job:     binary.BigEndian.Uint32(body[5:]),
-		Tag:     int32(binary.BigEndian.Uint32(body[9:])),
-		Seq:     binary.BigEndian.Uint64(body[13:]),
-		Time:    math.Float64frombits(binary.BigEndian.Uint64(body[21:])),
-		WireLen: 4 + len(body),
+		Src:     binary.BigEndian.Uint32(hdr[1:]),
+		Job:     binary.BigEndian.Uint32(hdr[5:]),
+		Tag:     int32(binary.BigEndian.Uint32(hdr[9:])),
+		Seq:     binary.BigEndian.Uint64(hdr[13:]),
+		Time:    math.Float64frombits(binary.BigEndian.Uint64(hdr[21:])),
+		WireLen: 4 + frameHeaderLen + len(payload),
 	}
 	if f.Op == 0 || f.Op > opMax {
 		return nil, fmt.Errorf("%w: unknown op %d", ErrBadFrame, f.Op)
 	}
-	if len(body) > frameHeaderLen {
-		f.Data = body[frameHeaderLen:]
+	if len(payload) > 0 {
+		f.Data = payload
 	}
 	if raw&CompressedFlag != 0 {
 		data, err := decompressPayload(f.Data)

@@ -224,3 +224,44 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPooledReadMatchesDecode feeds the same bytes to the TCP reader's
+// pooled decoder (readFramePooled, which splits header from payload) and
+// to DecodeFrame (one buffer): both must yield the same frame — every
+// header field, the payload bytes and WireLen equal to the bytes consumed —
+// or both must fail, readFramePooled with ErrBadFrame once the input holds
+// a whole length prefix. So the receive hot path and the reference decoder
+// cannot drift apart on CRC, op, length or inflate checks.
+func FuzzPooledReadMatchesDecode(f *testing.F) {
+	f.Add(AppendFrame(nil, &Frame{Op: OpP2P, Src: 1, Job: 2, Tag: -3, Seq: 4, Time: 0.5, Data: []byte("hello")}))
+	f.Add(AppendFrame(nil, &Frame{Op: OpAck, Src: 3, Seq: 9}))
+	comp, _ := AppendFrameCompressed(nil, &Frame{Op: OpExchange, Src: 1, Job: 7, Seq: 2, Data: bytes.Repeat([]byte("abcd"), 100)})
+	f.Add(comp)
+	f.Add([]byte{0, 0, 0, 5, OpP2P})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		want, n, derr := DecodeFrame(raw)
+		got, perr := readFramePooled(bytes.NewReader(raw), new(frameScratch))
+		if derr != nil {
+			if perr == nil {
+				t.Fatalf("DecodeFrame rejected the input (%v), readFramePooled accepted it", derr)
+			}
+			if len(raw) >= 4 && !errors.Is(perr, ErrBadFrame) {
+				t.Fatalf("readFramePooled failed with %v, want ErrBadFrame", perr)
+			}
+			return
+		}
+		if perr != nil {
+			t.Fatalf("DecodeFrame accepted the input, readFramePooled failed: %v", perr)
+		}
+		if got.Op != want.Op || got.Src != want.Src || got.Job != want.Job || got.Tag != want.Tag ||
+			got.Seq != want.Seq || math.Float64bits(got.Time) != math.Float64bits(want.Time) ||
+			!bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("frames differ: pooled %+v, decoded %+v", got, want)
+		}
+		if got.WireLen != n || want.WireLen != n {
+			t.Fatalf("WireLen pooled %d, decoded %d, consumed %d", got.WireLen, want.WireLen, n)
+		}
+	})
+}

@@ -10,11 +10,11 @@ import (
 	"mimir/internal/mem"
 )
 
-// TestCombinersDoNotAllocate pins Int64VecAdd as in-place: merging into a
-// hash bucket — what pr and cps do for every KV of a repeated key — must
-// write the result into the entry's own bytes and allocate nothing, while
-// still computing the right value. (WordCountCombine still returns a fresh
-// slice; see CHANGES.md, PR 13, for what moving it in place costs.)
+// TestCombinersDoNotAllocate pins Int64VecAdd and WordCountCombine as
+// in-place: merging into a hash bucket — what pr and cps do for every KV of
+// a repeated key — must write the result into the entry's own bytes and
+// allocate nothing, while still computing the right value and leaving the
+// incoming value untouched.
 func TestCombinersDoNotAllocate(t *testing.T) {
 	lanes := func(vals ...int64) []byte {
 		b := make([]byte, 8*len(vals))
@@ -33,6 +33,8 @@ func TestCombinersDoNotAllocate(t *testing.T) {
 			func(n int) []byte { return lanes(1 + 2*int64(n)) }},
 		{"Int64VecAdd/3-lane", Int64VecAdd, lanes(5, -7, 1), lanes(3, 4, 1),
 			func(n int) []byte { return lanes(5+3*int64(n), -7+4*int64(n), 1+int64(n)) }},
+		{"WordCountCombine", WordCountCombine, core.Uint64Bytes(3), wcOne,
+			func(n int) []byte { return core.Uint64Bytes(3 + uint64(n)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,6 +50,7 @@ func TestCombinersDoNotAllocate(t *testing.T) {
 			if err := b.Upsert(key, tc.first, merge); err != nil {
 				t.Fatal(err)
 			}
+			another := append([]byte(nil), tc.another...)
 			merges := 0
 			perMerge := testing.AllocsPerRun(100, func() {
 				merges++
@@ -61,6 +64,9 @@ func TestCombinersDoNotAllocate(t *testing.T) {
 			got, _ := b.Get(key)
 			if want := tc.want(merges); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Errorf("after %d merges value = %v, want %v", merges, got, want)
+			}
+			if fmt.Sprint(tc.another) != fmt.Sprint(another) {
+				t.Errorf("incoming value written: %v, was %v", tc.another, another)
 			}
 			if b.GarbageBytes() != 0 {
 				t.Errorf("same-length merges left %d garbage bytes", b.GarbageBytes())

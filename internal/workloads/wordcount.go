@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"encoding/binary"
+
 	"mimir/internal/core"
 	"mimir/internal/kvbuf"
 	"mimir/internal/pfs"
@@ -10,11 +12,15 @@ import (
 // paper's reserved -1 "strlen" length) and the value a fixed 8-byte count.
 func WCHint() kvbuf.Hint { return kvbuf.Hint{Key: kvbuf.StrZ(), Val: kvbuf.Fixed(8)} }
 
+// wcOne is the count every word is emitted with. Emit copies a value and a
+// combiner only reads its incoming one, so one shared slice serves every
+// record; nothing may write to it.
+var wcOne = core.Uint64Bytes(1)
+
 // WordCountMap splits a text record into words, emitting (word, 1).
 func WordCountMap(rec core.Record, emit core.Emitter) error {
 	data := rec.Val
 	start := -1
-	one := core.Uint64Bytes(1)
 	for i := 0; i <= len(data); i++ {
 		if i < len(data) && data[i] != ' ' {
 			if start < 0 {
@@ -23,7 +29,7 @@ func WordCountMap(rec core.Record, emit core.Emitter) error {
 			continue
 		}
 		if start >= 0 {
-			if err := emit.Emit(data[start:i], one); err != nil {
+			if err := emit.Emit(data[start:i], wcOne); err != nil {
 				return err
 			}
 			start = -1
@@ -43,9 +49,16 @@ func WordCountReduce(key []byte, vals *kvbuf.ValueIter, emit core.Emitter) error
 
 // WordCountCombine merges two counts; it serves as both the KV compression
 // and the partial-reduction callback (WordCount has the paper's
-// "partial-reduce invariance": + is commutative and associative).
+// "partial-reduce invariance": + is commutative and associative). The sum
+// is written into existing, the engine's own copy (see core.CombineFunc), so
+// a merge into a bucket entry allocates nothing.
 func WordCountCombine(_ []byte, existing, incoming []byte) ([]byte, error) {
-	return core.Uint64Bytes(core.BytesUint64(existing) + core.BytesUint64(incoming)), nil
+	sum := core.BytesUint64(existing) + core.BytesUint64(incoming)
+	if len(existing) == 8 {
+		binary.LittleEndian.PutUint64(existing, sum)
+		return existing, nil
+	}
+	return core.Uint64Bytes(sum), nil
 }
 
 // WCConfig describes one WordCount run.

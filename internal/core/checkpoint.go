@@ -71,7 +71,9 @@ func (j *Job) saveCheckpoint() error {
 		return err
 	}
 	binary.LittleEndian.PutUint64(header[8:], count)
-	ck.FS.Append(j.comm.Clock(), name, header[:])
+	if err := ck.FS.Append(j.comm.Clock(), name, header[:]); err != nil {
+		return fmt.Errorf("core: writing checkpoint: %w", err)
+	}
 
 	buf := make([]byte, 0, DefaultPageSize)
 	err := scan(func(k, v []byte) error {
@@ -81,7 +83,9 @@ func (j *Job) saveCheckpoint() error {
 			return err
 		}
 		if len(buf) >= DefaultPageSize {
-			ck.FS.Append(j.comm.Clock(), name, buf)
+			if err := ck.FS.Append(j.comm.Clock(), name, buf); err != nil {
+				return fmt.Errorf("core: writing checkpoint: %w", err)
+			}
 			buf = buf[:0]
 		}
 		return nil
@@ -90,7 +94,9 @@ func (j *Job) saveCheckpoint() error {
 		return err
 	}
 	if len(buf) > 0 {
-		ck.FS.Append(j.comm.Clock(), name, buf)
+		if err := ck.FS.Append(j.comm.Clock(), name, buf); err != nil {
+			return fmt.Errorf("core: writing checkpoint: %w", err)
+		}
 	}
 	return nil
 }

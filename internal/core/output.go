@@ -63,11 +63,13 @@ func (o *Output) Collect() [][2]string {
 // reading input data to getting the final results".
 func (o *Output) Persist(fs *pfs.FS, clock *simtime.Clock, name string) error {
 	buf := make([]byte, 0, 64<<10)
-	flush := func() {
-		if len(buf) > 0 {
-			fs.Append(clock, name, buf)
-			buf = buf[:0]
+	flush := func() error {
+		if len(buf) == 0 {
+			return nil
 		}
+		err := fs.Append(clock, name, buf)
+		buf = buf[:0]
+		return err
 	}
 	err := o.KVC.Scan(func(k, v []byte) error {
 		buf = append(buf, k...)
@@ -75,14 +77,16 @@ func (o *Output) Persist(fs *pfs.FS, clock *simtime.Clock, name string) error {
 		buf = append(buf, v...)
 		buf = append(buf, '\n')
 		if len(buf) >= 64<<10 {
-			flush()
+			return flush()
 		}
 		return nil
 	})
+	if err == nil {
+		err = flush()
+	}
 	if err != nil {
 		return fmt.Errorf("core: persisting output: %w", err)
 	}
-	flush()
 	return nil
 }
 

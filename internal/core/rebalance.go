@@ -72,11 +72,15 @@ func RepartitionCheckpoint(fs *pfs.FS, clock *simtime.Clock, ck Checkpoint, hint
 		fs.Remove(stage(r))
 		bufs[r] = make([]byte, 0, DefaultPageSize)
 	}
-	flush := func(r int, force bool) {
-		if len(bufs[r]) >= DefaultPageSize || (force && len(bufs[r]) > 0) {
-			fs.Append(clock, stage(r), bufs[r])
-			bufs[r] = bufs[r][:0]
+	flush := func(r int, force bool) error {
+		if len(bufs[r]) < DefaultPageSize && !(force && len(bufs[r]) > 0) {
+			return nil
 		}
+		if err := fs.Append(clock, stage(r), bufs[r]); err != nil {
+			return fmt.Errorf("core: repartition checkpoint %q: staging rank %d: %w", ck.Name, r, err)
+		}
+		bufs[r] = bufs[r][:0]
+		return nil
 	}
 	fail := func(err error) (RepartitionStats, error) {
 		for r := 0; r < newSize; r++ {
@@ -114,7 +118,9 @@ func RepartitionCheckpoint(fs *pfs.FS, clock *simtime.Clock, ck Checkpoint, hint
 				// destination rank; same-rank records ship nothing.
 				st.BytesMoved += int64(n)
 			}
-			flush(dest, false)
+			if err := flush(dest, false); err != nil {
+				return fail(err)
+			}
 			pos += n
 			got++
 		}
@@ -124,7 +130,9 @@ func RepartitionCheckpoint(fs *pfs.FS, clock *simtime.Clock, ck Checkpoint, hint
 		st.Records += int64(got)
 	}
 	for r := 0; r < newSize; r++ {
-		flush(r, true)
+		if err := flush(r, true); err != nil {
+			return fail(err)
+		}
 	}
 
 	// Staged payloads are complete; write the final files (header first,
@@ -139,9 +147,12 @@ func RepartitionCheckpoint(fs *pfs.FS, clock *simtime.Clock, ck Checkpoint, hint
 		binary.LittleEndian.PutUint64(header[0:], ckptMagic)
 		binary.LittleEndian.PutUint64(header[8:], counts[r])
 		fs.Remove(ck.file(r))
-		fs.Append(clock, ck.file(r), header[:])
-		if len(payload) > 0 {
-			fs.Append(clock, ck.file(r), payload)
+		err = fs.Append(clock, ck.file(r), header[:])
+		if err == nil && len(payload) > 0 {
+			err = fs.Append(clock, ck.file(r), payload)
+		}
+		if err != nil {
+			return fail(fmt.Errorf("core: repartition checkpoint %q: writing rank %d: %w", ck.Name, r, err))
 		}
 		fs.Remove(stage(r))
 	}

@@ -42,7 +42,10 @@ func (mr *MR) Convert() error {
 		return err
 	}
 
-	kmv.finalize()
+	if err := kmv.finalize(); err != nil {
+		kmv.free()
+		return err
+	}
 	mr.stats.SpilledBytes += kmv.spilledBytes()
 	mr.kv.free()
 	mr.kv = nil
@@ -119,12 +122,21 @@ func (mr *MR) convertOutOfCore(out *store) error {
 		names[i] = mr.spillName(fmt.Sprintf("cvt%d", i))
 	}
 	const batch = 4 << 10
-	flush := func(i int) {
-		if len(bufs[i]) > 0 {
-			mr.cfg.Spill.Append(mr.comm.Clock(), names[i], bufs[i])
-			mr.stats.SpilledBytes += int64(len(bufs[i]))
-			bufs[i] = bufs[i][:0]
+	defer func() {
+		for _, n := range names {
+			mr.cfg.Spill.Remove(n)
 		}
+	}()
+	flush := func(i int) error {
+		if len(bufs[i]) == 0 {
+			return nil
+		}
+		if err := mr.cfg.Spill.Append(mr.comm.Clock(), names[i], bufs[i]); err != nil {
+			return fmt.Errorf("mrmpi: writing convert partition: %w", err)
+		}
+		mr.stats.SpilledBytes += int64(len(bufs[i]))
+		bufs[i] = bufs[i][:0]
+		return nil
 	}
 	var enc []byte
 	err := mr.scanKV(func(k, v []byte) error {
@@ -137,7 +149,7 @@ func (mr *MR) convertOutOfCore(out *store) error {
 		}
 		bufs[i] = append(bufs[i], enc...)
 		if len(bufs[i]) >= batch {
-			flush(i)
+			return flush(i)
 		}
 		return nil
 	})
@@ -145,13 +157,10 @@ func (mr *MR) convertOutOfCore(out *store) error {
 		return err
 	}
 	for i := range bufs {
-		flush(i)
-	}
-	defer func() {
-		for _, n := range names {
-			mr.cfg.Spill.Remove(n)
+		if err := flush(i); err != nil {
+			return err
 		}
-	}()
+	}
 
 	// Pass 2: group each partition in memory.
 	for i := 0; i < np; i++ {
@@ -234,7 +243,10 @@ func (mr *MR) Reduce(reduceFn core.ReduceFunc) error {
 		out.free()
 		return err
 	}
-	out.finalize()
+	if err := out.finalize(); err != nil {
+		out.free()
+		return err
+	}
 	mr.stats.SpilledBytes += out.spilledBytes()
 	mr.kmv.free()
 	mr.kmv = nil

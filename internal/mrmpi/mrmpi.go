@@ -127,7 +127,9 @@ func (mr *MR) Map(input core.Input, mapFn core.MapFunc) error {
 	if err != nil {
 		return err
 	}
-	kv.finalize()
+	if err := kv.finalize(); err != nil {
+		return err
+	}
 	mr.stats.SpilledBytes += kv.spilledBytes()
 	return mr.comm.Barrier()
 }
@@ -171,7 +173,10 @@ func (mr *MR) MapKV(mapFn core.MapFunc) error {
 		out.free()
 		return err
 	}
-	out.finalize()
+	if err := out.finalize(); err != nil {
+		out.free()
+		return err
+	}
 	mr.stats.SpilledBytes += out.spilledBytes()
 	mr.kv.free()
 	mr.kv = out
@@ -230,7 +235,10 @@ func (mr *MR) Compress(combiner core.CombineFunc) error {
 			return err
 		}
 	}
-	out.finalize()
+	if err := out.finalize(); err != nil {
+		out.free()
+		return err
+	}
 	mr.stats.SpilledBytes += out.spilledBytes()
 	mr.kv.free()
 	mr.kv = out
@@ -320,7 +328,10 @@ func (mr *MR) Aggregate() error {
 			break
 		}
 	}
-	recvStore.finalize()
+	if err := recvStore.finalize(); err != nil {
+		recvStore.free()
+		return err
+	}
 	mr.stats.SpilledBytes += recvStore.spilledBytes()
 	mr.kv.free()
 	mr.kv = recvStore

@@ -56,7 +56,10 @@ func (mr *MR) sortInMemory(cmp func(a, b []byte) int) error {
 			return err
 		}
 	}
-	out.finalize()
+	if err := out.finalize(); err != nil {
+		out.free()
+		return err
+	}
 	mr.stats.SpilledBytes += out.spilledBytes()
 	mr.kv.free()
 	mr.kv = out
@@ -126,7 +129,9 @@ func (mr *MR) sortExternal(cmp func(a, b []byte) int) error {
 		for _, r := range recs {
 			buf = append(buf, r.enc...)
 		}
-		mr.cfg.Spill.Append(mr.comm.Clock(), name, buf)
+		if err := mr.cfg.Spill.Append(mr.comm.Clock(), name, buf); err != nil {
+			return fmt.Errorf("mrmpi: writing sort run: %w", err)
+		}
 		mr.stats.SpilledBytes += int64(len(buf))
 		runs = append(runs, &run{name: name})
 		return nil
@@ -177,7 +182,10 @@ func (mr *MR) sortExternal(cmp func(a, b []byte) int) error {
 			heap.Pop(h)
 		}
 	}
-	out.finalize()
+	if err := out.finalize(); err != nil {
+		out.free()
+		return err
+	}
 	mr.stats.SpilledBytes += out.spilledBytes()
 	mr.kv.free()
 	mr.kv = out
@@ -227,7 +235,10 @@ func (mr *MR) GatherTo(nprocs int) error {
 			break
 		}
 	}
-	recvStore.finalize()
+	if err := recvStore.finalize(); err != nil {
+		recvStore.free()
+		return err
+	}
 	mr.stats.SpilledBytes += recvStore.spilledBytes()
 	mr.kv.free()
 	mr.kv = recvStore

@@ -81,8 +81,12 @@ func (s *store) append(rec []byte) error {
 		if s.mode == ErrorIfExceeds {
 			return fmt.Errorf("%w: record of %d bytes > page of %d", ErrPageOverflow, len(rec), s.pageSize)
 		}
-		s.flush()
-		s.fs.Append(s.clock, s.name, rec)
+		if err := s.flush(); err != nil {
+			return err
+		}
+		if err := s.fs.Append(s.clock, s.name, rec); err != nil {
+			return fmt.Errorf("mrmpi: spilling an oversized record: %w", err)
+		}
 		s.spilled += int64(len(rec))
 		s.chunks = append(s.chunks, int64(len(rec)))
 		s.nrec++
@@ -93,7 +97,9 @@ func (s *store) append(rec []byte) error {
 		if s.mode == ErrorIfExceeds {
 			return fmt.Errorf("%w: %s holds %d bytes", ErrPageOverflow, s.name, s.totBytes)
 		}
-		s.flush()
+		if err := s.flush(); err != nil {
+			return err
+		}
 	}
 	s.page.Append(rec)
 	s.nrec++
@@ -101,22 +107,27 @@ func (s *store) append(rec []byte) error {
 	return nil
 }
 
-// flush writes the in-memory page to the spill file and resets it.
-func (s *store) flush() {
+// flush writes the in-memory page to the spill file and resets it. A
+// failed write leaves the page and the file as they were.
+func (s *store) flush() error {
 	if s.page.Used == 0 {
-		return
+		return nil
 	}
-	s.fs.Append(s.clock, s.name, s.page.Data())
+	if err := s.fs.Append(s.clock, s.name, s.page.Data()); err != nil {
+		return fmt.Errorf("mrmpi: spilling a page: %w", err)
+	}
 	s.spilled += int64(s.page.Used)
 	s.chunks = append(s.chunks, int64(s.page.Used))
 	s.page.Used = 0
+	return nil
 }
 
 // finalize applies the SpillAlways policy at the end of the producing phase.
-func (s *store) finalize() {
+func (s *store) finalize() error {
 	if s.mode == SpillAlways {
-		s.flush()
+		return s.flush()
 	}
+	return nil
 }
 
 // scanChunks streams the store's contents chunk by chunk: first the spilled

@@ -117,10 +117,11 @@ func errText(err error) string {
 // zero-length calls, spans that cross block boundaries, out-of-range and
 // missing-file calls included — against both the block-backed FS and the
 // map model, and requires identical bytes, errors, Stats and charged
-// seconds after every call. It also pins the free list: removed files'
-// blocks are reused, so the list never holds more blocks than the FS ever
-// had live at once, and live files hold exactly the blocks their sizes
-// need. MIMIR_PROP_SEED reproduces a draw.
+// seconds after every call. It also pins the block lifecycle: live files
+// hold exactly the blocks their sizes need, removed files' blocks are
+// reused, so live plus free blocks never exceed the FS's peak of live ones,
+// and an FS with no files has closed its backing file and owns nothing.
+// MIMIR_PROP_SEED reproduces a draw.
 func TestBlockFSMatchesMapModel(t *testing.T) {
 	seed := int64(1)
 	if v := os.Getenv("MIMIR_PROP_SEED"); v != "" {
@@ -151,7 +152,9 @@ func TestBlockFSMatchesMapModel(t *testing.T) {
 				data := make([]byte, propLen(rng))
 				rng.Read(data)
 				op = fmt.Sprintf("Append(%q, %d bytes)", name, len(data))
-				fs.Append(fc, name, data)
+				if err := fs.Append(fc, name, data); err != nil {
+					return fail(step, "%s: %v", op, err)
+				}
 				model.Append(mc, name, data)
 			case 3:
 				data := make([]byte, propLen(rng))
@@ -219,14 +222,26 @@ func TestBlockFSMatchesMapModel(t *testing.T) {
 			if live > peakLive {
 				peakLive = live
 			}
-			if len(fs.free) > peakLive {
-				return fail(step, "after %s: free list holds %d blocks, peak live count %d", op, len(fs.free), peakLive)
-			}
-			// A block is allocated only when the free list is empty, so the
-			// FS never owns more blocks than it once had live.
-			if live+len(fs.free) != peakLive {
+			// The backing file grows only when the free list is empty, so
+			// the FS never owns more blocks than it once had live; every
+			// block it owns is live or free; and an FS with no files owns
+			// no blocks and no backing file.
+			owned := live + len(fs.free)
+			if owned > peakLive {
 				return fail(step, "after %s: %d live + %d free blocks, peak live count %d", op, live, len(fs.free), peakLive)
 			}
+			if int64(owned)*blockSize != fs.end {
+				return fail(step, "after %s: %d blocks owned, backing file extends to %d bytes", op, owned, fs.end)
+			}
+			if len(fs.files) == 0 && (owned != 0 || fs.back != nil) {
+				return fail(step, "after %s: empty FS owns %d blocks, backing file open: %v", op, owned, fs.back != nil)
+			}
+		}
+		for _, n := range names {
+			fs.Remove(n)
+		}
+		if fs.back != nil {
+			return fail(80, "backing file still open after every file was removed")
 		}
 		return true
 	}, qc)

@@ -76,7 +76,9 @@ func FuzzSpillRoundTrip(f *testing.F) {
 			want = append(want, kv{string(k), string(v)})
 			switch op {
 			case 0:
-				store.EvictAll()
+				if err := store.EvictAll(); err != nil {
+					t.Fatalf("EvictAll: %v", err)
+				}
 			case 1:
 				// Pin/unpin sweep mid-build: a scan touches every page.
 				if err := kvc.Scan(func(k, v []byte) error { return nil }); err != nil {
@@ -89,7 +91,9 @@ func FuzzSpillRoundTrip(f *testing.F) {
 		}
 
 		// One more full eviction, then verify the multiset survived.
-		store.EvictAll()
+		if err := store.EvictAll(); err != nil {
+			t.Fatalf("EvictAll: %v", err)
+		}
 		got := map[kv]int{}
 		total := 0
 		err := kvc.Scan(func(k, v []byte) error {

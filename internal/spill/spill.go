@@ -356,7 +356,9 @@ func (s *Store) ResidentPages() int {
 // all. Only when nothing evictable remains does ErrNoMemory escape.
 func (s *Store) NewPage(size int) (kvbuf.PageID, *mem.Page, error) {
 	defer s.lock()()
-	s.makeRoom(int64(size))
+	if err := s.makeRoom(int64(size)); err != nil {
+		return 0, nil, err
+	}
 	var p *mem.Page
 	for {
 		var err error
@@ -364,7 +366,9 @@ func (s *Store) NewPage(size int) (kvbuf.PageID, *mem.Page, error) {
 		if err == nil {
 			break
 		}
-		if !s.evictOne() && !s.waitForRoom() {
+		if ok, everr := s.evictOrWait(); everr != nil {
+			return 0, nil, everr
+		} else if !ok {
 			return 0, nil, err
 		}
 	}
@@ -414,7 +418,10 @@ func (s *Store) Seal(id kvbuf.PageID) {
 	st := s.state(id)
 	st.sealed = true
 	if s.cfg.Policy == Always && st.pins == 0 && st.page.Resident() {
-		s.evict(st)
+		// A failed eager write leaves the page resident and sealed; the
+		// next eviction that needs its room writes it again and reports
+		// the error if the file system still fails.
+		_ = s.evict(st)
 	}
 	s.released() // a new eviction candidate (or, under Always, free memory)
 }
@@ -452,24 +459,32 @@ func (s *Store) Free(id kvbuf.PageID) {
 // Reserve charges n non-page bytes to the arena, evicting pages for room.
 func (s *Store) Reserve(n int64) error {
 	defer s.lock()()
-	s.makeRoom(n)
+	if err := s.makeRoom(n); err != nil {
+		return err
+	}
 	for !s.cfg.Arena.TryGrab(n) {
-		if !s.evictOne() && !s.waitForRoom() {
+		if ok, err := s.evictOrWait(); err != nil {
+			return err
+		} else if !ok {
 			return fmt.Errorf("%w: want %d bytes with nothing left to spill", mem.ErrNoMemory, n)
 		}
 	}
 	return nil
 }
 
-// EvictAll forces every evictable page out (tests and fault injection).
-func (s *Store) EvictAll() {
+// EvictAll forces every evictable page out (tests and fault injection),
+// stopping at the first failed write.
+func (s *Store) EvictAll() error {
 	defer s.lock()()
 	for i := range s.pages {
 		st := &s.pages[i]
 		if s.evictable(st) {
-			s.evict(st)
+			if err := s.evict(st); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 func (s *Store) state(id kvbuf.PageID) *pstate {
@@ -486,17 +501,19 @@ func (s *Store) evictable(st *pstate) bool {
 
 // makeRoom evicts coldest-first until usage+n fits under the watermark (or
 // nothing evictable remains). Under WhenNeeded with an unlimited arena the
-// watermark is 0 and this is a no-op — the store never spills.
-func (s *Store) makeRoom(n int64) {
+// watermark is 0 and this is a no-op — the store never spills. Only a
+// failed spill write is an error.
+func (s *Store) makeRoom(n int64) error {
 	w := s.cfg.Arena.Watermark(s.cfg.Watermark)
 	if w <= 0 {
-		return
+		return nil
 	}
 	for s.cfg.Arena.Used()+n > w {
-		if !s.evictOne() {
-			return
+		if ok, err := s.evictOne(); !ok || err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
 // coldest returns the store's least-recently-used evictable page, or nil.
@@ -513,15 +530,15 @@ func (s *Store) coldest() *pstate {
 
 // evictOne drops the least-recently-used evictable page of this store —
 // or, when it has none and belongs to a group, of the coldest peer store.
-// Reports whether a page was evicted.
-func (s *Store) evictOne() bool {
+// Reports whether there was a page to evict, and the error if writing it
+// out failed (the page then stays resident).
+func (s *Store) evictOne() (bool, error) {
 	if st := s.coldest(); st != nil {
-		s.evict(st)
-		return true
+		return true, s.evict(st)
 	}
 	g := s.cfg.Group
 	if g == nil {
-		return false
+		return false, nil
 	}
 	var victim *Store
 	var vp *pstate
@@ -534,46 +551,55 @@ func (s *Store) evictOne() bool {
 		}
 	}
 	if vp == nil {
-		return false
+		return false, nil
 	}
-	victim.evictBy(vp, s)
-	return true
+	return true, victim.evictBy(vp, s)
+}
+
+// evictOrWait makes room after the arena refused an allocation: it evicts
+// one page or, with none evictable, waits for a peer to release memory. It
+// reports false when neither is possible.
+func (s *Store) evictOrWait() (bool, error) {
+	if ok, err := s.evictOne(); ok || err != nil {
+		return ok, err
+	}
+	return s.waitForRoom(), nil
 }
 
 // evict writes the page out if its spill copy is missing or stale
 // (write-behind: a clean copy means the drop is free) and releases its
 // memory. Used survives — see mem.Page.Evict.
-func (s *Store) evict(st *pstate) { s.evictBy(st, s) }
+func (s *Store) evict(st *pstate) error { return s.evictBy(st, s) }
 
 // evictBy evicts s's page st on behalf of store `by` (s itself, or a group
 // peer that needs the room). The spill write still goes to s's file at s's
 // append offset, but the I/O time and the Stats counters are charged to
 // `by`: its rank is the one doing — and waiting for — the work, and the
 // owning rank may be blocked in a collective with its clock unsafe to
-// touch.
-func (s *Store) evictBy(st *pstate, by *Store) {
+// touch. A failed write is a failed eviction: the page keeps its memory,
+// its bytes and its dirty mark, so no stale copy is ever read back.
+func (s *Store) evictBy(st *pstate, by *Store) error {
 	if st.dirty || !st.spilled {
 		data := st.page.Data()
+		var err error
 		if st.spilled && len(data) == st.spilledLen {
 			// A dirty rewrite of an unchanged-size page goes back to its
 			// slot in place — convert's pass-2 scatter redirties sealed KMV
 			// pages constantly, and appending a fresh copy each time would
 			// grow the spill file without bound.
-			by.charged(func() {
-				if err := s.cfg.FS.WriteAt(by.cfg.Clock, s.name, st.off, data); err != nil {
-					// The slot was appended when the page first spilled and the
-					// file lives until the last page is freed, so this cannot
-					// fail unless the store's bookkeeping is broken — and
-					// marking the page clean anyway would serve stale bytes on
-					// the next restore.
-					panic(fmt.Sprintf("spill: in-place rewrite of spilled page: %v", err))
-				}
-			})
+			by.charged(func() { err = s.cfg.FS.WriteAt(by.cfg.Clock, s.name, st.off, data) })
 		} else {
-			by.charged(func() { s.cfg.FS.Append(by.cfg.Clock, s.name, data) })
-			st.off = s.fileEnd
-			st.spilledLen = len(data)
-			s.fileEnd += int64(len(data))
+			// A failed Append leaves the file as it was, so fileEnd stays
+			// its size.
+			by.charged(func() { err = s.cfg.FS.Append(by.cfg.Clock, s.name, data) })
+			if err == nil {
+				st.off = s.fileEnd
+				st.spilledLen = len(data)
+				s.fileEnd += int64(len(data))
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("spill: evicting a page: %w", err)
 		}
 		st.spilled = true
 		st.dirty = false
@@ -584,18 +610,23 @@ func (s *Store) evictBy(st *pstate, by *Store) {
 	st.page.Evict()
 	st.prefetched = false
 	by.stats.Evictions++
+	return nil
 }
 
 // restore brings an evicted page back, evicting colder pages if the arena
 // is full.
 func (s *Store) restore(st *pstate) error {
-	s.makeRoom(int64(st.size))
+	if err := s.makeRoom(int64(st.size)); err != nil {
+		return err
+	}
 	for {
 		err := st.page.Restore(st.size)
 		if err == nil {
 			break
 		}
-		if !s.evictOne() && !s.waitForRoom() {
+		if ok, everr := s.evictOrWait(); everr != nil {
+			return everr
+		} else if !ok {
 			return fmt.Errorf("spill: restoring page: %w", err)
 		}
 	}

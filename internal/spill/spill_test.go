@@ -1,8 +1,12 @@
 package spill
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,7 +192,9 @@ func TestSpillAlwaysWriteBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	spilledBefore := s.Stats().SpilledBytes
-	s.EvictAll()
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
 	st = s.Stats()
 	if st.CleanDrops == 0 {
 		t.Fatalf("re-evicting clean restored pages wrote them again: %+v", st)
@@ -210,7 +216,9 @@ func TestSequentialPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.EvictAll()
+	if err := s.EvictAll(); err != nil {
+		t.Fatal(err)
+	}
 	if err := kvc.Scan(func(k, v []byte) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +244,17 @@ func TestKMVCScatterDirty(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	s.EvictAll() // headers hit the file; records now spilled
+	if err := s.EvictAll(); err != nil { // headers hit the file; records now spilled
+		t.Fatal(err)
+	}
 	for i, id := range ids {
 		if err := kmv.AppendValue(id, []byte(fmt.Sprintf("%08d", i))); err != nil {
 			t.Fatalf("AppendValue into spilled record: %v", err)
 		}
 	}
-	s.EvictAll() // dirty pages must be rewritten, not clean-dropped
+	if err := s.EvictAll(); err != nil { // dirty pages must be rewritten, not clean-dropped
+		t.Fatal(err)
+	}
 	got := map[string]string{}
 	err := kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
 		v, _ := vals.Next()
@@ -538,6 +550,68 @@ func TestGroupNoPinFailsFast(t *testing.T) {
 	if _, _, err := sb.NewPage(pageSize); !errors.Is(err, mem.ErrNoMemory) {
 		t.Fatalf("allocation with no evictable and no pinned peer: %v, want ErrNoMemory", err)
 	}
+}
+
+// TestFailedSpillWriteKeepsPageResident: when the spill file cannot be
+// written (here its directory does not exist), an eviction fails with an
+// error naming the spill file, and the page stays resident with its bytes
+// intact — eagerly under Always, on demand under pressure, and when forced.
+// Once the file system works again the same page spills and restores.
+func TestFailedSpillWriteKeepsPageResident(t *testing.T) {
+	const pageSize = 256
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	arena := mem.NewArena(2 * pageSize)
+	s := NewStore(Config{Arena: arena, FS: pfs.New(pfs.Config{}), Name: t.Name(), Policy: Always, Watermark: 1})
+	id, p, err := s.NewPage(pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte("page"), pageSize/4)
+	copy(p.Buf, want)
+	p.Used = pageSize
+	intact := func(when string) {
+		t.Helper()
+		if !p.Resident() || !bytes.Equal(p.Data(), want) {
+			t.Fatalf("%s: page resident %v, bytes intact %v", when, p.Resident(), bytes.Equal(p.Data(), want))
+		}
+	}
+	s.Seal(id) // Always writes it out at once, and fails
+	intact("after a failed eager write")
+
+	failed := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), s.Name()) {
+			t.Fatalf("%s on an unwritable spill file: %v, want an error naming %q", call, err, s.Name())
+		}
+	}
+	failed("EvictAll", s.EvictAll())
+	intact("after a failed EvictAll")
+	if _, _, err := s.NewPage(2 * pageSize); err == nil {
+		t.Fatal("an allocation that needs the page's room succeeded with the page unwritable")
+	} else {
+		failed("NewPage under pressure", err)
+	}
+	intact("after a failed eviction under pressure")
+	if st := s.Stats(); st.Evictions != 0 || st.SpilledBytes != 0 || st.IOSec != 0 {
+		t.Fatalf("failed evictions were counted: %+v", st)
+	}
+
+	t.Setenv("TMPDIR", t.TempDir())
+	if err := s.EvictAll(); err != nil {
+		t.Fatalf("EvictAll once the file system works: %v", err)
+	}
+	if p.Resident() {
+		t.Fatal("page still resident after a successful eviction")
+	}
+	got, err := s.Pin(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data(), want) {
+		t.Fatal("page bytes differ after spilling and restoring")
+	}
+	s.Unpin(id)
+	s.Free(id)
 }
 
 // TestOversizedRecord: a record larger than the page size gets a dedicated

@@ -215,6 +215,12 @@ type tcpPeer struct {
 	// aliases the ledger's buffers, so pruneReplayLocked must not recycle
 	// them to the frame pool while it is set.
 	replaying bool
+	// sending is the ledger entry writeFrame is writing. The peer can ack
+	// it before that write call returns, and only the writer's goroutine
+	// may then recycle it, so an ack that prunes it sets sendingPruned
+	// instead of recycling.
+	sending       []byte
+	sendingPruned bool
 
 	recvSeq      atomic.Uint64 // data frames delivered from this peer
 	recvBytes    atomic.Uint64 // encoded bytes of those frames (sender-side accounting mirror)
@@ -351,8 +357,10 @@ func (p *tcpPeer) writeFrame(f *Frame) error {
 		p.sentSeq++
 		p.replay = append(p.replay, buf)
 		p.replayBytes += int64(len(buf))
+		p.sending = buf
 		over := p.replayOverLocked()
 		p.rmu.Unlock()
+		defer p.doneSending(buf) // before wmu is released: install may replay buf next
 		if over {
 			if err := p.waitReplayRoom(); err != nil {
 				return err
@@ -1540,13 +1548,25 @@ func (p *tcpPeer) doneReplaying() {
 	p.rmu.Unlock()
 }
 
+// doneSending ends writeFrame's write of its ledger entry b, recycling b if
+// an ack pruned it meanwhile.
+func (p *tcpPeer) doneSending(b []byte) {
+	p.rmu.Lock()
+	if p.sendingPruned {
+		putBuf(b)
+	}
+	p.sending, p.sendingPruned = nil, false
+	p.rmu.Unlock()
+}
+
 // pruneReplayLocked drops replay entries the peer confirmed, recycling their
-// buffers to the frame pool. Recycling is safe against in-flight writes: a
-// cumulative ack only ever covers frames the peer fully received, so a frame
-// still being written cannot be pruned — except during a reconnect replay,
-// whose snapshot aliases the ledger, so recycling pauses while p.replaying
-// is set. Caller holds p.rmu. upTo is a cumulative data-frame count (never
-// decreases).
+// buffers to the frame pool. A cumulative ack only ever covers frames the
+// peer fully received, but it can arrive before the write call that sent
+// the frame returns, and nothing orders that call before this goroutine's
+// recycle. So the entry writeFrame is still writing goes back to the pool
+// from writeFrame (doneSending), and while a reconnect replay is in flight,
+// whose snapshot aliases the ledger, nothing is recycled at all. Caller
+// holds p.rmu. upTo is a cumulative data-frame count (never decreases).
 func (p *tcpPeer) pruneReplayLocked(upTo uint64) {
 	if upTo <= p.ackedSeq {
 		return
@@ -1557,7 +1577,11 @@ func (p *tcpPeer) pruneReplayLocked(upTo uint64) {
 	}
 	for _, b := range p.replay[:drop] {
 		p.replayBytes -= int64(len(b))
-		if !p.replaying {
+		switch {
+		case p.replaying:
+		case p.sending != nil && &b[0] == &p.sending[0]:
+			p.sendingPruned = true
+		default:
 			putBuf(b)
 		}
 	}

@@ -171,15 +171,17 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 	edgeMap := func(rec core.Record, emit core.Emitter) error {
 		return emit.Emit(rec.Val[0:8], rec.Val[8:16])
 	}
-	out := map[uint64][]uint64{}
+	// adj[u] is u's neighbours, 8 little-endian bytes each, so a round's map
+	// emits their keys straight from it. A vertex without out-edges has no
+	// entry.
+	adj := map[uint64][]byte{}
 	sopts := opts
 	sopts.Combiner = nil // every (u,v) pair is a distinct edge
 	sopts.PartialReduce = nil
 	sopts.Checkpoint = NamedCheckpoint(mr.Checkpoint, "adj")
 	stats, err := e.RunStage(sopts, edgeInput, edgeMap, nil, func(k, v []byte) error {
 		u := binary.LittleEndian.Uint64(k)
-		w := binary.LittleEndian.Uint64(v)
-		lst, seen := out[u]
+		lst, seen := adj[u]
 		if !seen {
 			if err := charge(adjEntryBytes); err != nil {
 				return err
@@ -188,7 +190,7 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 		if err := charge(adjEdgeBytes); err != nil {
 			return err
 		}
-		out[u] = append(lst, w)
+		adj[u] = append(lst, v...)
 		return nil
 	})
 	if err != nil {
@@ -208,6 +210,10 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 		return res, err
 	}
 	res.Vertices = int64(len(owned))
+	// parts[8i:8i+8] is the contribution owned[i] sends each neighbour in
+	// the current round. Only the map call for owned[i] writes it, so
+	// concurrent map workers share no buffer.
+	parts := make([]byte, 8*len(owned))
 	score := make(map[uint64]int64, len(owned))
 	for _, v := range owned {
 		score[v] = PageRankOne
@@ -233,7 +239,7 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 		// and the damped update keeps the system stable regardless.
 		var dangling int64
 		for _, v := range owned {
-			if len(out[v]) == 0 {
+			if len(adj[v]) == 0 {
 				dangling += score[v]
 			}
 		}
@@ -245,11 +251,11 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 
 		srcInput := func(emit func(rec core.Record) error) error {
 			var rec [8]byte
-			for _, v := range owned {
-				if len(out[v]) == 0 {
+			for i, v := range owned {
+				if len(adj[v]) == 0 {
 					continue
 				}
-				binary.LittleEndian.PutUint64(rec[:], v)
+				binary.LittleEndian.PutUint64(rec[:], uint64(i))
 				if err := emit(core.Record{Val: rec[:]}); err != nil {
 					return err
 				}
@@ -257,14 +263,12 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 			return nil
 		}
 		contribMap := func(rec core.Record, emit core.Emitter) error {
-			u := binary.LittleEndian.Uint64(rec.Val)
-			nbrs := out[u]
-			part := score[u] / int64(len(nbrs))
-			var wb, cb [8]byte
-			binary.LittleEndian.PutUint64(cb[:], uint64(part))
-			for _, w := range nbrs {
-				binary.LittleEndian.PutUint64(wb[:], w)
-				if err := emit.Emit(wb[:], cb[:]); err != nil {
+			i := binary.LittleEndian.Uint64(rec.Val)
+			u, part := owned[i], parts[8*i:8*i+8]
+			nbrs := adj[u]
+			binary.LittleEndian.PutUint64(part, uint64(score[u]/int64(len(nbrs)/8)))
+			for j := 0; j < len(nbrs); j += 8 {
+				if err := emit.Emit(nbrs[j:j+8], part); err != nil {
 					return err
 				}
 			}

@@ -124,12 +124,12 @@ func runWC(world *mimir.World, lines [][]byte, cfg mimir.Config) (map[string]uin
 		if err != nil {
 			return err
 		}
-		defer out.Free()
 		// Serialize this rank's totals (ranks hold disjoint key sets) and
 		// gather them at rank 0. Words cannot contain whitespace, so "word
-		// count" lines are unambiguous.
+		// count" lines are unambiguous. Drain frees each output page as soon
+		// as its lines are written.
 		var sb strings.Builder
-		err = out.Scan(func(k, v []byte) error {
+		err = out.Drain(func(k, v []byte) error {
 			fmt.Fprintf(&sb, "%s %d\n", k, mimir.BytesUint64(v))
 			return nil
 		})

@@ -88,13 +88,12 @@ func attempt(fs *pfs.FS, ckpt *mimir.Checkpoint, ranks int, inject bool) (map[st
 		if err != nil {
 			return err
 		}
-		defer out.Free()
 		if out.Stats.RestoredFromCheckpoint {
 			atomic.AddInt64(&restores, 1)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		return out.Scan(func(k, v []byte) error {
+		return out.Drain(func(k, v []byte) error {
 			counts[string(k)] += mimir.BytesUint64(v)
 			return nil
 		})

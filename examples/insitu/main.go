@@ -107,13 +107,12 @@ func main() {
 			if err != nil {
 				return err
 			}
-			err = out.Scan(func(k, v []byte) error {
+			err = out.Drain(func(k, v []byte) error {
 				mu.Lock()
 				histPerStep[t][k[0]] += mimir.BytesUint64(v)
 				mu.Unlock()
 				return nil
 			})
-			out.Free()
 			if err != nil {
 				return err
 			}

@@ -68,11 +68,11 @@ func main() {
 		if err != nil {
 			return err
 		}
-		defer out.Free()
-
+		// Drain reads this rank's output once, freeing each page as soon as
+		// it has been read; the output is empty afterwards.
 		mu.Lock()
 		defer mu.Unlock()
-		return out.Scan(func(k, v []byte) error {
+		return out.Drain(func(k, v []byte) error {
 			counts[string(k)] += mimir.BytesUint64(v)
 			return nil
 		})

@@ -355,8 +355,6 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 		if err := j.drainCombiner(); err != nil {
 			return err
 		}
-		j.cpsBkt.Free()
-		j.cpsBkt = nil
 	}
 
 	// A small job may finish its input without ever filling the plan
@@ -438,7 +436,6 @@ func (j *Job) emitMapped(k, v []byte) error {
 			if err := j.drainCombiner(); err != nil {
 				return err
 			}
-			j.cpsBkt.Free()
 			j.cpsBkt, err = newBucketForJob(j)
 			return err
 		}
@@ -449,11 +446,12 @@ func (j *Job) emitMapped(k, v []byte) error {
 
 // drainCombiner moves every combined KV from the compression bucket into
 // the partitioned send buffer (triggering exchange rounds as partitions
-// fill).
+// fill), freeing the bucket page by page behind the walk. The bucket is
+// gone afterwards, even on error.
 func (j *Job) drainCombiner() error {
-	return j.cpsBkt.Scan(func(k, v []byte) error {
-		return j.insertSend(k, v)
-	})
+	bkt := j.cpsBkt
+	j.cpsBkt = nil
+	return bkt.Drain(j.insertSend)
 }
 
 // insertSend places one encoded KV into the partition of its destination
@@ -767,21 +765,13 @@ func (j *Job) finish(reduceFn ReduceFunc) (*Output, error) {
 			merge = newSplitMerge(j)
 		}
 		out := kvbuf.NewKVCOn(j.pageStore(), j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
-		err := j.prScan(func(k, v []byte) error {
+		err := j.prDrain(func(k, v []byte) error {
 			if merge != nil && j.asn.SplitWidth(k) > 1 {
 				return merge.add(k, v)
 			}
 			j.charge(j.cfg.Costs.PerRecord+float64(len(k)+len(v))*j.cfg.Costs.ReducePerByte, simtime.Compute)
 			return out.Append(k, v)
 		})
-		if j.prBkt != nil {
-			j.prBkt.Free()
-			j.prBkt = nil
-		}
-		if j.prShard != nil {
-			j.prShard.Free()
-			j.prShard = nil
-		}
 		if err == nil && merge != nil {
 			err = merge.mergeAppend(out)
 		}

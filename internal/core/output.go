@@ -29,6 +29,12 @@ func (o *Output) Scan(fn func(k, v []byte) error) error {
 	return o.KVC.Scan(fn)
 }
 
+// Drain iterates the output KVs in insertion order like Scan, but frees each
+// page as soon as its KVs are consumed, so a single-pass reader never holds
+// the output and what it builds from it at once. The output is empty
+// afterwards, even on error. The slices are valid only during the call.
+func (o *Output) Drain(fn func(k, v []byte) error) error { return o.KVC.Drain(fn) }
+
 // NumKV returns the number of output KVs on this rank.
 func (o *Output) NumKV() int64 { return o.KVC.NumKV() }
 
@@ -38,7 +44,7 @@ func (o *Output) NumKV() int64 { return o.KVC.NumKV() }
 // by page as the next stage's map consumes it.
 func (o *Output) AsInput() Input {
 	return func(emit func(rec Record) error) error {
-		return o.KVC.Drain(func(k, v []byte) error {
+		return o.Drain(func(k, v []byte) error {
 			return emit(Record{Key: k, Val: v})
 		})
 	}

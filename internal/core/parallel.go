@@ -218,6 +218,17 @@ func (j *Job) prScan(fn func(k, v []byte) error) error {
 	return j.prBkt.Scan(fn)
 }
 
+// prDrain is prScan that frees the bucket's pages behind the walk and the
+// bucket itself, even on error.
+func (j *Job) prDrain(fn func(k, v []byte) error) error {
+	prBkt, prShard := j.prBkt, j.prShard
+	j.prBkt, j.prShard = nil, nil
+	if prShard != nil {
+		return prShard.Drain(fn)
+	}
+	return prBkt.Drain(fn)
+}
+
 // consumeRoundSharded folds one exchange round's received chunks into the
 // sharded partial-reduction bucket on the pool. Every worker decodes the
 // full round (chunks are read-only and Decode returns aliases into them)

@@ -1,0 +1,7 @@
+//go:build race
+
+package jobsvc
+
+// raceEnabled reports whether the race detector is on; the heap retention
+// check skips under it.
+const raceEnabled = true

@@ -65,8 +65,8 @@ type Server struct {
 	closing  bool
 	nextJob  uint32
 	queue    []*job
-	jobs     map[uint32]*job
-	order    []uint32
+	live     map[uint32]*job // the queued and running jobs
+	history  []JobStatus     // every job's status line, job id i at index i-1
 	respawns int
 	ckpts    map[string]*ckptInfo
 	// attach maps member -> its seat in the incarnation being built (or
@@ -107,10 +107,8 @@ type attachReply struct {
 }
 
 type job struct {
-	id    uint32
-	spec  Spec
-	state string
-	err   string
+	id   uint32
+	spec Spec
 	// events streams this job's lifecycle to its submitter. At most four
 	// events ever flow (queued, running, done|error) before the channel is
 	// closed by whichever finalizer settles the job, so the buffer makes
@@ -119,11 +117,20 @@ type job struct {
 	events chan Event
 }
 
-func (j *job) finish(state, errText string, ev Event) {
-	j.state = state
-	j.err = errText
+// setState records a job's state on its status line. Callers hold s.mu.
+func (s *Server) setState(id uint32, state, errText string) {
+	s.history[id-1] = JobStatus{Job: id, State: state, Error: errText}
+}
+
+// settle sends a job's last event, closes its stream and forgets the job
+// but for its status line: the submitter holds its own reference to the
+// stream, and a long-running service must not keep one for every job it
+// ever ran. Callers hold s.mu.
+func (s *Server) settle(j *job, state, errText string, ev Event) {
+	s.setState(j.id, state, errText)
 	j.events <- ev
 	close(j.events)
+	delete(s.live, j.id)
 }
 
 // NewServer bootstraps epoch 1 — builds the initial mesh with every seat
@@ -154,7 +161,7 @@ func NewServer(cfg Config) (*Server, error) {
 		secret:    secret,
 		coord:     membership.NewCoordinator(),
 		fs:        fs,
-		jobs:      make(map[uint32]*job),
+		live:      make(map[uint32]*job),
 		ckpts:     make(map[string]*ckptInfo),
 		parked:    make(map[membership.MemberID][]chan attachReply),
 		schedDone: make(chan struct{}),
@@ -267,16 +274,16 @@ func (s *Server) Submit(spec Spec) (uint32, <-chan Event, error) {
 		if len(s.mesh.Transport.LocalRanks()) != s.size {
 			return 0, nil, errors.New("jobsvc: checkpointed jobs need a fully in-process mesh (worker processes cannot reach the server's file system)")
 		}
-		for _, j := range s.jobs {
-			if j.spec.Checkpoint == spec.Checkpoint && (j.state == StateQueued || j.state == StateRunning) {
+		for _, j := range s.live {
+			if j.spec.Checkpoint == spec.Checkpoint {
 				return 0, nil, fmt.Errorf("jobsvc: checkpoint %q is in use by job %d", spec.Checkpoint, j.id)
 			}
 		}
 	}
 	s.nextJob++
-	j := &job{id: s.nextJob, spec: spec, state: StateQueued, events: make(chan Event, 8)}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	j := &job{id: s.nextJob, spec: spec, events: make(chan Event, 8)}
+	s.live[j.id] = j
+	s.history = append(s.history, JobStatus{Job: j.id, State: StateQueued})
 	s.queue = append(s.queue, j)
 	j.events <- Event{Event: EvQueued, Job: j.id}
 	s.cond.Broadcast()
@@ -310,7 +317,7 @@ func (s *Server) scheduler() {
 			}
 			s.cond.Wait()
 		}
-		j.state = StateRunning
+		s.setState(j.id, StateRunning, "")
 		m, epoch, size := s.mesh, s.epoch, s.size
 		s.running++
 		s.jobsWG.Add(1)
@@ -343,9 +350,9 @@ func (s *Server) run(m Mesh, epoch uint64, size int, j *job) {
 		if sum != nil {
 			ev.Metrics = sumJSON(sum)
 		}
-		j.finish(StateDone, "", ev)
+		s.settle(j, StateDone, "", ev)
 	} else {
-		j.finish(StateError, err.Error(), Event{Event: EvError, Job: j.id, Error: err.Error(), Epoch: epoch, Size: size})
+		s.settle(j, StateError, err.Error(), Event{Event: EvError, Job: j.id, Error: err.Error(), Epoch: epoch, Size: size})
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -716,7 +723,7 @@ func (s *Server) fatalize(err error) {
 	defer s.mu.Unlock()
 	s.fatal = err
 	for _, j := range s.queue {
-		j.finish(StateError, err.Error(),
+		s.settle(j, StateError, err.Error(),
 			Event{Event: EvError, Job: j.id, Error: "jobsvc: mesh transition failed: " + err.Error()})
 	}
 	s.queue = nil
@@ -742,10 +749,7 @@ func (s *Server) StatusSnapshot() *Status {
 		MemUsed:     s.arena.Used(),
 		MemCapacity: s.cfg.MemBytes,
 	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		st.Jobs = append(st.Jobs, JobStatus{Job: j.id, State: j.state, Error: j.err})
-	}
+	st.Jobs = append(st.Jobs, s.history...)
 	return st
 }
 

@@ -17,9 +17,12 @@ import (
 //	pass 2: scan the KVs again, scattering each value into its record.
 //
 // The input container is drained during pass 2, releasing its pages as they
-// are consumed, so peak memory is (input + index) during pass 1 and roughly
-// max(input, output) + index during pass 2 — never input + output + slack
-// as in MR-MPI's static page model.
+// are consumed. Every KMV record is reserved before pass 2 starts, though,
+// so pass 2 begins at input + output + index and only falls from there:
+// that sum, not max(input, output) + index, is convert's peak. Records that
+// may span pages, reserved a page at a time as pass 2 reaches them (ROADMAP
+// item 1(a), MR-MPI's multi-page KMV), would bring it down to
+// max(input, output) + index.
 func Convert(in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) {
 	return ConvertOn(nil, in, arena, pageSize, hint)
 }

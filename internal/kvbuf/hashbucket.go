@@ -250,7 +250,38 @@ func (b *Bucket) Scan(fn func(k, v []byte) error) error {
 	return nil
 }
 
-// Free releases all storage back to the arena.
+// Drain is Scan that releases each data page as soon as the walk has passed
+// every entry with bytes on it, then frees the bucket — "when the data is
+// read (consumed), the KVC frees buffers that are no longer needed", applied
+// to the combiner and partial-reduction buckets. The bucket is empty
+// afterwards, even on error. Slices alias bucket memory and are valid only
+// during the call.
+func (b *Bucket) Drain(fn func(k, v []byte) error) error {
+	defer b.Free()
+	next := 0
+	for i := range b.entries {
+		b.releaseBefore(i, &next)
+		k, v := b.Entry(i)
+		if err := fn(k, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// releaseBefore frees the data pages from *next up to (not including) entry
+// i's key page and advances *next past them. Only entries before i have
+// bytes there: an entry's key page never decreases with its index (keys are
+// appended at insert), and its value lives on that page or a later one
+// (insert appends the value after the key, and setValue relocations append
+// at the end).
+func (b *Bucket) releaseBefore(i int, next *int) {
+	for p := b.entries[i].keyRef.page(); *next < p; *next++ {
+		b.data.freePage(*next)
+	}
+}
+
+// Free releases all storage back to the arena. It is idempotent.
 func (b *Bucket) Free() {
 	b.data.free()
 	b.arena.Free(int64(len(b.entries)) * bucketEntryBytes)

@@ -162,7 +162,9 @@ func (pb *pagedBuf) markDirty(i int) {
 	}
 }
 
-// freePage releases page i (used by Drain to return memory early).
+// freePage releases page i (used by the drains to return memory early).
+// Without a store a second release of the same page is a no-op, so free may
+// follow a partial drain.
 func (pb *pagedBuf) freePage(i int) {
 	if pb.store != nil {
 		pb.store.Free(pb.ids[i])

@@ -122,6 +122,27 @@ func (b *ShardedBucket) MemoryBytes() int64 {
 // have — by merging the shards on their recorded sequences. Slices alias
 // bucket memory.
 func (b *ShardedBucket) Scan(fn func(k, v []byte) error) error {
+	return b.merge(func(s, i int) error {
+		return fn(b.shards[s].Entry(i))
+	})
+}
+
+// Drain is Scan that releases each shard's data pages behind that shard's
+// own cursor (see Bucket.Drain), then frees the bucket, so a sharded drain
+// peaks where a serial one does. The bucket is empty afterwards, even on
+// error.
+func (b *ShardedBucket) Drain(fn func(k, v []byte) error) error {
+	defer b.Free()
+	next := make([]int, len(b.shards))
+	return b.merge(func(s, i int) error {
+		b.shards[s].releaseBefore(i, &next[s])
+		return fn(b.shards[s].Entry(i))
+	})
+}
+
+// merge calls visit(shard, entry) for every entry in global first-appearance
+// order: a minimum-front scan over the shards' recorded sequences.
+func (b *ShardedBucket) merge(visit func(s, i int) error) error {
 	cur := make([]int, len(b.shards))
 	remaining := b.Len()
 	for ; remaining > 0; remaining-- {
@@ -138,16 +159,15 @@ func (b *ShardedBucket) Scan(fn func(k, v []byte) error) error {
 		if best < 0 {
 			return fmt.Errorf("kvbuf: sharded bucket scan lost entries (%d unscanned)", remaining)
 		}
-		k, v := b.shards[best].Entry(cur[best])
 		cur[best]++
-		if err := fn(k, v); err != nil {
+		if err := visit(best, cur[best]-1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Free releases all shards back to the arena.
+// Free releases all shards back to the arena. It is idempotent.
 func (b *ShardedBucket) Free() {
 	for i, s := range b.shards {
 		if s != nil {

@@ -3,6 +3,7 @@ package kvbuf
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"mimir/internal/mem"
@@ -207,7 +208,7 @@ func TestConvertParallelMatchesSerial(t *testing.T) {
 
 // FuzzShardMerge feeds arbitrary KV streams through the sharded bucket and
 // the sharded convert, checking both against their serial references for
-// exact ordering and KMV sizing.
+// exact ordering and KMV sizing, and both buckets' drains against the scan.
 func FuzzShardMerge(f *testing.F) {
 	f.Add([]byte("the quick brown fox the lazy dog the end"), uint8(4))
 	f.Add([]byte("aaaa bb c dddddd bb aaaa"), uint8(2))
@@ -261,8 +262,19 @@ func FuzzShardMerge(f *testing.F) {
 					workers, i, got[i][0], got[i][1], want[i][0], want[i][1])
 			}
 		}
-		ref.Free()
-		sb.Free()
+		// Draining either bucket yields the scanned sequence — under release
+		// scribbling, so a page freed too early shows as wrong bytes — and
+		// frees it.
+		mem.DebugScribble(true)
+		drainedRef := collectBucket(t, ref.Drain)
+		drainedSharded := collectBucket(t, sb.Drain)
+		mem.DebugScribble(false)
+		if !slices.Equal(drainedRef, want) || !slices.Equal(drainedSharded, want) {
+			t.Fatalf("workers=%d: a drain diverges from the scan", workers)
+		}
+		if arena.Used() != 0 {
+			t.Fatalf("arena holds %d bytes after the drains (leak)", arena.Used())
+		}
 
 		// Convert equivalence: exact record order, value order, and sizing.
 		hint := Hint{Key: Varlen(), Val: Varlen()}

@@ -335,3 +335,51 @@ func TestPageAllocFailure(t *testing.T) {
 		t.Errorf("Used = %d after failed NewPage, want 0", got)
 	}
 }
+
+// TestDebugScribble: with scribbling on, a slice kept past its page's
+// Release or Evict reads the scribble byte; with it off, the stale bytes are
+// still there — which is exactly why a use-after-release goes unnoticed
+// without it.
+func TestDebugScribble(t *testing.T) {
+	a := NewArena(0)
+	fill := func(p *Page) []byte {
+		for i := range p.Buf {
+			p.Buf[i] = 7
+		}
+		return p.Buf
+	}
+	all := func(b []byte, want byte) bool {
+		for _, c := range b {
+			if c != want {
+				return false
+			}
+		}
+		return true
+	}
+
+	p, _ := a.NewPage(4096)
+	kept := fill(p)
+	p.Release()
+	if !all(kept, 7) {
+		t.Fatal("a release with scribbling off changed the bytes")
+	}
+
+	DebugScribble(true)
+	defer DebugScribble(false)
+	p, _ = a.NewPage(4096)
+	kept = fill(p)
+	p.Release()
+	if !all(kept, scribbleByte) {
+		t.Fatal("a released page was pooled unscribbled")
+	}
+	p, _ = a.NewPage(4096)
+	p.Used = len(p.Buf)
+	kept = fill(p)
+	p.Evict()
+	if !all(kept, scribbleByte) {
+		t.Fatal("an evicted page was pooled unscribbled")
+	}
+	if a.Used() != 0 {
+		t.Fatalf("arena holds %d bytes, want 0", a.Used())
+	}
+}

@@ -3,6 +3,7 @@ package mem
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Page buffers cycle fast on the shuffle hot path — a Job allocates its send
@@ -43,10 +44,30 @@ func getPageBuf(n int) []byte {
 	return make([]byte, n, 1<<(minPageBits+c))
 }
 
+// Released pages are recycled as they are, so a reader that kept a key or
+// value slice past its callback goes on seeing the right bytes until some
+// later page reuses the array — legal under a container's Scan, a
+// use-after-free under its Drain, and invisible either way. DebugScribble
+// makes such a reader see garbage at once: every buffer released or evicted
+// while it is on is overwritten with scribbleByte before it is pooled, so an
+// output that depends on a stale alias changes.
+var scribble atomic.Bool
+
+const scribbleByte = 0xA5
+
+// DebugScribble turns release scribbling on or off (tests only).
+func DebugScribble(on bool) { scribble.Store(on) }
+
 // putPageBuf recycles a buffer obtained from getPageBuf (or anywhere else).
 // It is filed by capacity rounded DOWN, preserving the invariant that class
 // c holds only buffers with cap >= 1<<(minPageBits+c).
 func putPageBuf(b []byte) {
+	if scribble.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = scribbleByte
+		}
+	}
 	n := cap(b)
 	if n < 1<<minPageBits || n > 1<<maxPageBits {
 		return

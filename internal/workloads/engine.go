@@ -118,7 +118,8 @@ func (s StageStats) Record(m *metrics.Summary) {
 type Engine interface {
 	// RunStage executes map [+ shuffle [+ reduce]] and streams the rank's
 	// output KVs to sink. A nil reduceFn makes the stage map-only (output =
-	// post-shuffle KVs).
+	// post-shuffle KVs). The sink's k and v alias engine memory that may be
+	// released as soon as the call returns: a sink copies what it keeps.
 	RunStage(opts StageOpts, input core.Input, mapFn core.MapFunc, reduceFn core.ReduceFunc,
 		sink func(k, v []byte) error) (StageStats, error)
 	// Comm returns the rank's communicator.
@@ -164,7 +165,9 @@ func (e *MimirEngine) RunStage(opts StageOpts, input core.Input, mapFn core.MapF
 	}
 	defer out.Free()
 	if sink != nil {
-		if err := out.Scan(sink); err != nil {
+		// The sink is the output's only reader: each page goes back to the
+		// arena as soon as the sink has passed it.
+		if err := out.Drain(sink); err != nil {
 			return StageStats{}, err
 		}
 	}

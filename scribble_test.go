@@ -1,0 +1,62 @@
+package mimir_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"mimir/internal/driver"
+	"mimir/internal/mem"
+)
+
+// TestScribbleBattery: the engine frees a container's pages as its reader
+// passes them (stage output into RunStage's sink, partial-reduction and
+// combiner buckets into the output and the send buffer), so a sink, reducer
+// or combiner that keeps a key or value slice past its callback reads freed
+// memory. With release scribbling on, such a slice reads garbage at once.
+// Every job kind, with and without its combiner, in memory and under
+// SpillWhenNeeded, on Local (one and four workers) and TCP, must produce
+// exactly the bytes of its run with scribbling off.
+func TestScribbleBattery(t *testing.T) {
+	jobs := append(mrcBatteryJobs(), driver.JobConfig{Kind: driver.JobOctree, Points: 1 << 12, Hint: true, PR: true})
+	type cell struct {
+		mode    string
+		workers int
+	}
+	cells := []cell{{"local", 1}, {"local", 4}, {"tcp", 1}}
+	if testing.Short() {
+		cells = cells[:2]
+	}
+	for _, base := range jobs {
+		for _, cps := range []bool{false, true} {
+			for _, spill := range []bool{false, true} {
+				cfg := base
+				cfg.Seed = 7
+				cfg.Workers = 1
+				cfg.PageSize = 1 << 10
+				cfg.CommBuf = 8 << 10
+				cfg.CPS = cps
+				if spill {
+					cfg = mrcSpillCfg(cfg)
+				}
+				name := fmt.Sprintf("%s/cps=%v/spill=%v", base.Kind, cps, spill)
+				t.Run(name, func(t *testing.T) {
+					want := runMRCJob(t, cfg, "local", nil)
+					if len(want) == 0 {
+						t.Fatal("empty reference output")
+					}
+					mem.DebugScribble(true)
+					defer mem.DebugScribble(false)
+					for _, cl := range cells {
+						c := cfg
+						c.Workers = cl.workers
+						if got := runMRCJob(t, c, cl.mode, nil); !bytes.Equal(got, want) {
+							t.Errorf("%s, %d workers: output with release scribbling differs (%d vs %d bytes)",
+								cl.mode, cl.workers, len(got), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
+}

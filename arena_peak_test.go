@@ -24,11 +24,12 @@ import (
 // the Go heap's growth over the run and their ratio: how far the arena's
 // books are from the process's real memory. Heap is printed only.
 //
-// One bound is asserted. TeraSort charges its sort block 44 bytes a row (the
-// 20-byte row and 24 bytes of sort index), and the engine's output container
-// is freed page by page as the block is filled from it, so the peak is the
-// block plus what the shuffle keeps in flight: rows × 44 + 256 KiB. A
-// container held whole next to the block would add its 2.5 MB on top.
+// One bound is asserted. TeraSort charges its sort block 20 bytes a row (the
+// row: the sort permutes the block in place and keeps no index), and the
+// engine's output container is freed page by page as the block is filled
+// from it, so the peak is the block plus what the shuffle keeps in flight:
+// rows × 20 + 256 KiB. A container held whole next to the block would add
+// its 2.5 MB on top; a 24-byte-a-row sort index, 3 MB.
 func TestArenaPeakPerKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-sized jobs")
@@ -72,8 +73,8 @@ func TestArenaPeakPerKind(t *testing.T) {
 		grew := int64(heapPeak) - int64(base)
 		fmt.Fprintf(&table, "%-10s %14d %14d %10.2f\n", cfg.Kind, peak, grew, float64(grew)/float64(peak))
 		if cfg.Kind == driver.JobTeraSort {
-			if bound := int64(teraRows*(workloads.DefaultTeraKeyBytes+workloads.DefaultTeraValBytes+24) + 256<<10); peak > bound {
-				t.Errorf("terasort arena peak %d bytes, want at most %d (rows × 44 + 256 KiB)", peak, bound)
+			if bound := int64(teraRows*(workloads.DefaultTeraKeyBytes+workloads.DefaultTeraValBytes) + 256<<10); peak > bound {
+				t.Errorf("terasort arena peak %d bytes, want at most %d (rows × 20 + 256 KiB)", peak, bound)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"encoding/hex"
 	mathrand "math/rand"
 	"os"
 	"sort"
@@ -39,7 +40,7 @@ func runCanonical(raw [][]byte) []byte {
 	for r, b := range raw {
 		blocks[r] = sortLines(b)
 	}
-	return canonicalize(blocks)
+	return canonicalize(blocks, nil)
 }
 
 func joinLines(lines []string) []byte {
@@ -227,4 +228,55 @@ func FuzzCanonicalize(f *testing.F) {
 			t.Fatalf("empty line survived in %q", want)
 		}
 	})
+}
+
+// TestCanonicalizeFormatsRows: binary rows canonicalize, through the kind's
+// format, to exactly what the oracle makes of the same rows written as hex
+// lines by encoding/hex — whether the ranks' sorted blocks arrive in order
+// (rank 0 formats them into the output and is done), interleaved, or in
+// reverse rank order (the boundary check fails and the lines are merged).
+func TestCanonicalizeFormatsRows(t *testing.T) {
+	k, err := JobConfig{Kind: JobTeraSort}.kind()
+	if err != nil || k.format == nil {
+		t.Fatalf("terasort has no format (%v)", err)
+	}
+	format := k.format
+	rowLen := format.key + format.val
+	rng := mathrand.New(mathrand.NewSource(1))
+	for _, shape := range []string{"in order", "interleaved", "reversed"} {
+		for _, ranks := range []int{1, 2, 5} {
+			// Few distinct bytes, so keys repeat and rows share long prefixes.
+			rows := make([][]byte, 300)
+			for i := range rows {
+				rows[i] = make([]byte, rowLen)
+				for j := range rows[i] {
+					rows[i][j] = byte(rng.Intn(3)) * 0x7f
+				}
+			}
+			sort.Slice(rows, func(i, j int) bool { return bytes.Compare(rows[i], rows[j]) < 0 })
+			blocks := make([][]byte, ranks)
+			for i, row := range rows {
+				r := i * ranks / len(rows)
+				switch shape {
+				case "interleaved":
+					r = i % ranks
+				case "reversed":
+					r = ranks - 1 - r
+				}
+				blocks[r] = append(blocks[r], row...)
+			}
+			lines := make([][]byte, ranks)
+			for r, b := range blocks {
+				for off := 0; off < len(b); off += rowLen {
+					line := hex.EncodeToString(b[off : off+format.key])
+					line += " " + hex.EncodeToString(b[off+format.key:off+rowLen]) + "\n"
+					lines[r] = append(lines[r], line...)
+				}
+			}
+			want := canonicalizeOracle(lines)
+			if got := canonicalize(blocks, format); !bytes.Equal(got, want) {
+				t.Errorf("%s, %d ranks: got %d bytes %.84q..., want %d bytes %.84q...", shape, ranks, len(got), got, len(want), want)
+			}
+		}
+	}
 }

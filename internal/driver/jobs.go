@@ -168,9 +168,11 @@ func (c JobConfig) NewEngine(comm *mpi.Comm, arena *mem.Arena, part partition.Pa
 // RunRank runs the job's stages on one rank's engine: the single place a
 // JobConfig becomes stage options and a workload call. fs (nil = free)
 // charges input reading. With out non-nil the rank's share of the canonical
-// output (see RunJob) is appended to it and result checks outside the timed
-// kernel (BFS tree validation) run; with out nil the job is measured only.
-// It returns the rank's stage stats and the executed round count.
+// output (see RunJob) is appended to it — as lines, or, for a kind with a
+// format (terasort), as the sorted binary rows RunJob formats at rank 0 —
+// and result checks outside the timed kernel (BFS tree validation) run; with
+// out nil the job is measured only. It returns the rank's stage stats and
+// the executed round count.
 func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (workloads.StageStats, int, error) {
 	k, err := c.kind()
 	if err != nil {
@@ -206,12 +208,14 @@ func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (w
 // transport or process layout. When sum is non-nil, every local rank records
 // its stage stats and total time into it (the per-rank distribution view).
 // Canonical formats, one line per record, in byte order of the lines (each
-// rank sorts its own block, rank 0 merges them):
+// rank sorts its own block, rank 0 keeps its own and gathers the others',
+// then merges them):
 //
 //	wordcount: "<word> <count>"           — one line per distinct word
 //	terasort: "<key hex> <payload hex>"  — one line per row; the byte
 //	          order of fixed-width hex equals key order, so the output is
-//	          the globally sorted row sequence
+//	          the globally sorted row sequence (the ranks ship binary
+//	          rows, and rank 0 writes the lines once, into the output)
 //	pagerank: "<vertex %016x> <score>"   — score in fixed-point units
 //	kmeans:   "<cluster %04d> <coords> n=<count>" (rank 0 only: the
 //	          all-gathered table is global)
@@ -220,6 +224,10 @@ func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (w
 //	          (rank 0 only: every rank holds the all-gathered dense sets)
 func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	k, err := cfg.kind()
+	if err != nil {
 		return nil, err
 	}
 	part, err := partition.ByName(cfg.Partitioner)
@@ -245,13 +253,24 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 			sum.Add("rank-sec", c.Clock().Now())
 		}
 		// Every rank sorts its own lines — most kinds stream them sorted
-		// already — so what is left for rank 0 is a merge of sorted blocks.
-		gathered, err := c.Gatherv(sortLines(mine.Bytes()), 0)
+		// already, and a kind with a format streams sorted rows — so what is
+		// left for rank 0 is a merge of sorted blocks. Rank 0's own block
+		// never crosses the gather.
+		block := mine.Bytes()
+		if k.format == nil {
+			block = sortLines(block)
+		}
+		send := block
+		if c.Rank() == 0 {
+			send = nil
+		}
+		gathered, err := c.Gatherv(send, 0)
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
-			out = canonicalize(gathered)
+			gathered[0] = block
+			out = canonicalize(gathered, k.format)
 		}
 		return nil
 	})
@@ -279,10 +298,11 @@ func nextLine(block []byte) (line, rest []byte) {
 }
 
 // sortLines returns block's non-empty lines in sorted order, each ended by
-// '\n'. One linear pass proves that most blocks already are that (terasort,
-// pagerank, bfs, kmeans and octree stream in order) and returns them as they
-// came; only a block that fails it (wordcount's engine order) is sorted, by
-// line position — the bytes move once, into the result.
+// '\n'. One linear pass proves that most blocks already are that (pagerank,
+// bfs, kmeans and octree stream in order) and returns them as they came;
+// only a block that fails it (wordcount's engine order) is sorted, by line
+// position — the bytes move once, into the result. A kind with a format
+// (terasort) skips it: its block is binary rows, sorted by RunTeraSort.
 func sortLines(block []byte) []byte {
 	sorted := len(block) == 0 || block[len(block)-1] == '\n'
 	var prev []byte
@@ -313,10 +333,29 @@ func sortLines(block []byte) []byte {
 // canonicalize merges the ranks' sorted blocks (see sortLines) into the one
 // canonical global order. When the data says the blocks are also in order
 // among themselves — a range-partitioned job's are: rank order is key
-// order — that is their concatenation.
-func canonicalize(blocks [][]byte) []byte {
+// order — that is their concatenation. With a format the blocks are sorted
+// binary rows: they are formatted in rank order into one buffer of the
+// output's exact size, which is the result unless the same boundary check
+// fails on the lines.
+func canonicalize(blocks [][]byte, format *hexRows) []byte {
+	if format == nil {
+		if blocksInOrder(blocks) {
+			return bytes.Join(blocks, nil)
+		}
+		return mergeLines(blocks)
+	}
+	size := 0
+	for _, b := range blocks {
+		size += format.lineBytes(b)
+	}
+	out := make([]byte, 0, size)
+	for r, b := range blocks {
+		at := len(out)
+		out = format.appendLines(out, b)
+		blocks[r] = out[at:]
+	}
 	if blocksInOrder(blocks) {
-		return bytes.Join(blocks, nil)
+		return out
 	}
 	return mergeLines(blocks)
 }

@@ -30,6 +30,11 @@ type kind struct {
 	// run executes the kind's workload on one rank (see JobConfig.RunRank).
 	run func(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,
 		mr workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error)
+	// format is set for a kind whose sink writes fixed-width binary rows,
+	// already sorted, instead of canonical lines (terasort): rank 0 turns
+	// every rank's rows into lines once, straight into the output (see
+	// canonicalize). nil for the kinds whose sinks write the lines.
+	format *hexRows
 }
 
 var kinds = []kind{
@@ -41,9 +46,10 @@ var kinds = []kind{
 		run:  runWordCount,
 	},
 	{
-		name: JobTeraSort,
-		hint: func(*JobConfig) kvbuf.Hint { return workloads.TeraSortHint(workloads.TeraSortConfig{}) },
-		run:  runTeraSort,
+		name:   JobTeraSort,
+		hint:   func(*JobConfig) kvbuf.Hint { return workloads.TeraSortHint(workloads.TeraSortConfig{}) },
+		run:    runTeraSort,
+		format: &hexRows{key: workloads.DefaultTeraKeyBytes, val: workloads.DefaultTeraValBytes},
 	},
 	{
 		name:      JobPageRank,
@@ -113,19 +119,69 @@ func runTeraSort(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.St
 	_ workloads.MultiRound, out *bytes.Buffer) (workloads.StageStats, int, error) {
 	var sink func(k, v []byte) error
 	if out != nil {
-		// Every line is the same width and the sampled ranges leave this rank
-		// close to an even share of the rows: buy the block once, with slack.
-		line := int64(2*(workloads.DefaultTeraKeyBytes+workloads.DefaultTeraValBytes) + 2)
+		// The rows go out as they are (the kind's format makes them lines at
+		// rank 0), and the sampled ranges leave this rank close to an even
+		// share of them: buy the block once, with slack.
+		row := int64(workloads.DefaultTeraKeyBytes + workloads.DefaultTeraValBytes)
 		share := c.Rows/int64(e.Comm().Size()) + 1
-		out.Grow(int((share + share/8) * line))
+		out.Grow(int((share + share/8) * row))
 		sink = func(k, v []byte) error {
-			b := append(hex.AppendEncode(out.AvailableBuffer(), k), ' ')
-			out.Write(append(hex.AppendEncode(b, v), '\n'))
+			out.Write(append(append(out.AvailableBuffer(), k...), v...))
 			return nil
 		}
 	}
 	res, err := workloads.RunTeraSort(e, fs, workloads.TeraSortConfig{Rows: c.Rows, Seed: c.Seed}, opts, sink)
 	return res.Stats, res.Rounds, err
+}
+
+// hexRows writes fixed-width binary rows — key bytes, then val bytes — as
+// the canonical "<key hex> <val hex>\n" lines. Every line has the same
+// width, so the lines of a block are sized before a byte is written, and
+// fixed-width lower-case hex sorts exactly as the rows do.
+type hexRows struct{ key, val int }
+
+// hexPairs[b] is b as two lower-case hex digits.
+var hexPairs = func() (t [256][2]byte) {
+	const digits = "0123456789abcdef"
+	for b := range t {
+		t[b] = [2]byte{digits[b>>4], digits[b&15]}
+	}
+	return t
+}()
+
+// lineBytes is the length of the lines block's rows make.
+func (h *hexRows) lineBytes(block []byte) int {
+	row := h.key + h.val
+	return len(block) / row * (2*row + 2)
+}
+
+// appendLines appends the lines of block's rows to dst.
+func (h *hexRows) appendLines(dst, block []byte) []byte {
+	n, size := len(dst), h.lineBytes(block)
+	dst = slices.Grow(dst, size)[:n+size]
+	line := dst[n:]
+	row, width := h.key+h.val, 2*(h.key+h.val)+2
+	for ; len(block) >= row && len(line) >= width; block, line = block[row:], line[width:] {
+		putHex(line, block[:h.key])
+		line[2*h.key] = ' '
+		putHex(line[2*h.key+1:], block[h.key:row])
+		line[width-1] = '\n'
+	}
+	return dst
+}
+
+// putHex writes src as lower-case hex into dst[:2*len(src)], eight digits
+// to a store.
+func putHex(dst, src []byte) {
+	dst = dst[:2*len(src)]
+	pair := func(b byte) uint64 { return uint64(binary.LittleEndian.Uint16(hexPairs[b][:])) }
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		binary.LittleEndian.PutUint64(dst[2*i:], pair(src[i])|pair(src[i+1])<<16|pair(src[i+2])<<32|pair(src[i+3])<<48)
+	}
+	for ; i < len(src); i++ {
+		dst[2*i], dst[2*i+1] = hexPairs[src[i]][0], hexPairs[src[i]][1]
+	}
 }
 
 func runPageRank(e workloads.Engine, fs *pfs.FS, c *JobConfig, opts workloads.StageOpts,

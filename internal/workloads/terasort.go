@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mimir/internal/core"
 	"mimir/internal/kvbuf"
@@ -148,18 +147,15 @@ func RunTeraSort(e Engine, fs *pfs.FS, cfg TeraSortConfig, opts StageOpts,
 	sopts.Combiner = nil
 	sopts.PartialReduce = nil
 
-	// Rows collect into one flat block of fixed-width rows; the sort then
-	// permutes a 16-byte entry per row (see sortRows), never the rows. The
-	// arena charge per row is the row plus 24 B for the sort's index: the
-	// entry, and half of its twin while the radix passes ping-pong between
-	// two arrays. RunStage drains the stage's output into the block, freeing
-	// each output page as soon as its rows are copied, so the rank's peak is
-	// the block plus the shuffle's in-flight pages, not the rows twice:
-	// TestArenaPeakPerKind holds it under rows × 44 B + 256 KiB, and
-	// BENCH_mrc.json and bench/'s peak_arena_bytes record it byte for byte.
+	// Rows collect into one flat block of fixed-width rows, which the local
+	// sort then permutes in place (see radixSortRows): no index, so the
+	// arena charge is the row itself. RunStage drains the stage's output
+	// into the block, freeing each output page as soon as its rows are
+	// copied, so the rank's peak is the block plus the shuffle's in-flight
+	// pages, not the rows twice: TestArenaPeakPerKind holds it under
+	// rows × 20 B + 256 KiB, and bench/'s peak_arena_bytes records it.
 	arena := engineArena(e)
 	rowLen := cfg.KeyBytes + cfg.ValBytes
-	rowBytes := int64(rowLen + 24)
 	// The sampled ranges balance the ranks to within a few percent of the
 	// even share; past the slack the block grows like any slice.
 	_, share := teraShare(cfg.Rows, comm.Rank(), comm.Size())
@@ -176,10 +172,10 @@ func RunTeraSort(e Engine, fs *pfs.FS, cfg TeraSortConfig, opts StageOpts,
 	input := TeraSortInput(cfg, comm.Rank(), comm.Size())
 	stats, err := e.RunStage(sopts, input, identity, nil, func(k, v []byte) error {
 		if arena != nil {
-			if err := arena.Alloc(rowBytes); err != nil {
+			if err := arena.Alloc(int64(rowLen)); err != nil {
 				return fmt.Errorf("workloads: collecting sort block: %w", err)
 			}
-			charged += rowBytes
+			charged += int64(rowLen)
 		}
 		block = append(append(block, k...), v...)
 		return nil
@@ -194,10 +190,10 @@ func RunTeraSort(e Engine, fs *pfs.FS, cfg TeraSortConfig, opts StageOpts,
 	// Local sort finishes the job. Rows compare as (key, payload) — the
 	// fixed widths make whole-row bytes.Compare exactly that — so equal
 	// keys still have one canonical order and the output is reproducible.
-	order := sortRows(block, rowLen)
+	radixSortRows(block, rowLen)
 	if sink != nil {
-		for _, ent := range order {
-			row := block[ent.idx*rowLen:][:rowLen]
+		for off := 0; off < len(block); off += rowLen {
+			row := block[off : off+rowLen]
 			if err := sink(row[:cfg.KeyBytes], row[cfg.KeyBytes:]); err != nil {
 				return res, err
 			}
@@ -206,80 +202,138 @@ func RunTeraSort(e Engine, fs *pfs.FS, cfg TeraSortConfig, opts StageOpts,
 	return res, nil
 }
 
-// sortEntry stands for one row in the in-rank sort: the row's first eight
-// bytes as a big-endian integer (zero-padded on the right when the row is
-// shorter) and the row's index in the block (an int: alignment rounds the
-// entry to 16 bytes whatever the index width, so a narrower one would save
-// nothing and add a row count to guard).
-type sortEntry struct {
-	prefix uint64
-	idx    int
+// insertionRows is the row count below which radixSortRows finishes a
+// bucket by insertion sort: there a counting pass over 256 buckets costs
+// more than the few row moves it saves.
+const insertionRows = 32
+
+// radixSortRows sorts block's rowLen-byte rows in place into bytes.Compare
+// order over whole rows — the local phase of sample sort, which needs only
+// the rows themselves (Goodrich et al., 1101.1902): an in-place MSD radix
+// sort (American flag sort). For byte d it counts the rows per byte value,
+// cycles the rows into their buckets through one scratch row, and sorts
+// each bucket on byte d+1; the bytes every row of a bucket shares are
+// skipped after one pass that finds them, and a bucket under insertionRows
+// rows is finished by insertion sort. The sort is not stable, which no
+// caller can see: rows that compare equal are equal bytes.
+// (BenchmarkTeraLocalSort holds the index radix sort this replaced and a
+// comparison sort next to it.)
+func radixSortRows(block []byte, rowLen int) {
+	if len(block) >= 2*rowLen {
+		sortRowsFrom(block, rowLen, 0, make([]byte, rowLen))
+	}
 }
 
-// sortRows returns the order that sorts block's rowLen-byte rows by
-// bytes.Compare over whole rows — the local phase of sample sort. Integer
-// order on the prefixes is byte order on the rows' first eight bytes, so the
-// entries go through an LSD radix sort on the prefix: one stable counting
-// pass per prefix byte, least significant first, skipping a byte every row
-// agrees on. That is linear in the row count and moves 16-byte entries
-// whatever the row width; rows are read again only where prefixes tie, each
-// such run ordered by the rest of its rows. (BenchmarkTeraLocalSort holds the
-// comparison sort this was chosen over next to it: 3-4x slower on random
-// keys, which is what a sort's rows are; somewhat faster only where the
-// prefix decides nothing or the rows arrive sorted.)
-func sortRows(block []byte, rowLen int) []sortEntry {
+// sortRowsFrom sorts block's rows, which agree on their first d bytes, by
+// the rest of each row; tmp is a rowLen-byte scratch row.
+func sortRowsFrom(block []byte, rowLen, d int, tmp []byte) {
 	n := len(block) / rowLen
-	order := make([]sortEntry, n)
-	var counts [8][256]int // counts[d][b]: rows whose prefix byte d (0 = lowest) is b
-	var pad [8]byte
-	for i := range order {
-		row := block[i*rowLen:][:rowLen]
-		if rowLen < 8 {
-			copy(pad[:], row) // the tail past rowLen stays zero
-			row = pad[:]
-		}
-		p := binary.BigEndian.Uint64(row)
-		order[i] = sortEntry{prefix: p, idx: i}
-		for d := range counts {
-			counts[d][byte(p>>(8*d))]++
+	if n < insertionRows {
+		insertionSortRows(block, rowLen, d, tmp)
+		return
+	}
+	// Skip the bytes every row shares: one pass that narrows the prefix the
+	// first row has in common with all the others.
+	first := block[:rowLen]
+	shared := rowLen
+	for off := rowLen; off < len(block) && shared > d; off += rowLen {
+		shared = d + commonPrefix(first[d:shared], block[off+d:off+shared])
+	}
+	if d = shared; d == rowLen {
+		return // the rows are equal
+	}
+	var next, end [256]int // bucket b's unplaced rows are [next[b], end[b])
+	for off := d; off < len(block); off += rowLen {
+		next[block[off]]++
+	}
+	at := 0
+	for b, rows := range next {
+		next[b], at = at, at+rows
+		end[b] = at
+	}
+	for b := range next {
+		for i := next[b]; i < end[b]; i = next[b] {
+			if block[i*rowLen+d] == byte(b) {
+				next[b]++
+				continue
+			}
+			// Row i belongs elsewhere: lift it out and follow the cycle,
+			// each step dropping the held row into the first slot of its
+			// bucket that holds a stranger and picking that stranger up,
+			// until the held row belongs in bucket b, at slot i.
+			hole := block[i*rowLen:][:rowLen]
+			copy(tmp, hole)
+			for v := tmp[d]; v != byte(b); v = tmp[d] {
+				j := next[v]
+				for block[j*rowLen+d] == v {
+					j++ // a row already in its bucket
+				}
+				next[v] = j + 1
+				swapRows(tmp, block[j*rowLen:][:rowLen])
+			}
+			copy(hole, tmp)
+			next[b]++
 		}
 	}
-	if n < 2 {
-		return order
+	if d+1 == rowLen {
+		return // each bucket's rows are equal
 	}
-	spare := make([]sortEntry, n)
-	for d := range counts {
-		c, shift := &counts[d], 8*d
-		if c[byte(order[0].prefix>>shift)] == n {
-			continue
-		}
-		at := 0
-		for b, rows := range c {
-			c[b], at = at, at+rows
-		}
-		for _, ent := range order {
-			b := byte(ent.prefix >> shift)
-			spare[c[b]] = ent
-			c[b]++
-		}
-		order, spare = spare, order
-	}
-	if rowLen <= 8 {
-		return order // the prefix is the whole row
-	}
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && order[hi].prefix == order[lo].prefix {
-			hi++
-		}
+	lo := 0
+	for _, hi := range end {
 		if hi-lo > 1 {
-			slices.SortFunc(order[lo:hi], func(a, b sortEntry) int {
-				return bytes.Compare(block[a.idx*rowLen+8:][:rowLen-8], block[b.idx*rowLen+8:][:rowLen-8])
-			})
+			sortRowsFrom(block[lo*rowLen:hi*rowLen], rowLen, d+1, tmp)
 		}
 		lo = hi
 	}
-	return order
+}
+
+// commonPrefix is the length of the longest common prefix of a and b, which
+// are the same length; it compares eight bytes at a time.
+func commonPrefix(a, b []byte) int {
+	b = b[:len(a)]
+	k := 0
+	for ; k+8 <= len(a); k += 8 {
+		if binary.LittleEndian.Uint64(a[k:]) != binary.LittleEndian.Uint64(b[k:]) {
+			break
+		}
+	}
+	for k < len(a) && a[k] == b[k] {
+		k++
+	}
+	return k
+}
+
+// swapRows exchanges the bytes of two rows of the same width, eight at a
+// time.
+func swapRows(a, b []byte) {
+	b = b[:len(a)]
+	k := 0
+	for ; k+8 <= len(a); k += 8 {
+		x, y := binary.LittleEndian.Uint64(a[k:]), binary.LittleEndian.Uint64(b[k:])
+		binary.LittleEndian.PutUint64(a[k:], y)
+		binary.LittleEndian.PutUint64(b[k:], x)
+	}
+	for ; k < len(a); k++ {
+		a[k], b[k] = b[k], a[k]
+	}
+}
+
+// insertionSortRows sorts block's rows, which agree on their first d bytes,
+// by insertion: each row is compared from byte d against the sorted rows
+// ahead of it and moved once, through tmp, to its place.
+func insertionSortRows(block []byte, rowLen, d int, tmp []byte) {
+	for i := rowLen; i < len(block); i += rowLen {
+		rest := block[i+d : i+rowLen]
+		j := i
+		for j > 0 && bytes.Compare(block[j-rowLen+d:j], rest) > 0 {
+			j -= rowLen
+		}
+		if j < i {
+			copy(tmp, block[i:i+rowLen])
+			copy(block[j+rowLen:i+rowLen], block[j:i])
+			copy(block[j:j+rowLen], tmp)
+		}
+	}
 }
 
 // VerifyTeraSort is the sorted-output oracle: given every rank's output
@@ -324,19 +378,24 @@ func VerifyTeraSort(cfg TeraSortConfig, blocks [][]byte) error {
 	if total != cfg.Rows {
 		return fmt.Errorf("terasort: output has %d rows, input had %d", total, cfg.Rows)
 	}
-	// Multiset equality: regenerate the input, sort it the same way, and
-	// compare row-for-row against the (already sorted) output.
-	want := make([][]byte, cfg.Rows)
-	for i := int64(0); i < cfg.Rows; i++ {
-		row := make([]byte, rowLen)
-		teraRow(cfg.Seed, i, row[:cfg.KeyBytes], row[cfg.KeyBytes:])
-		want[i] = row
+	// Multiset equality: regenerate the input into one flat block, order
+	// its rows by a comparison sort over row indices — independent of the
+	// radix sort under test — and compare row for row against the (already
+	// sorted) output.
+	input := make([]byte, cfg.Rows*int64(rowLen))
+	order := make([]int, cfg.Rows)
+	for i := range order {
+		row := input[i*rowLen:][:rowLen]
+		teraRow(cfg.Seed, int64(i), row[:cfg.KeyBytes], row[cfg.KeyBytes:])
+		order[i] = i
 	}
-	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
-	i := int64(0)
+	slices.SortFunc(order, func(a, b int) int {
+		return bytes.Compare(input[a*rowLen:][:rowLen], input[b*rowLen:][:rowLen])
+	})
+	i := 0
 	for _, blk := range blocks {
 		for off := 0; off < len(blk); off += rowLen {
-			if !bytes.Equal(want[i], blk[off:off+rowLen]) {
+			if !bytes.Equal(input[order[i]*rowLen:][:rowLen], blk[off:off+rowLen]) {
 				return fmt.Errorf("terasort: row %d diverges from the input multiset", i)
 			}
 			i++

@@ -64,47 +64,94 @@ func sortBlock(shape int, n, rowLen int) []byte {
 	return block
 }
 
-// TestSortRowsAdversarial: on every shape and on rows narrower than, as wide
-// as and wider than the 8-byte prefix, the order sortRows returns is a
-// permutation that reads the rows exactly as sort.Slice + bytes.Compare
-// over a [][]byte row table orders them.
+// TestSortRowsAdversarial: on every shape, on rows narrower than, as wide
+// as and wider than eight bytes, and on row counts either side of the
+// insertion-sort cutoff, radixSortRows leaves the block holding exactly the
+// rows sort.Slice + bytes.Compare over a [][]byte row table gives.
 func TestSortRowsAdversarial(t *testing.T) {
-	const n = 700
 	for shape := range sortShapes {
 		for _, rowLen := range []int{1, 5, 8, 9, 20} {
-			t.Run(fmt.Sprintf("%s/%d", sortShapes[shape].name, rowLen), func(t *testing.T) {
-				block := sortBlock(shape, n, rowLen)
-				want := make([][]byte, n)
-				for i := range want {
-					want[i] = block[i*rowLen:][:rowLen]
-				}
-				sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
+			for _, n := range []int{0, 1, insertionRows - 1, insertionRows, insertionRows + 1, 700, 5000} {
+				t.Run(fmt.Sprintf("%s/%d/%d", sortShapes[shape].name, rowLen, n), func(t *testing.T) {
+					block := sortBlock(shape, n, rowLen)
+					want := make([][]byte, n)
+					for i := range want {
+						want[i] = bytes.Clone(block[i*rowLen:][:rowLen])
+					}
+					sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
 
-				order := sortRows(block, rowLen)
-				if len(order) != n {
-					t.Fatalf("%d entries for %d rows", len(order), n)
-				}
-				seen := make([]bool, n)
-				for i, ent := range order {
-					if ent.idx < 0 || ent.idx >= n || seen[ent.idx] {
-						t.Fatalf("entry %d: index %d is out of range or repeated", i, ent.idx)
+					radixSortRows(block, rowLen)
+					if len(block) != n*rowLen {
+						t.Fatalf("block is %d bytes, want %d", len(block), n*rowLen)
 					}
-					seen[ent.idx] = true
-					if got := block[ent.idx*rowLen:][:rowLen]; !bytes.Equal(got, want[i]) {
-						t.Fatalf("position %d: row %x, want %x", i, got, want[i])
+					for i := range want {
+						if got := block[i*rowLen:][:rowLen]; !bytes.Equal(got, want[i]) {
+							t.Fatalf("position %d: row %x, want %x", i, got, want[i])
+						}
 					}
-				}
-			})
+				})
+			}
 		}
-	}
-	if got := sortRows(nil, 20); len(got) != 0 {
-		t.Fatalf("empty block sorted into %d entries", len(got))
 	}
 }
 
-// sortRowsCompare is the comparison sort sortRows' radix passes replaced, kept
-// so BenchmarkTeraLocalSort can show the two side by side: slices.SortFunc on
-// the same entries, prefix first, the rest of the row on a tie.
+// sortEntry and sortRowsIndex are the index radix sort radixSortRows
+// replaced, kept as BenchmarkTeraLocalSort's baseline: a 16-byte {prefix,
+// idx} entry per row (the row's first eight bytes, big-endian), LSD radix
+// passes over the prefix ping-ponged through a second array, then runs of
+// equal prefixes ordered by the rest of their rows. The rows never move; the
+// caller walks them through the returned order.
+type sortEntry struct {
+	prefix uint64
+	idx    int
+}
+
+func sortRowsIndex(block []byte, rowLen int) []sortEntry {
+	n := len(block) / rowLen
+	order := make([]sortEntry, n)
+	var counts [8][256]int
+	for i := range order {
+		p := binary.BigEndian.Uint64(block[i*rowLen:])
+		order[i] = sortEntry{prefix: p, idx: i}
+		for d := range counts {
+			counts[d][byte(p>>(8*d))]++
+		}
+	}
+	spare := make([]sortEntry, n)
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if c[byte(order[0].prefix>>shift)] == n {
+			continue
+		}
+		at := 0
+		for b, rows := range c {
+			c[b], at = at, at+rows
+		}
+		for _, ent := range order {
+			b := byte(ent.prefix >> shift)
+			spare[c[b]] = ent
+			c[b]++
+		}
+		order, spare = spare, order
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && order[hi].prefix == order[lo].prefix {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b sortEntry) int {
+				return bytes.Compare(block[a.idx*rowLen+8:][:rowLen-8], block[b.idx*rowLen+8:][:rowLen-8])
+			})
+		}
+		lo = hi
+	}
+	return order
+}
+
+// sortRowsCompare is the comparison sort the index radix passes were chosen
+// over: slices.SortFunc on the same entries, prefix first, the rest of the
+// row on a tie.
 func sortRowsCompare(block []byte, rowLen int) []sortEntry {
 	order := make([]sortEntry, len(block)/rowLen)
 	for i := range order {
@@ -119,23 +166,51 @@ func sortRowsCompare(block []byte, rowLen int) []sortEntry {
 	return order
 }
 
+// localSortSink keeps BenchmarkTeraLocalSort's walks from being optimized
+// away.
+var localSortSink byte
+
 // BenchmarkTeraLocalSort times the in-rank sort on one rank's share of the
-// bench/ terasort workload (65 536 default rows): sortRows under the shape's
-// name, the comparison sort it was chosen over under "<shape>-compare".
+// bench/ terasort workload (65 536 default rows), each variant followed by
+// the walk the sink makes over the rows in sorted order: radixSortRows
+// under the shape's name, the index radix sort it replaced under
+// "<shape>-index", and the comparison sort over the same index under
+// "<shape>-compare". Restoring the unsorted block between iterations is not
+// timed.
 func BenchmarkTeraLocalSort(b *testing.B) {
 	const n, rowLen = 1 << 16, DefaultTeraKeyBytes + DefaultTeraValBytes
+	indexed := func(sortIndex func([]byte, int) []sortEntry) func([]byte) byte {
+		return func(block []byte) (sum byte) {
+			for _, ent := range sortIndex(block, rowLen) {
+				sum += block[ent.idx*rowLen+rowLen-1]
+			}
+			return sum
+		}
+	}
 	for shape, s := range sortShapes {
-		block := sortBlock(shape, n, rowLen)
+		input := sortBlock(shape, n, rowLen)
+		block := make([]byte, len(input))
 		for _, v := range []struct {
 			suffix string
-			sort   func([]byte, int) []sortEntry
-		}{{"", sortRows}, {"-compare", sortRowsCompare}} {
+			run    func([]byte) byte
+		}{
+			{"", func(block []byte) (sum byte) {
+				radixSortRows(block, rowLen)
+				for off := rowLen - 1; off < len(block); off += rowLen {
+					sum += block[off]
+				}
+				return sum
+			}},
+			{"-index", indexed(sortRowsIndex)},
+			{"-compare", indexed(sortRowsCompare)},
+		} {
 			b.Run(s.name+v.suffix, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if len(v.sort(block, rowLen)) != n {
-						b.Fatal("short order")
-					}
+					b.StopTimer()
+					copy(block, input)
+					b.StartTimer()
+					localSortSink += v.run(block)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
 			})

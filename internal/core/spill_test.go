@@ -17,8 +17,8 @@ import (
 // each, over a ~600-word vocabulary. The vocabulary is bounded so the
 // convert index fits the arena headroom (as real vocabularies must fit
 // real nodes), yet large enough that no single word's KMV record outgrows
-// a page — an oversized record must be resident in full to reduce, which
-// a 4-rank shared arena of a few dozen KiB cannot promise.
+// a page. Records that span pages are covered by internal/spill's
+// TestSpanningKMVRecord.
 func spillLines(n int) []string {
 	primes := [6]int{1, 7, 13, 29, 43, 71}
 	lines := make([]string, n)

@@ -561,6 +561,9 @@ func (s *Server) transition(o transOpts) error {
 // back); in-process ranks fall back to the failing job's suspect rank.
 func (s *Server) aliveFn(old Mesh, o transOpts, attempt int) func(membership.Member) bool {
 	probe := o.crash || attempt > 0
+	if o.crash && attempt == 0 && old.Alive != nil {
+		s.awaitSpawned(old.Alive)
+	}
 	return func(mb membership.Member) bool {
 		if mb.Rank == 0 {
 			return true
@@ -575,6 +578,29 @@ func (s *Server) aliveFn(old Mesh, o transOpts, attempt int) func(membership.Mem
 			return s.hasParked(mb.ID)
 		}
 		return mb.Rank != o.suspect
+	}
+}
+
+// crashSettleGrace bounds how long a crash transition waits for every
+// spawned worker's fate to show before it plans seats.
+const crashSettleGrace = 2 * time.Second
+
+// awaitSpawned holds a crash transition's plan until each spawned worker has
+// either exited or parked a rejoin on the admin socket. The mesh sees a dead
+// worker's connection drop a moment before the process is reaped, so a plan
+// cast at once can seat the dead process as a survivor, and that epoch's
+// bootstrap then waits out its whole accept deadline. Survivors rejoin as
+// soon as their transport dies, so the wait is normally milliseconds; after
+// crashSettleGrace the plan goes ahead on process liveness alone.
+func (s *Server) awaitSpawned(alive func(membership.MemberID) bool) {
+	deadline := time.Now().Add(crashSettleGrace)
+	for _, mb := range s.coord.View().Members {
+		if mb.Rank == 0 || mb.Kind != membership.KindSpawned {
+			continue
+		}
+		for alive(mb.ID) && !s.hasParked(mb.ID) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

@@ -19,9 +19,8 @@ import (
 // The input container is drained during pass 2, releasing its pages as they
 // are consumed. Every KMV record is reserved before pass 2 starts, though,
 // so pass 2 begins at input + output + index and only falls from there:
-// that sum, not max(input, output) + index, is convert's peak. Records that
-// may span pages, reserved a page at a time as pass 2 reaches them (ROADMAP
-// item 1(a), MR-MPI's multi-page KMV), would bring it down to
+// that sum, not max(input, output) + index, is convert's peak. Reserving
+// each record's pages only as pass 2 reaches them would bring it down to
 // max(input, output) + index.
 func Convert(in *KVC, arena *mem.Arena, pageSize int, hint Hint) (*KMVC, error) {
 	return ConvertOn(nil, in, arena, pageSize, hint)

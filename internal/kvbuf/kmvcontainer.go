@@ -1,6 +1,7 @@
 package kvbuf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -17,6 +18,15 @@ const kmvMetaBytes = 32
 //
 // Record layout: [klen?][nvals][key(+NUL?)] [vlen? value (+NUL?)]* — length
 // headers appear only for varlen sides, per the container's hint.
+//
+// On a PageStore, a record larger than the page size spans a run of
+// ordinary pages (MR-MPI's multi-block KMV) instead of one oversized page,
+// and is written and read a page at a time: its key and values may cross
+// page boundaries, and at most one of its pages is pinned at once. So no
+// record ever needs to be resident in full — a hot key's value list can
+// exceed everything the node has left above the pinned and unevictable
+// bytes. Without a store every page is resident anyway and such a record
+// keeps its dedicated page.
 type KMVC struct {
 	arena *mem.Arena
 	buf   *pagedBuf
@@ -66,28 +76,68 @@ func (c *KMVC) NewRecord(key []byte, nvals, valBytes int) (int, error) {
 		return 0, err
 	}
 	size := c.recordSize(len(key), nvals, valBytes)
-	r, err := c.buf.reserve(size)
+	span := c.spans(size)
+	var r ref
+	var err error
+	if span {
+		r, err = c.buf.reserveSpan(size)
+	} else {
+		r, err = c.buf.reserve(size)
+	}
 	if err != nil {
 		return 0, err
 	}
 	if err := c.buf.reserveMeta(kmvMetaBytes); err != nil {
 		return 0, err
 	}
-	buf := c.buf.at(r, size)
+	hlen := c.hint.Key.headerSize() + 4 + c.hint.Key.dataSize(len(key))
+	var hdr []byte
+	if span {
+		hdr = make([]byte, hlen)
+	} else {
+		hdr = c.buf.at(r, hlen)
+	}
 	pos := 0
 	if c.hint.Key.IsVarlen() {
-		binary.LittleEndian.PutUint32(buf[pos:], uint32(len(key)))
+		binary.LittleEndian.PutUint32(hdr[pos:], uint32(len(key)))
 		pos += 4
 	}
-	binary.LittleEndian.PutUint32(buf[pos:], uint32(nvals))
+	binary.LittleEndian.PutUint32(hdr[pos:], uint32(nvals))
 	pos += 4
-	pos += copy(buf[pos:], key)
+	pos += copy(hdr[pos:], key)
 	if c.hint.Key.kind == kindStrZ {
-		buf[pos] = 0
-		pos++
+		hdr[pos] = 0
 	}
-	c.recs = append(c.recs, kmvRec{r: r, size: size, keyLen: len(key), nvals: nvals, cursor: pos})
+	if span {
+		if err := c.writeSpan(r, 0, hdr); err != nil {
+			return 0, err
+		}
+	}
+	c.recs = append(c.recs, kmvRec{r: r, size: size, keyLen: len(key), nvals: nvals, cursor: hlen})
 	return len(c.recs) - 1, nil
+}
+
+// spans reports whether a record of size bytes runs across pages.
+func (c *KMVC) spans(size int) bool {
+	return c.buf.store != nil && size > c.buf.pageSize
+}
+
+// writeSpan copies b to offset pos of the spanning record at r, pinning
+// and dirtying each page it touches in turn.
+func (c *KMVC) writeSpan(r ref, pos int, b []byte) error {
+	ps := c.buf.pageSize
+	for len(b) > 0 {
+		pg, off := r.page()+pos/ps, pos%ps
+		p, err := c.buf.pinPage(pg)
+		if err != nil {
+			return err
+		}
+		n := copy(p.Buf[off:ps], b)
+		c.buf.markDirty(pg)
+		c.buf.unpinPage(pg)
+		b, pos = b[n:], pos+n
+	}
+	return nil
 }
 
 // AppendValue writes the next value into record id (pass two of convert).
@@ -108,6 +158,9 @@ func (c *KMVC) AppendValue(id int, v []byte) error {
 	}
 	if c.buf.store == nil {
 		return c.putValue(id, rec, v)
+	}
+	if c.spans(rec.size) {
+		return c.putSpanValue(id, rec, v)
 	}
 	page := rec.r.page()
 	if _, err := c.buf.pinPage(page); err != nil {
@@ -134,6 +187,36 @@ func (c *KMVC) putValue(id int, rec *kmvRec, v []byte) error {
 	pos += copy(buf[pos:], v)
 	if c.hint.Val.kind == kindStrZ {
 		buf[pos] = 0
+		pos++
+	}
+	rec.cursor = pos
+	rec.written++
+	return nil
+}
+
+// putSpanValue is putValue for a record that runs across pages.
+func (c *KMVC) putSpanValue(id int, rec *kmvRec, v []byte) error {
+	need := c.hint.Val.headerSize() + c.hint.Val.dataSize(len(v))
+	if rec.cursor+need > rec.size {
+		return fmt.Errorf("kvbuf: KMV record %d overflow: value of %d bytes exceeds reserved space", id, len(v))
+	}
+	pos := rec.cursor
+	if c.hint.Val.IsVarlen() {
+		var h [4]byte
+		binary.LittleEndian.PutUint32(h[:], uint32(len(v)))
+		if err := c.writeSpan(rec.r, pos, h[:]); err != nil {
+			return err
+		}
+		pos += 4
+	}
+	if err := c.writeSpan(rec.r, pos, v); err != nil {
+		return err
+	}
+	pos += len(v)
+	if c.hint.Val.kind == kindStrZ {
+		if err := c.writeSpan(rec.r, pos, []byte{0}); err != nil {
+			return err
+		}
 		pos++
 	}
 	rec.cursor = pos
@@ -173,12 +256,22 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 		hi = len(c.recs)
 	}
 	it := &ValueIter{} // one per call, reset per record: fn must not keep it
+	var sr *spanReader
 	for i := lo; i < hi; i++ {
 		rec := &c.recs[i]
 		if rec.written != rec.nvals {
 			return fmt.Errorf("kvbuf: KMV record %d incomplete: %d of %d values", i, rec.written, rec.nvals)
 		}
-		// Records never straddle pages, so pinning the record's page keeps
+		if c.spans(rec.size) {
+			if sr == nil {
+				sr = &spanReader{buf: c.buf, pinned: -1}
+			}
+			if err := c.scanSpan(rec, it, sr, fn); err != nil {
+				return err
+			}
+			continue
+		}
+		// Any other record sits on one page, so pinning that page keeps
 		// the key and every value resident for the callback. Reduce thereby
 		// streams spilled records back page by page.
 		if _, err := c.buf.pinPage(rec.r.page()); err != nil {
@@ -196,6 +289,108 @@ func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error)
 		}
 	}
 	return nil
+}
+
+// scanSpan hands fn one spanning record. The key is copied out, since it
+// must outlive the page switches of the value scan.
+func (c *KMVC) scanSpan(rec *kmvRec, it *ValueIter, sr *spanReader, fn func(key []byte, vals *ValueIter) error) error {
+	sr.first, sr.base, sr.err = rec.r.page(), 0, nil
+	hpos := c.hint.Key.headerSize() + 4
+	sr.key = append(sr.key[:0], sr.read(hpos, rec.keyLen)...)
+	if sr.err != nil {
+		sr.release()
+		return sr.err
+	}
+	key := sr.key
+	sr.base = hpos + c.hint.Key.dataSize(rec.keyLen)
+	*it = ValueIter{n: rec.nvals, mode: c.hint.Val, span: sr}
+	err := fn(key, it)
+	sr.release()
+	if sr.err != nil {
+		return sr.err
+	}
+	return err
+}
+
+// spanReader reads a record that runs across consecutive pages, holding at
+// most one of them pinned. Bytes that cross a page boundary are copied into
+// scratch, so a slice read returns is valid only until the next read. A
+// failed pin is kept in err and ends the read.
+type spanReader struct {
+	buf     *pagedBuf
+	first   int // the record's first page
+	base    int // record offset that read position 0 maps to
+	pinned  int // page held pinned, or -1
+	page    *mem.Page
+	key     []byte
+	scratch []byte
+	err     error
+}
+
+// pin makes pg the one pinned page.
+func (sr *spanReader) pin(pg int) bool {
+	if sr.pinned == pg {
+		return true
+	}
+	sr.release()
+	p, err := sr.buf.pinPage(pg)
+	if err != nil {
+		sr.err = err
+		return false
+	}
+	sr.pinned, sr.page = pg, p
+	return true
+}
+
+func (sr *spanReader) release() {
+	if sr.pinned >= 0 {
+		sr.buf.unpinPage(sr.pinned)
+		sr.pinned, sr.page = -1, nil
+	}
+}
+
+// read returns the n bytes at position pos, or nil after a failed pin.
+func (sr *spanReader) read(pos, n int) []byte {
+	if n == 0 {
+		return []byte{}
+	}
+	ps := sr.buf.pageSize
+	pos += sr.base
+	pg, off := sr.first+pos/ps, pos%ps
+	if off+n <= ps {
+		if !sr.pin(pg) {
+			return nil
+		}
+		return sr.page.Buf[off : off+n]
+	}
+	sr.scratch = sr.scratch[:0]
+	for n > 0 {
+		if !sr.pin(pg) {
+			return nil
+		}
+		k := min(n, ps-off)
+		sr.scratch = append(sr.scratch, sr.page.Buf[off:off+k]...)
+		n -= k
+		pg, off = pg+1, 0
+	}
+	return sr.scratch
+}
+
+// zeroAt returns the position of the first NUL at or after pos (pos after
+// a failed pin).
+func (sr *spanReader) zeroAt(pos int) int {
+	ps := sr.buf.pageSize
+	at := pos + sr.base
+	for {
+		pg, off := sr.first+at/ps, at%ps
+		if !sr.pin(pg) {
+			return pos
+		}
+		if i := bytes.IndexByte(sr.page.Buf[off:ps], 0); i >= 0 {
+			return at + i - sr.base
+		}
+		at += ps - off
+	}
 }
 
 // Free releases all pages and metadata back to the arena.
@@ -219,16 +414,21 @@ type ValueIter struct {
 	mode LenMode
 	pos  int
 	i    int
+	span *spanReader // set when the record runs across pages; buf is unused
 }
 
 // Len returns the total number of values.
 func (it *ValueIter) Len() int { return it.n }
 
 // Next returns the next value, or (nil, false) when exhausted. The slice
-// aliases container memory.
+// aliases container memory; for a record that spans pages it is valid only
+// until the next call.
 func (it *ValueIter) Next() ([]byte, bool) {
 	if it.i >= it.n {
 		return nil, false
+	}
+	if it.span != nil {
+		return it.nextSpan()
 	}
 	var v []byte
 	switch it.mode.kind {
@@ -246,6 +446,38 @@ func (it *ValueIter) Next() ([]byte, bool) {
 			it.pos++
 		}
 		v = it.buf[start:it.pos]
+		it.pos++ // NUL
+	}
+	it.i++
+	return v, true
+}
+
+// nextSpan is Next for a record that spans pages. A failed pin ends the
+// iteration; the scan that made the iterator reports it.
+func (it *ValueIter) nextSpan() ([]byte, bool) {
+	sr := it.span
+	var n int
+	switch it.mode.kind {
+	case kindVarlen:
+		if h := sr.read(it.pos, 4); sr.err == nil {
+			n = int(binary.LittleEndian.Uint32(h))
+		}
+		it.pos += 4
+	case kindFixed:
+		n = it.mode.n
+	case kindStrZ:
+		n = sr.zeroAt(it.pos) - it.pos
+	}
+	var v []byte
+	if sr.err == nil {
+		v = sr.read(it.pos, n)
+	}
+	if sr.err != nil {
+		it.i = it.n
+		return nil, false
+	}
+	it.pos += n
+	if it.mode.kind == kindStrZ {
 		it.pos++ // NUL
 	}
 	it.i++

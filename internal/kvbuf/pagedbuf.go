@@ -7,11 +7,12 @@ import (
 )
 
 // pagedBuf is an append-only byte store built from fixed-size arena pages.
-// Records never straddle page boundaries: an append that does not fit in the
-// current page's remainder opens a new page, and a record larger than the
-// page size gets a dedicated oversized page. This mirrors how the paper's
-// containers "gradually allocate more memory to store the data" in
-// fixed-size units to avoid fragmentation.
+// Records appended with reserve never straddle page boundaries: an append
+// that does not fit in the current page's remainder opens a new page, and a
+// record larger than the page size gets a dedicated oversized page;
+// reserveSpan lays such a record across a run of ordinary pages instead.
+// This mirrors how the paper's containers "gradually allocate more memory
+// to store the data" in fixed-size units to avoid fragmentation.
 //
 // With a PageStore attached, pages are registered for out-of-core eviction:
 // the buffer seals the previous page whenever it opens a new one (the last
@@ -108,6 +109,24 @@ func (pb *pagedBuf) reserve(n int) (ref, error) {
 	off := p.Used
 	p.Used += n
 	return makeRef(len(pb.pages)-1, off), nil
+}
+
+// reserveSpan allocates n bytes as a run of consecutive pageSize pages,
+// starting at offset 0 of a fresh page: byte i of the range lives on page
+// r.page() + i/pageSize at offset i%pageSize, and the last page's remainder
+// stays the append head. In store mode each page is sealed as the next one
+// opens, so the run is never resident as a whole and its bytes are reached
+// one page at a time through pinPage (see KMVC's spanning records).
+func (pb *pagedBuf) reserveSpan(n int) (ref, error) {
+	first := len(pb.pages)
+	for left := n; left > 0; left -= pb.pageSize {
+		p, err := pb.newPage(pb.pageSize)
+		if err != nil {
+			return 0, err
+		}
+		p.Used = min(left, pb.pageSize)
+	}
+	return makeRef(first, 0), nil
 }
 
 // append copies b into the buffer and returns its ref.

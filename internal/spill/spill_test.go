@@ -650,3 +650,96 @@ func TestOversizedRecord(t *testing.T) {
 		t.Fatalf("arena holds %d bytes after Free", arena.Used())
 	}
 }
+
+// TestSpanningKMVRecord: on a store, a KMV record larger than the page
+// spans ordinary pages, so a hot key whose record is bigger than the whole
+// arena still builds, spills and scans back intact under every length mode
+// — with its key and values crossing page boundaries.
+func TestSpanningKMVRecord(t *testing.T) {
+	const pageSize = 128
+	hotKey := bytes.Repeat([]byte("k"), 200) // the header alone spans two pages
+	value := func(mode string, i int) []byte {
+		if mode == "fixed" {
+			return []byte(fmt.Sprintf("%08d", i))
+		}
+		return bytes.Repeat([]byte{'a' + byte(i%26)}, i%37) // empty values too
+	}
+	for _, tc := range []struct {
+		mode string
+		hint kvbuf.Hint
+	}{
+		{"varlen", kvbuf.DefaultHint()},
+		{"strz", kvbuf.Hint{Key: kvbuf.StrZ(), Val: kvbuf.StrZ()}},
+		{"fixed", kvbuf.Hint{Key: kvbuf.Varlen(), Val: kvbuf.Fixed(8)}},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			s, arena, _, _ := newTestStore(t, 6*pageSize, WhenNeeded)
+			kmv := kvbuf.NewKMVCOn(s, arena, pageSize, tc.hint)
+			const hotVals = 300
+			keys := [][]byte{[]byte("before"), hotKey, []byte("after")}
+			counts := []int{3, hotVals, 4}
+			want := make([][][]byte, len(keys))
+			for r := range keys {
+				valBytes := 0
+				for i := 0; i < counts[r]; i++ {
+					v := value(tc.mode, r*1000+i)
+					want[r] = append(want[r], v)
+					valBytes += len(v)
+				}
+				if _, err := kmv.NewRecord(keys[r], counts[r], valBytes); err != nil {
+					t.Fatalf("NewRecord %d: %v", r, err)
+				}
+			}
+			// Pass 2 interleaves the records, as convert's scatter does.
+			for i := 0; i < hotVals; i++ {
+				for r := range keys {
+					if i < counts[r] {
+						if err := kmv.AppendValue(r, want[r][i]); err != nil {
+							t.Fatalf("AppendValue(%d, #%d): %v", r, i, err)
+						}
+					}
+				}
+			}
+			if kmv.Bytes() <= arena.Capacity() {
+				t.Fatalf("records hold %d bytes, want more than the %d-byte arena", kmv.Bytes(), arena.Capacity())
+			}
+			r := 0
+			err := kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
+				if !bytes.Equal(key, keys[r]) {
+					return fmt.Errorf("record %d: key %q, want %q", r, key, keys[r])
+				}
+				for pass := 0; pass < 2; pass++ { // Reset rewinds across pages
+					i := 0
+					for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+						if i >= len(want[r]) || !bytes.Equal(v, want[r][i]) {
+							return fmt.Errorf("record %d value %d: %q, want %q", r, i, v, want[r][i])
+						}
+						i++
+					}
+					if i != counts[r] {
+						return fmt.Errorf("record %d: %d values, want %d", r, i, counts[r])
+					}
+					vals.Reset()
+				}
+				if !bytes.Equal(key, keys[r]) {
+					return fmt.Errorf("record %d: key changed to %q during the value scan", r, key)
+				}
+				r++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r != len(keys) {
+				t.Fatalf("scanned %d records, want %d", r, len(keys))
+			}
+			if st := s.Stats(); st.SpilledBytes == 0 || st.Restores == 0 {
+				t.Fatalf("no spill traffic: %+v", st)
+			}
+			kmv.Free()
+			if arena.Used() != 0 {
+				t.Fatalf("arena holds %d bytes after Free", arena.Used())
+			}
+		})
+	}
+}

@@ -71,27 +71,35 @@ func sortBlock(shape int, n, rowLen int) []byte {
 func TestSortRowsAdversarial(t *testing.T) {
 	for shape := range sortShapes {
 		for _, rowLen := range []int{1, 5, 8, 9, 20} {
-			for _, n := range []int{0, 1, insertionRows - 1, insertionRows, insertionRows + 1, 700, 5000} {
-				t.Run(fmt.Sprintf("%s/%d/%d", sortShapes[shape].name, rowLen, n), func(t *testing.T) {
-					block := sortBlock(shape, n, rowLen)
-					want := make([][]byte, n)
-					for i := range want {
-						want[i] = bytes.Clone(block[i*rowLen:][:rowLen])
-					}
-					sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
-
-					radixSortRows(block, rowLen)
-					if len(block) != n*rowLen {
-						t.Fatalf("block is %d bytes, want %d", len(block), n*rowLen)
-					}
-					for i := range want {
-						if got := block[i*rowLen:][:rowLen]; !bytes.Equal(got, want[i]) {
-							t.Fatalf("position %d: row %x, want %x", i, got, want[i])
-						}
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%s/%d", sortShapes[shape].name, rowLen), func(t *testing.T) {
+				testSortRowsCounts(t, shape, rowLen)
+			})
 		}
+	}
+}
+
+// testSortRowsCounts runs one shape and row width of TestSortRowsAdversarial
+// on every row count, one subtest per count.
+func testSortRowsCounts(t *testing.T, shape, rowLen int) {
+	for _, n := range []int{0, 1, insertionRows - 1, insertionRows, insertionRows + 1, 700, 5000} {
+		t.Run(fmt.Sprintf("%d", n), func(t *testing.T) {
+			block := sortBlock(shape, n, rowLen)
+			want := make([][]byte, n)
+			for i := range want {
+				want[i] = bytes.Clone(block[i*rowLen:][:rowLen])
+			}
+			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
+
+			radixSortRows(block, rowLen)
+			if len(block) != n*rowLen {
+				t.Fatalf("block is %d bytes, want %d", len(block), n*rowLen)
+			}
+			for i := range want {
+				if got := block[i*rowLen:][:rowLen]; !bytes.Equal(got, want[i]) {
+					t.Fatalf("position %d: row %x, want %x", i, got, want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -166,13 +166,6 @@ type Config struct {
 	// SpillFS is the parallel file system that receives evicted pages.
 	// Required when OutOfCore is not Error.
 	SpillFS *pfs.FS
-	// SpillWatermark overrides the eviction watermark as a fraction of
-	// arena capacity (default spill.DefaultWatermark).
-	SpillWatermark float64
-	// SpillPrefetch overrides the sequential readahead depth of container
-	// scans over spilled pages (default spill.DefaultPrefetch; negative
-	// disables).
-	SpillPrefetch int
 	// SpillGroup coordinates eviction across the ranks that share this
 	// rank's Arena: a rank under memory pressure may then evict another
 	// rank's cold pages, resolving pressure node-wide instead of failing

@@ -141,14 +141,12 @@ func (j *Job) Run(input Input, mapFn MapFunc, reduceFn ReduceFunc) (*Output, err
 			policy = spill.Always
 		}
 		j.store = spill.NewStore(spill.Config{
-			Arena:     j.cfg.Arena,
-			FS:        j.cfg.SpillFS,
-			Clock:     j.comm.Clock(),
-			Name:      fmt.Sprintf("mimir/rank%d", j.comm.Rank()),
-			Policy:    policy,
-			Watermark: j.cfg.SpillWatermark,
-			Prefetch:  j.cfg.SpillPrefetch,
-			Group:     j.cfg.SpillGroup,
+			Arena:  j.cfg.Arena,
+			FS:     j.cfg.SpillFS,
+			Clock:  j.comm.Clock(),
+			Name:   fmt.Sprintf("mimir/rank%d", j.comm.Rank()),
+			Policy: policy,
+			Group:  j.cfg.SpillGroup,
 		})
 	}
 	if err := j.comm.Barrier(); err != nil {

@@ -2,6 +2,7 @@ package jobsvc
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -374,4 +375,43 @@ func serveOnLoopback(t *testing.T, s *Server) string {
 	}
 	go s.Serve(ln)
 	return ln.Addr().String()
+}
+
+// TestRejoinAfterFailedBuildIsRetired: a mesh build that publishes its
+// seats and then fails must not leave them behind. Once the server has given
+// up on the mesh, a survivor that rejoins is told to retire instead of being
+// sent to the failed epoch's dead bootstrap address.
+func TestRejoinAfterFailedBuildIsRetired(t *testing.T) {
+	const deadAddr = "127.0.0.1:1"
+	local := LocalMesh(testRanks)
+	factory := NewMeshFactory(testRanks, membership.KindLocal, func(spec MeshSpec) (Mesh, error) {
+		m, err := local.Build(spec)
+		if err != nil {
+			return m, err
+		}
+		m.Resize = func(rs ResizeSpec) (Mesh, error) {
+			rs.Notify(deadAddr)
+			return Mesh{}, errors.New("bootstrap never completed")
+		}
+		return m, nil
+	})
+	s := newTestServer(t, factory, 0)
+	admin := serveOnLoopback(t, s)
+	before, _ := s.Members()
+	if _, err := s.Resize(testRanks - 1); err == nil {
+		t.Fatal("resize succeeded on a mesh whose every build fails")
+	}
+	for _, mb := range before.Members {
+		if mb.Rank == 0 {
+			continue
+		}
+		ev, err := adminRequest(admin, Request{Op: "rejoin", Member: mb.ID, Token: membership.Token(s.secret, mb.ID)}, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Event != EvRetired {
+			t.Fatalf("member %d (rank %d) rejoined a dead server and got %q (remesh %+v); want %q",
+				mb.ID, mb.Rank, ev.Event, ev.Remesh, EvRetired)
+		}
+	}
 }

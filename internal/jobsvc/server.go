@@ -520,6 +520,9 @@ func (s *Server) transition(o transOpts) error {
 			break
 		}
 		s.coord.Fail(plan, err.Error())
+		s.mu.Lock()
+		s.attach = nil // the failed attempt's seats lead to a dead bootstrap
+		s.mu.Unlock()
 		s.logf("jobsvc: epoch %d build failed: %v", plan.View.Epoch, err)
 		graceful = false // whatever state the old mesh was in, it is gone now
 		oldClosed = true
@@ -1007,7 +1010,8 @@ func (s *Server) unpark(member membership.MemberID, ch chan attachReply) {
 // transition already decided the member's fate the answer is immediate;
 // otherwise the request parks until the next transition publishes seats —
 // and if the mesh is dead with no transition running, the rejoin itself
-// kicks one (the worker noticed the fault before a dispatched job did).
+// kicks one (the worker noticed the fault before a dispatched job did). A
+// server whose mesh is down for good retires every rejoiner.
 func (s *Server) handleRejoin(enc *json.Encoder, req Request) {
 	id, err := membership.VerifyToken(s.secret, req.Token)
 	if err != nil || id == 0 || id != req.Member {
@@ -1015,6 +1019,11 @@ func (s *Server) handleRejoin(enc *json.Encoder, req Request) {
 		return
 	}
 	s.mu.Lock()
+	if s.fatal != nil {
+		s.mu.Unlock()
+		enc.Encode(Event{Event: EvRetired, Member: id})
+		return
+	}
 	healthy := s.meshUp && meshError(s.mesh.Transport) == nil
 	// A published attachment answers immediately unless it describes the
 	// incarnation the member just lost — a dead current epoch means the real

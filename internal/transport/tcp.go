@@ -3,8 +3,10 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -44,11 +46,10 @@ type TCPConfig struct {
 	// RetryTransient before the peer is declared dead and the world aborts.
 	// 0 means 10 seconds.
 	ReconnectWindow time.Duration
-	// BackoffBase / BackoffMax shape the reconnect dial backoff: the delay
-	// starts at BackoffBase and doubles (with deterministic jitter) up to
-	// BackoffMax. 0 means 20ms / 1s.
+	// BackoffBase shapes the reconnect dial backoff: the delay starts at
+	// BackoffBase and doubles (with deterministic jitter) up to one second.
+	// 0 means 20ms.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// MaxReplay caps the per-link replay buffer (unacknowledged sent
 	// frames) under RetryTransient. A sender that exceeds it while the
 	// link is up blocks until the peer's acks prune the buffer (flow
@@ -87,9 +88,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 20 * time.Millisecond
 	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
 	if c.MaxReplay <= 0 {
 		c.MaxReplay = 64 << 20
 	}
@@ -123,6 +121,9 @@ const writeChunk = 128 << 10
 // accumulate, so maybeAck also acks once the unacknowledged bytes pass a
 // quarter of MaxReplay — whichever threshold trips first.
 const ackEvery = 32
+
+// backoffMax caps the reconnect dial backoff.
+const backoffMax = time.Second
 
 // TCP is the multi-process transport: this process hosts exactly one rank
 // and a full mesh of TCP connections carries frames to every peer. Create
@@ -183,14 +184,14 @@ type tcpPeer struct {
 	rank int
 
 	// wmu serializes writers and guards the connection state: conn, gen,
-	// down, recovering. It is held across chunked frame writes, so readers
-	// must never block on it (acks use TryLock).
-	wmu        sync.Mutex
-	conn       net.Conn
-	gen        int // connection generation; bumped by every install
-	down       bool
-	downSince  time.Time
-	recovering bool
+	// down. It is held across chunked frame writes, so readers must never
+	// block on it (acks use TryLock).
+	wmu  sync.Mutex
+	conn net.Conn
+	gen  int // connection generation; bumped by every install
+	// down marks an outage, from the failure linkDownLocked declares until
+	// install brings a new connection up. Setting it starts recoverLink.
+	down bool
 	// readerDone is closed when the current generation's readLoop exits;
 	// replaced by install alongside conn/gen. Guarded by wmu.
 	readerDone chan struct{}
@@ -635,12 +636,8 @@ func (c *tcpChan) Abort(err error) {
 	}
 	c.t.chAborts[c.job] = cause
 	c.t.chmu.Unlock()
-	f := &Frame{Op: OpAbort, Src: uint32(c.t.rank), Job: c.job, Data: cause}
-	for _, p := range c.t.peers {
-		if p != nil {
-			p.writeFrame(f) // best effort now; install re-asserts on reconnect
-		}
-	}
+	// Best effort now; install re-asserts it on every reconnect.
+	c.t.broadcast(&Frame{Op: OpAbort, Src: uint32(c.t.rank), Job: c.job, Data: cause})
 }
 
 // A channel is a full Transport/Endpoint view of the mesh, sharing the
@@ -801,17 +798,24 @@ func newTCPBase(cfg TCPConfig) *TCP {
 	return t
 }
 
-func (t *TCP) addPeer(rank int, conn net.Conn) {
+// prepConn readies a mesh connection to rank once its handshake is done:
+// Nagle off (frames are written whole, and acks must not wait behind a
+// timer), then the fault-injection wrapper, if any.
+func (t *TCP) prepConn(rank int, conn net.Conn) net.Conn {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
 	if t.cfg.WrapConn != nil {
 		conn = t.cfg.WrapConn(rank, conn)
 	}
+	return conn
+}
+
+func (t *TCP) addPeer(rank int, conn net.Conn) {
 	t.peers[rank] = &tcpPeer{
 		t:          t,
 		rank:       rank,
-		conn:       conn,
+		conn:       t.prepConn(rank, conn),
 		gen:        1,
 		readerDone: make(chan struct{}),
 	}
@@ -821,13 +825,13 @@ func (t *TCP) addPeer(rank int, conn net.Conn) {
 // RetryTransient, the persistent re-accept loop) and runs the initial
 // barrier that confirms every rank's mesh is complete.
 func (t *TCP) start() (*TCP, error) {
-	if t.cfg.Policy == RetryTransient && t.ln != nil {
+	if t.cfg.Policy == RetryTransient {
 		if tl, ok := t.ln.(*net.TCPListener); ok {
 			tl.SetDeadline(time.Time{}) // clear the bootstrap deadline
 		}
 		t.readers.Add(1)
 		go t.acceptLoop()
-	} else if t.ln != nil {
+	} else {
 		t.ln.Close()
 		t.ln = nil
 	}
@@ -884,80 +888,133 @@ func (b *Bootstrap) Close() error { return b.ln.Close() }
 func (b *Bootstrap) Accept() (*TCP, error) {
 	t := newTCPBase(b.cfg)
 	t.ln = b.ln
-	deadline := time.Now().Add(b.cfg.BootstrapTimeout)
-	if tl, ok := b.ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
-	}
-	addrs := make([]string, b.cfg.Size)
-	addrs[0] = b.Addr()
-	fail := func(err error) (*TCP, error) {
-		b.ln.Close()
-		t.closeConns()
-		return nil, err
-	}
-	for joined := 1; joined < b.cfg.Size; {
-		conn, err := b.ln.Accept()
-		if err != nil {
-			return fail(fmt.Errorf("transport: bootstrap accept (%d of %d ranks joined): %w", joined, b.cfg.Size, err))
+	t.addrs = make([]string, b.cfg.Size)
+	t.addrs[0] = b.Addr()
+	err := t.acceptPeers(time.Now().Add(b.cfg.BootstrapTimeout), func(h hello) error {
+		if h.Addr == "" {
+			return fmt.Errorf("rank %d advertised no mesh address", h.Rank)
 		}
-		rank, err := b.admit(t, conn, addrs)
-		if err != nil {
-			conn.Close()
-			return fail(err)
-		}
-		if rank > 0 {
-			joined++
-		}
+		t.addrs[h.Rank] = h.Addr
+		return nil
+	})
+	if err != nil {
+		return t.abandon(err)
 	}
 	// Everyone registered; hand each worker the full table so workers can
 	// mesh among themselves.
-	t.addrs = addrs
-	table := encodeTable(addrs)
-	for rank, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		if err := p.writeFrame(&Frame{Op: OpTable, Src: 0, Data: table}); err != nil {
-			return fail(fmt.Errorf("transport: sending address table to rank %d: %w", rank, err))
+	table := encodeTable(t.addrs)
+	for rank := 1; rank < t.size; rank++ {
+		if err := t.peers[rank].writeFrame(&Frame{Op: OpTable, Src: 0, Data: table}); err != nil {
+			return t.abandon(fmt.Errorf("transport: sending address table to rank %d: %w", rank, err))
 		}
 	}
 	return t.start()
 }
 
-// admit validates one bootstrap connection and registers the worker. It
-// returns the worker's rank, or 0 for a connection that was rejected softly.
-func (b *Bootstrap) admit(t *TCP, conn net.Conn, addrs []string) (int, error) {
-	conn.SetDeadline(time.Now().Add(b.cfg.Deadline))
+// errStaleEpoch marks a hello from another mesh incarnation.
+var errStaleEpoch = errors.New("stale epoch")
+
+// dialHello is the dialer's half of the handshake on every connection this
+// rank opens (to the bootstrap, advertising addr; to a lower worker; on a
+// reconnect): send our hello, then take the reply only from rank want of
+// this world size and epoch, within the connection deadline.
+func (t *TCP) dialHello(conn net.Conn, want int, addr string) error {
+	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
+	if err := writeHello(conn, hello{Rank: t.rank, Size: t.size, Epoch: t.cfg.Epoch, Addr: addr}); err != nil {
+		return err
+	}
 	h, err := readHello(conn)
 	if err != nil {
-		return 0, fmt.Errorf("transport: bootstrap handshake: %w", err)
+		return err
 	}
-	if h.Size != b.cfg.Size {
-		return 0, fmt.Errorf("transport: rank %d joined with world size %d, want %d", h.Rank, h.Size, b.cfg.Size)
-	}
-	if h.Epoch != b.cfg.Epoch {
-		// A straggler from another mesh incarnation must not poison this
-		// epoch's bootstrap: drop the connection (the dialer sees EOF in
-		// place of a hello reply and gives up) and keep accepting.
-		conn.Close()
-		return 0, nil
-	}
-	if h.Rank <= 0 || h.Rank >= b.cfg.Size {
-		return 0, fmt.Errorf("transport: bootstrap join from invalid rank %d", h.Rank)
-	}
-	if t.peers[h.Rank] != nil {
-		return 0, fmt.Errorf("transport: rank %d joined twice", h.Rank)
-	}
-	if h.Addr == "" {
-		return 0, fmt.Errorf("transport: rank %d advertised no mesh address", h.Rank)
-	}
-	if err := writeHello(conn, hello{Rank: 0, Size: b.cfg.Size, Epoch: b.cfg.Epoch}); err != nil {
-		return 0, fmt.Errorf("transport: bootstrap handshake reply to rank %d: %w", h.Rank, err)
+	if h.Rank != want || h.Size != t.size || h.Epoch != t.cfg.Epoch {
+		return fmt.Errorf("transport: reply from rank %d size %d epoch %d, want rank %d size %d epoch %d",
+			h.Rank, h.Size, h.Epoch, want, t.size, t.cfg.Epoch)
 	}
 	conn.SetDeadline(time.Time{})
-	t.addPeer(h.Rank, conn)
-	addrs[h.Rank] = h.Addr
-	return h.Rank, nil
+	return nil
+}
+
+// acceptHello is the acceptor's half of the handshake on every connection
+// this rank accepts (bootstrap, mesh, reconnect). A dialer joins this mesh
+// incarnation only with our world size and epoch, from a rank above ours
+// (the lower rank of a link listens), and only if admit, the site's own
+// rule, takes it; then we reply, within the connection deadline. An error
+// names the dialer; a stale epoch wraps errStaleEpoch.
+func (t *TCP) acceptHello(conn net.Conn, admit func(hello) error) (hello, error) {
+	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
+	h, err := readHello(conn)
+	switch {
+	case err != nil:
+	case h.Size != t.size:
+		err = fmt.Errorf("rank %d dialed with world size %d, want %d", h.Rank, h.Size, t.size)
+	case h.Epoch != t.cfg.Epoch:
+		err = fmt.Errorf("%w: rank %d dialed from epoch %d, want %d", errStaleEpoch, h.Rank, h.Epoch, t.cfg.Epoch)
+	case h.Rank <= t.rank || h.Rank >= t.size:
+		err = fmt.Errorf("unexpected dial from rank %d", h.Rank)
+	case admit != nil:
+		err = admit(h)
+	}
+	if err == nil {
+		err = writeHello(conn, hello{Rank: t.rank, Size: t.size, Epoch: t.cfg.Epoch})
+	}
+	if err != nil {
+		return h, err
+	}
+	conn.SetDeadline(time.Time{})
+	return h, nil
+}
+
+// acceptPeers is the accepting half of a bootstrap: on t.ln, before
+// deadline, one connection from every rank above ours, each admitted by
+// acceptHello plus admit and none twice. A bad hello fails the bootstrap —
+// except on rank 0, whose address every epoch's workers dial: there a
+// dialer from another epoch is a straggler of another mesh incarnation,
+// dropped while accepting goes on. A failed accept names the ranks that
+// never connected.
+func (t *TCP) acceptPeers(deadline time.Time, admit func(hello) error) error {
+	if tl, ok := t.ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
+	}
+	for {
+		var missing []int
+		for r := t.rank + 1; r < t.size; r++ {
+			if t.peers[r] == nil {
+				missing = append(missing, r)
+			}
+		}
+		if len(missing) == 0 {
+			return nil
+		}
+		conn, err := t.ln.Accept()
+		if err != nil {
+			return fmt.Errorf("transport: rank %d bootstrap accept, missing ranks %v: %w", t.rank, missing, err)
+		}
+		h, err := t.acceptHello(conn, func(h hello) error {
+			if t.peers[h.Rank] != nil {
+				return fmt.Errorf("rank %d connected twice", h.Rank)
+			}
+			if admit != nil {
+				return admit(h)
+			}
+			return nil
+		})
+		if err != nil {
+			conn.Close()
+			if t.rank == 0 && errors.Is(err, errStaleEpoch) {
+				continue
+			}
+			return fmt.Errorf("transport: rank %d bootstrap handshake: %w", t.rank, err)
+		}
+		t.addPeer(h.Rank, conn)
+	}
+}
+
+// abandon tears down a bootstrap that failed: the listener and every
+// connection made so far.
+func (t *TCP) abandon(err error) (*TCP, error) {
+	t.teardown()
+	return nil, err
 }
 
 // dialTCP is the worker side: dial rank 0, advertise a mesh listener, wait
@@ -971,112 +1028,58 @@ func dialTCP(cfg TCPConfig) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: rank %d dialing bootstrap %s: %w", cfg.Rank, cfg.Addr, err)
 	}
-
 	// The mesh listener binds the interface that reaches rank 0, so the
 	// advertised address is routable for every peer that can reach rank 0.
 	host, _, err := net.SplitHostPort(conn0.LocalAddr().String())
-	if err != nil {
-		conn0.Close()
-		return nil, fmt.Errorf("transport: rank %d local address: %w", cfg.Rank, err)
+	if err == nil {
+		t.ln, err = net.Listen("tcp", net.JoinHostPort(host, "0"))
 	}
-	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
 	if err != nil {
 		conn0.Close()
 		return nil, fmt.Errorf("transport: rank %d mesh listen: %w", cfg.Rank, err)
 	}
-	t.ln = ln
 	fail := func(err error) (*TCP, error) {
-		ln.Close()
-		t.closeConns()
-		return nil, err
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(deadline)
+		conn0.Close()
+		return t.abandon(err)
 	}
 
-	conn0.SetDeadline(time.Now().Add(cfg.Deadline))
-	if err := writeHello(conn0, hello{Rank: cfg.Rank, Size: cfg.Size, Epoch: cfg.Epoch, Addr: ln.Addr().String()}); err != nil {
-		conn0.Close()
+	if err := t.dialHello(conn0, 0, t.ln.Addr().String()); err != nil {
 		return fail(fmt.Errorf("transport: rank %d bootstrap handshake: %w", cfg.Rank, err))
-	}
-	h, err := readHello(conn0)
-	if err != nil {
-		conn0.Close()
-		return fail(fmt.Errorf("transport: rank %d bootstrap handshake reply: %w", cfg.Rank, err))
-	}
-	if h.Rank != 0 || h.Size != cfg.Size || h.Epoch != cfg.Epoch {
-		conn0.Close()
-		return fail(fmt.Errorf("transport: rank %d bootstrap reply from rank %d size %d epoch %d, want rank 0 size %d epoch %d",
-			cfg.Rank, h.Rank, h.Size, h.Epoch, cfg.Size, cfg.Epoch))
 	}
 	// The table may take as long as the slowest rank's join, not one
 	// write: bound it by the bootstrap deadline.
 	conn0.SetDeadline(deadline)
 	tf, err := ReadFrame(conn0)
+	if err == nil && tf.Op != OpTable {
+		err = fmt.Errorf("got op %d", tf.Op)
+	}
+	if err == nil {
+		t.addrs, err = decodeTable(tf.Data)
+	}
+	if err == nil && len(t.addrs) != cfg.Size {
+		err = fmt.Errorf("%d entries for %d ranks", len(t.addrs), cfg.Size)
+	}
 	if err != nil {
-		conn0.Close()
 		return fail(fmt.Errorf("transport: rank %d reading address table: %w", cfg.Rank, err))
 	}
-	if tf.Op != OpTable {
-		conn0.Close()
-		return fail(fmt.Errorf("transport: rank %d expected address table, got op %d", cfg.Rank, tf.Op))
-	}
-	addrs, err := decodeTable(tf.Data)
-	if err != nil || len(addrs) != cfg.Size {
-		conn0.Close()
-		return fail(fmt.Errorf("transport: rank %d bad address table (%d entries): %v", cfg.Rank, len(addrs), err))
-	}
 	conn0.SetDeadline(time.Time{})
-	t.addrs = addrs
 	t.addPeer(0, conn0)
 
 	// Mesh: dial workers below, accept workers above.
 	for r := 1; r < cfg.Rank; r++ {
-		conn, err := dialRetry(addrs[r], deadline)
-		if err != nil {
-			return fail(fmt.Errorf("transport: rank %d dialing rank %d at %s: %w", cfg.Rank, r, addrs[r], err))
-		}
-		conn.SetDeadline(time.Now().Add(cfg.Deadline))
-		if err := writeHello(conn, hello{Rank: cfg.Rank, Size: cfg.Size, Epoch: cfg.Epoch}); err == nil {
-			h, err = readHello(conn)
-			if err == nil && (h.Rank != r || h.Size != cfg.Size || h.Epoch != cfg.Epoch) {
-				err = fmt.Errorf("transport: mesh reply from rank %d size %d epoch %d, want rank %d epoch %d", h.Rank, h.Size, h.Epoch, r, cfg.Epoch)
+		conn, err := dialRetry(t.addrs[r], deadline)
+		if err == nil {
+			if err = t.dialHello(conn, r, ""); err != nil {
+				conn.Close()
 			}
 		}
 		if err != nil {
-			conn.Close()
-			return fail(fmt.Errorf("transport: rank %d mesh handshake with rank %d: %w", cfg.Rank, r, err))
+			return fail(fmt.Errorf("transport: rank %d mesh dial to rank %d at %s: %w", cfg.Rank, r, t.addrs[r], err))
 		}
-		conn.SetDeadline(time.Time{})
 		t.addPeer(r, conn)
 	}
-	for accepted := cfg.Rank + 1; accepted < cfg.Size; accepted++ {
-		conn, err := ln.Accept()
-		if err != nil {
-			return fail(fmt.Errorf("transport: rank %d mesh accept: %w", cfg.Rank, err))
-		}
-		conn.SetDeadline(time.Now().Add(cfg.Deadline))
-		h, err := readHello(conn)
-		if err == nil {
-			switch {
-			case h.Size != cfg.Size:
-				err = fmt.Errorf("world size %d, want %d", h.Size, cfg.Size)
-			case h.Epoch != cfg.Epoch:
-				err = fmt.Errorf("stale epoch %d, want %d", h.Epoch, cfg.Epoch)
-			case h.Rank <= cfg.Rank || h.Rank >= cfg.Size:
-				err = fmt.Errorf("unexpected mesh dial from rank %d", h.Rank)
-			case t.peers[h.Rank] != nil:
-				err = fmt.Errorf("rank %d connected twice", h.Rank)
-			default:
-				err = writeHello(conn, hello{Rank: cfg.Rank, Size: cfg.Size, Epoch: cfg.Epoch})
-			}
-		}
-		if err != nil {
-			conn.Close()
-			return fail(fmt.Errorf("transport: rank %d mesh handshake: %w", cfg.Rank, err))
-		}
-		conn.SetDeadline(time.Time{})
-		t.addPeer(h.Rank, conn)
+	if err := t.acceptPeers(deadline, nil); err != nil {
+		return fail(err)
 	}
 	return t.start()
 }
@@ -1180,10 +1183,15 @@ func (t *TCP) Abort(err error) {
 	if !t.poison(err) {
 		return
 	}
-	f := &Frame{Op: OpAbort, Src: uint32(t.rank), Data: []byte(err.Error())}
+	// Best effort: the peers also see EOF when we close.
+	t.broadcast(&Frame{Op: OpAbort, Src: uint32(t.rank), Data: []byte(err.Error())})
+}
+
+// broadcast writes a control frame to every peer, ignoring failures.
+func (t *TCP) broadcast(f *Frame) {
 	for _, p := range t.peers {
 		if p != nil {
-			p.writeFrame(f) // best effort; the peer also sees EOF when we close
+			p.writeFrame(f)
 		}
 	}
 }
@@ -1194,47 +1202,42 @@ func (t *TCP) Abort(err error) {
 // process is killed.
 func (t *TCP) Sever(cause error) {
 	t.poison(cause)
+	t.teardown()
+}
+
+// teardown closes the listener and every link's current connection.
+func (t *TCP) teardown() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	for _, p := range t.peers {
-		if p == nil {
-			continue
+		if p != nil {
+			p.wmu.Lock()
+			if p.conn != nil {
+				p.conn.Close()
+			}
+			p.wmu.Unlock()
 		}
-		p.wmu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.wmu.Unlock()
 	}
 }
 
-// linkDown declares one connection generation failed. Caller must hold
-// p.wmu. Stale generations (a racing writer and reader both reporting the
-// same failure, or a failure on an already-replaced conn) are ignored. The
-// conn is closed so the other side notices too, and recovery starts: the
-// higher rank re-dials, the lower rank waits for the re-dial, and whichever
-// side's window expires first aborts the world.
+// linkDownLocked declares one connection generation failed. Caller must
+// hold p.wmu. Stale generations (a racing writer and reader both reporting
+// the same failure, or a failure on an already-replaced conn) and links
+// already down are ignored. The conn is closed so the other side notices
+// too, and recoverLink starts.
 func (t *TCP) linkDownLocked(p *tcpPeer, gen int, cause error) {
 	if p.gen != gen || p.down {
 		return
 	}
 	p.down = true
-	p.downSince = time.Now()
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
 	}
 	t.linkFailures.Add(1)
-	if !p.recovering {
-		p.recovering = true
-		t.readers.Add(1)
-		if t.rank > p.rank {
-			go t.redialLoop(p, cause)
-		} else {
-			go t.watchLink(p, cause)
-		}
-	}
+	t.readers.Add(1)
+	go t.recoverLink(p, time.Now().Add(t.cfg.ReconnectWindow), cause)
 }
 
 func (t *TCP) linkDown(p *tcpPeer, gen int, cause error) {
@@ -1251,99 +1254,91 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// redialLoop re-establishes a failed link from the dialing side (the higher
-// rank) with capped exponential backoff and deterministic jitter. If the
-// peer stays unreachable past the reconnect window, the world aborts.
-func (t *TCP) redialLoop(p *tcpPeer, cause error) {
+// recoverLink brings a failed link back up before deadline, or aborts the
+// world. The higher rank re-dials the lower rank's listener with capped
+// exponential backoff and deterministic jitter; the lower rank waits for
+// that re-dial, which handleReaccept installs. Whichever side's window
+// expires first aborts.
+func (t *TCP) recoverLink(p *tcpPeer, deadline time.Time, cause error) {
 	defer t.readers.Done()
-	p.wmu.Lock()
-	deadline := p.downSince.Add(t.cfg.ReconnectWindow)
-	p.wmu.Unlock()
 	backoff := t.cfg.BackoffBase
 	for attempt := 0; ; attempt++ {
-		if t.abortError() != nil || t.isClosing() {
+		p.wmu.Lock()
+		down := p.down
+		p.wmu.Unlock()
+		if !down || t.abortError() != nil || t.isClosing() {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Abort(fmt.Errorf("%w: rank %d unreachable for %v: %v", ErrAborted, p.rank, t.cfg.ReconnectWindow, cause))
+			t.Abort(fmt.Errorf("%w: link to rank %d not restored within %v: %v", ErrAborted, p.rank, t.cfg.ReconnectWindow, cause))
 			return
 		}
-		if err := t.redialOnce(p); err == nil {
+		if t.rank < p.rank {
+			time.Sleep(25 * time.Millisecond)
+			continue
+		}
+		if t.redialOnce(p) == nil {
 			return
 		}
 		t.dialRetries.Add(1)
 		jitter := time.Duration(splitmix64(uint64(t.rank)<<32|uint64(p.rank)<<16|uint64(attempt)) % uint64(backoff/2+1))
 		time.Sleep(backoff + jitter)
-		backoff *= 2
-		if backoff > t.cfg.BackoffMax {
-			backoff = t.cfg.BackoffMax
-		}
+		backoff = min(2*backoff, backoffMax)
 	}
 }
 
-// redialOnce performs one reconnect attempt: dial, hello handshake, resume
-// exchange, then install. The dialer writes its resume first; the acceptor
-// reads it and replies — a fixed order, so neither side can deadlock.
+// redialOnce performs one reconnect attempt: dial, handshake, resume
+// exchange, then install.
 func (t *TCP) redialOnce(p *tcpPeer) error {
 	conn, err := net.DialTimeout("tcp", t.addrs[p.rank], t.cfg.Deadline)
 	if err != nil {
 		return err
 	}
-	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
-	if err := writeHello(conn, hello{Rank: t.rank, Size: t.size, Epoch: t.cfg.Epoch}); err != nil {
-		conn.Close()
-		return err
+	err = t.dialHello(conn, p.rank, "")
+	var theirRecv uint64
+	if err == nil {
+		theirRecv, err = t.resume(p, conn, true)
 	}
-	h, err := readHello(conn)
 	if err != nil {
 		conn.Close()
 		return err
 	}
-	if h.Rank != p.rank || h.Size != t.size || h.Epoch != t.cfg.Epoch {
-		conn.Close()
-		return fmt.Errorf("transport: reconnect reply from rank %d size %d epoch %d, want rank %d epoch %d", h.Rank, h.Size, h.Epoch, p.rank, t.cfg.Epoch)
-	}
-	// The previous generation's reader must be fully drained before the
-	// resume snapshot, or frames it is still delivering arrive twice.
-	p.quiesce()
-	if err := WriteFrame(conn, &Frame{Op: OpResume, Src: uint32(t.rank), Seq: p.recvSeq.Load()}); err != nil {
-		conn.Close()
-		return err
-	}
-	rf, err := ReadFrame(conn)
-	if err != nil || rf.Op != OpResume {
-		conn.Close()
-		return fmt.Errorf("transport: reconnect resume from rank %d: op=%v err=%v", p.rank, rf, err)
-	}
-	conn.SetDeadline(time.Time{})
-	return t.install(p, conn, rf.Seq)
+	return t.install(p, conn, theirRecv)
 }
 
-// watchLink is the accepting side's recovery: wait for the peer (the higher
-// rank) to re-dial within the reconnect window, aborting the world if it
-// never does. The actual re-establishment happens in handleReaccept.
-func (t *TCP) watchLink(p *tcpPeer, cause error) {
-	defer t.readers.Done()
-	p.wmu.Lock()
-	deadline := p.downSince.Add(t.cfg.ReconnectWindow)
-	p.wmu.Unlock()
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
-	for range ticker.C {
-		if t.abortError() != nil || t.isClosing() {
-			return
+// resume runs a reconnect's OpResume exchange: each side sends how many data
+// frames it has received on the link, after quiescing the link's previous
+// reader, and returns the peer's count. The dialer writes first and the
+// acceptor replies, a fixed order so neither side can deadlock.
+func (t *TCP) resume(p *tcpPeer, conn net.Conn, dialer bool) (uint64, error) {
+	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
+	readResume := func() (uint64, error) {
+		f, err := ReadFrame(conn)
+		if err == nil && f.Op != OpResume {
+			err = fmt.Errorf("got op %d", f.Op)
 		}
-		p.wmu.Lock()
-		down := p.down
-		p.wmu.Unlock()
-		if !down {
-			return
+		if err != nil {
+			return 0, err
 		}
-		if time.Now().After(deadline) {
-			t.Abort(fmt.Errorf("%w: rank %d did not reconnect within %v: %v", ErrAborted, p.rank, t.cfg.ReconnectWindow, cause))
-			return
-		}
+		return f.Seq, nil
 	}
+	var theirRecv uint64
+	var err error
+	if !dialer {
+		theirRecv, err = readResume()
+	}
+	if err == nil {
+		p.quiesce()
+		err = WriteFrame(conn, &Frame{Op: OpResume, Src: uint32(t.rank), Seq: p.recvSeq.Load()})
+	}
+	if err == nil && dialer {
+		theirRecv, err = readResume()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("transport: reconnect resume with rank %d: %w", p.rank, err)
+	}
+	conn.SetDeadline(time.Time{})
+	return theirRecv, nil
 }
 
 // acceptLoop accepts reconnecting peers for the life of the transport
@@ -1362,39 +1357,24 @@ func (t *TCP) acceptLoop() {
 }
 
 // handleReaccept validates one incoming reconnect (acceptor side: the lower
-// rank) and re-establishes the link.
+// rank) and re-establishes the link. A bad hello or resume only closes the
+// connection: the mesh stays up and the link's own recovery goes on.
 func (t *TCP) handleReaccept(conn net.Conn) {
 	defer t.readers.Done()
 	if t.abortError() != nil || t.isClosing() {
 		conn.Close()
 		return
 	}
-	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
-	h, err := readHello(conn)
-	if err != nil || h.Size != t.size || h.Epoch != t.cfg.Epoch || h.Rank <= t.rank || h.Rank >= t.size || t.peers[h.Rank] == nil {
+	h, err := t.acceptHello(conn, nil)
+	var theirRecv uint64
+	if err == nil {
+		theirRecv, err = t.resume(t.peers[h.Rank], conn, false)
+	}
+	if err != nil {
 		conn.Close()
 		return
 	}
-	p := t.peers[h.Rank]
-	if err := writeHello(conn, hello{Rank: t.rank, Size: t.size, Epoch: t.cfg.Epoch}); err != nil {
-		conn.Close()
-		return
-	}
-	rf, err := ReadFrame(conn)
-	if err != nil || rf.Op != OpResume {
-		conn.Close()
-		return
-	}
-	// An incoming reconnect may replace a conn this side still believes
-	// healthy: quiesce its reader before the resume snapshot, or frames it
-	// is still delivering arrive twice via the peer's replay.
-	p.quiesce()
-	if err := WriteFrame(conn, &Frame{Op: OpResume, Src: uint32(t.rank), Seq: p.recvSeq.Load()}); err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetDeadline(time.Time{})
-	t.install(p, conn, rf.Seq)
+	t.install(t.peers[h.Rank], conn, theirRecv)
 }
 
 // quiesce retires the peer's current connection generation: close the conn
@@ -1427,12 +1407,7 @@ func (p *tcpPeer) quiesce() {
 // start its reader. An incoming reconnect always replaces the current
 // connection, even if this side has not yet noticed the old one die.
 func (t *TCP) install(p *tcpPeer, conn net.Conn, theirRecv uint64) error {
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	if t.cfg.WrapConn != nil {
-		conn = t.cfg.WrapConn(p.rank, conn)
-	}
+	conn = t.prepConn(p.rank, conn)
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	if t.abortError() != nil || t.isClosing() {
@@ -1477,21 +1452,9 @@ func (t *TCP) install(p *tcpPeer, conn net.Conn, theirRecv uint64) error {
 		p.doneReplaying()
 		// If this side had not yet declared the link down (an incoming
 		// reconnect replaced a conn we still believed healthy), declare
-		// it now so the reconnect window is enforced.
-		if !p.down {
-			p.down = true
-			p.downSince = time.Now()
-			t.linkFailures.Add(1)
-		}
-		if !p.recovering {
-			p.recovering = true
-			t.readers.Add(1)
-			if t.rank > p.rank {
-				go t.redialLoop(p, err)
-			} else {
-				go t.watchLink(p, err)
-			}
-		}
+		// it now so the reconnect window is enforced; otherwise recovery
+		// is already running and this is a no-op.
+		t.linkDownLocked(p, gen, err)
 		return err
 	}
 
@@ -1518,10 +1481,7 @@ func (t *TCP) install(p *tcpPeer, conn net.Conn, theirRecv uint64) error {
 	// on the dead job forever. Poisoning an already-poisoned channel is a
 	// no-op, so duplicates are free.
 	t.chmu.Lock()
-	aborts := make(map[uint32][]byte, len(t.chAborts))
-	for job, cause := range t.chAborts {
-		aborts[job] = cause
-	}
+	aborts := maps.Clone(t.chAborts)
 	t.chmu.Unlock()
 	for job, cause := range aborts {
 		hdr := appendFrameHeaderRaw(p.hdr[:0], OpAbort, uint32(t.rank), job, 0, 0, 0, cause)
@@ -1535,7 +1495,6 @@ func (t *TCP) install(p *tcpPeer, conn net.Conn, theirRecv uint64) error {
 	}
 
 	p.down = false
-	p.recovering = false
 	t.reconnects.Add(1)
 	return nil
 }
@@ -1817,32 +1776,10 @@ func (t *TCP) Close() error {
 	aborted := t.abortErr != nil
 	t.mu.Unlock()
 
-	if t.ln != nil {
-		t.ln.Close()
+	if !aborted {
+		t.broadcast(&Frame{Op: OpBye, Src: uint32(t.rank)})
 	}
-	bye := &Frame{Op: OpBye, Src: uint32(t.rank)}
-	for _, p := range t.peers {
-		if p == nil {
-			continue
-		}
-		if !aborted {
-			p.writeFrame(bye) // best effort
-		}
-		p.wmu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-		}
-		p.wmu.Unlock()
-	}
+	t.teardown()
 	t.readers.Wait()
 	return nil
-}
-
-// closeConns tears down whatever connections a failed bootstrap left.
-func (t *TCP) closeConns() {
-	for _, p := range t.peers {
-		if p != nil && p.conn != nil {
-			p.conn.Close()
-		}
-	}
 }

@@ -454,13 +454,16 @@ func (j *Job) drainCombiner() error {
 
 // insertSend places one encoded KV into the partition of its destination
 // rank, suspending the map for an exchange round when the partition is full.
+// A KV must fit both a send partition and a receiving container's page, so
+// one larger than either fails here, on the emitting rank, rather than on
+// the rank that receives it.
 // While a plan is pending, KVs are staged in a container instead — no bytes
 // may enter the send buffer before the assignment exists, or they would ride
 // an exchange the planning collectives must precede.
 func (j *Job) insertSend(k, v []byte) error {
 	n := j.cfg.Hint.EncodedSize(k, v)
-	if n > j.partSize {
-		return fmt.Errorf("core: KV of %d bytes exceeds send partition of %d bytes", n, j.partSize)
+	if n > min(j.partSize, j.cfg.PageSize) {
+		return fmt.Errorf("core: KV of %d bytes exceeds the send partition (%d bytes) or the PageSize (%d bytes)", n, j.partSize, j.cfg.PageSize)
 	}
 	if j.planPending {
 		if err := j.planStage.Append(k, v); err != nil {

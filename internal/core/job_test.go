@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"mimir/internal/kvbuf"
 	"mimir/internal/mem"
@@ -326,19 +327,48 @@ func TestReduceErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestOversizedKVRejected: a KV larger than a send partition or a page is
+// rejected when it is emitted, on every rank that emits it, with an error
+// naming both limits — none of the ranks hangs waiting for another. The
+// 4 KiB KV of the second row fits its partition but not its page, so
+// without the emit-time bound only its receiver would fail.
 func TestOversizedKVRejected(t *testing.T) {
-	w := mpi.NewWorld(mpi.Config{Size: 1, Net: testNet()})
-	arena := mem.NewArena(0)
-	err := w.Run(func(c *mpi.Comm) error {
-		job := NewJob(c, Config{Arena: arena, CommBuf: MinPartition})
-		big := bytes.Repeat([]byte("x"), 2*MinPartition)
-		_, err := job.Run(SliceInput([]Record{{Val: big}}),
-			func(rec Record, emit Emitter) error { return emit.Emit(rec.Val, nil) },
-			nil)
-		return err
-	})
-	if err == nil || !strings.Contains(err.Error(), "exceeds send partition") {
-		t.Fatalf("err = %v, want partition-overflow rejection", err)
+	for _, tc := range []struct {
+		ranks             int
+		commBuf, pageSize int
+		kvBytes           int
+	}{
+		{1, MinPartition, 0, 2 * MinPartition},
+		{2, 64 << 10, 1 << 10, 4 << 10},
+	} {
+		t.Run(fmt.Sprintf("ranks=%d/page=%d", tc.ranks, tc.pageSize), func(t *testing.T) {
+			w := mpi.NewWorld(mpi.Config{Size: tc.ranks, Net: testNet()})
+			arena := mem.NewArena(0)
+			errs := make([]error, tc.ranks)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				w.Run(func(c *mpi.Comm) error {
+					job := NewJob(c, Config{Arena: arena, CommBuf: tc.commBuf, PageSize: tc.pageSize})
+					big := bytes.Repeat([]byte("x"), tc.kvBytes)
+					_, err := job.Run(SliceInput([]Record{{Val: big}}),
+						func(rec Record, emit Emitter) error { return emit.Emit(rec.Val, nil) },
+						nil)
+					errs[c.Rank()] = err
+					return err
+				})
+			}()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job hung on an oversized KV")
+			}
+			for rank, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "send partition") || !strings.Contains(err.Error(), "PageSize") {
+					t.Errorf("rank %d: err = %v, want a rejection naming the send partition and PageSize", rank, err)
+				}
+			}
+		})
 	}
 }
 

@@ -37,8 +37,8 @@ func testOutput(t *testing.T, arena *mem.Arena) (*Output, [][2]string) {
 func TestOutputDrain(t *testing.T) {
 	arena := mem.NewArena(0)
 	o, want := testOutput(t, arena)
-	mem.DebugScribble(true)
-	defer mem.DebugScribble(false)
+	mem.DebugPool(true)
+	defer mem.DebugPool(false)
 	start := arena.Used()
 	last := start
 	var got [][2]string

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,32 @@ func TestBucketOOM(t *testing.T) {
 	b.Free()
 	if a.Used() != 0 {
 		t.Errorf("arena used %d after OOM + Free", a.Used())
+	}
+}
+
+// TestBucketOversizedEntry: a key or value larger than a page is an error
+// naming PageSize, on insert and on a merge that grows the value past a
+// page; the bucket keeps its entries and returns every byte on Free.
+func TestBucketOversizedEntry(t *testing.T) {
+	a := mem.NewArena(0)
+	b, _ := NewBucket(a, 64)
+	big := bytes.Repeat([]byte("v"), 65)
+	if err := b.Put([]byte("k"), big); err == nil || !strings.Contains(err.Error(), "PageSize 64") {
+		t.Fatalf("Put of a 65-byte value into 64-byte pages: err = %v, want a PageSize error", err)
+	}
+	if err := b.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	err := b.Upsert([]byte("k"), []byte("w"), func(_, _ []byte) ([]byte, error) { return big, nil })
+	if err == nil || !strings.Contains(err.Error(), "PageSize 64") {
+		t.Fatalf("Upsert growing the value past a page: err = %v, want a PageSize error", err)
+	}
+	if v, ok := b.Get([]byte("k")); !ok || string(v) != "v" || b.Len() != 1 {
+		t.Fatalf("after the rejections: Get = (%q, %v), Len %d; want (v, true), 1", v, ok, b.Len())
+	}
+	b.Free()
+	if a.Used() != 0 {
+		t.Errorf("arena used %d after Free", a.Used())
 	}
 }
 

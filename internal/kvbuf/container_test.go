@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -56,22 +57,39 @@ func TestKVCGrowsByPages(t *testing.T) {
 	}
 }
 
+// TestKVCOversizedRecord: a KV larger than a page is an error naming
+// PageSize, from Append and from AppendChunk's per-KV fallback alike; the
+// container keeps every KV before it and stays usable.
 func TestKVCOversizedRecord(t *testing.T) {
 	a := mem.NewArena(0)
 	c := NewKVC(a, 16, DefaultHint())
 	big := bytes.Repeat([]byte("x"), 100)
-	if err := c.Append([]byte("k"), big); err != nil {
+	if err := c.Append([]byte("k"), big); err == nil || !strings.Contains(err.Error(), "PageSize 16") {
+		t.Fatalf("Append of a 109-byte KV into 16-byte pages: err = %v, want a PageSize error", err)
+	}
+	h := DefaultHint()
+	chunk, _ := h.Encode(nil, []byte("a"), []byte("1"))
+	chunk, _ = h.Encode(chunk, []byte("k"), big)
+	n, err := c.AppendChunk(chunk)
+	if err == nil || !strings.Contains(err.Error(), "PageSize 16") || n != 1 {
+		t.Fatalf("AppendChunk = (%d, %v), want 1 KV appended then a PageSize error", n, err)
+	}
+	if err := c.Append([]byte("b"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	var got []string
 	if err := c.Scan(func(k, v []byte) error {
-		found = bytes.Equal(v, big)
+		got = append(got, string(k)+"="+string(v))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !found {
-		t.Error("oversized record lost")
+	if strings.Join(got, " ") != "a=1 b=2" || c.NumKV() != 2 {
+		t.Fatalf("container holds %q (%d KVs), want [a=1 b=2]", got, c.NumKV())
+	}
+	c.Free()
+	if a.Used() != 0 {
+		t.Fatalf("arena holds %d bytes after Free", a.Used())
 	}
 }
 

@@ -46,8 +46,8 @@ func stillNeeded(b *Bucket) int64 {
 // freed before its last entry was handed over shows up as wrong bytes.
 func checkDrain(t *testing.T, arena *mem.Arena, drain func(func(k, v []byte) error) error, want [][2]string, atEnd int64) {
 	t.Helper()
-	mem.DebugScribble(true)
-	defer mem.DebugScribble(false)
+	mem.DebugPool(true)
+	defer mem.DebugPool(false)
 	start := arena.Used()
 	last := start
 	var got [][2]string

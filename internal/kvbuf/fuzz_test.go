@@ -77,19 +77,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzConvert drives the two-pass KV→KMV convert with arbitrary KV streams
-// and hint modes: the KMV output must be the input regrouped by key — records
-// in first-appearance order, values in arrival order — and all arena memory
-// must be returned after Free.
+// FuzzConvert drives the two-pass KV→KMV convert with arbitrary KV streams,
+// hint modes and page sizes (32, 64 or 256 bytes, picked by pageSel): the
+// KMV output must be the input regrouped by key — records in
+// first-appearance order, values in arrival order — and all arena memory
+// must be returned after Free. Every KV fits a 32-byte page, while a key
+// repeated often enough makes a KMV record that spans pages.
 func FuzzConvert(f *testing.F) {
-	f.Add([]byte("the quick brown fox the lazy dog the end"), uint8(0), uint8(0))
-	f.Add([]byte("aaaa bb c dddddd bb aaaa"), uint8(2), uint8(0))
-	f.Add([]byte{1, 2, 3, 0, 255, 254, 0, 9}, uint8(0), uint8(4))
-	f.Add([]byte(""), uint8(1), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, keyMode, valMode uint8) {
+	f.Add([]byte("the quick brown fox the lazy dog the end"), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("aaaa bb c dddddd bb aaaa"), uint8(2), uint8(0), uint8(1))
+	f.Add([]byte{1, 2, 3, 0, 255, 254, 0, 9}, uint8(0), uint8(4), uint8(2))
+	f.Add([]byte(""), uint8(1), uint8(1), uint8(0))
+	f.Add(bytes.Repeat([]byte("\x00\x07kvvvvvvv"), 40), uint8(0), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, keyMode, valMode, pageSel uint8) {
 		hint, _, _ := fuzzHint(keyMode, valMode, nil, nil)
+		pageSize := [...]int{32, 64, 256}[pageSel%3]
 		arena := mem.NewArena(0)
-		kvc := NewKVC(arena, 256, hint)
+		kvc := NewKVC(arena, pageSize, hint)
 
 		// Slice the fuzz input into KVs, sanitized for the hint.
 		type kv struct{ k, v string }
@@ -109,7 +113,7 @@ func FuzzConvert(f *testing.F) {
 			want = append(want, kv{string(k), string(v)})
 		}
 
-		kmv, err := Convert(kvc, arena, 256, hint)
+		kmv, err := Convert(kvc, arena, pageSize, hint)
 		if err != nil {
 			t.Fatalf("Convert: %v", err)
 		}

@@ -19,14 +19,12 @@ const kmvMetaBytes = 32
 // Record layout: [klen?][nvals][key(+NUL?)] [vlen? value (+NUL?)]* — length
 // headers appear only for varlen sides, per the container's hint.
 //
-// On a PageStore, a record larger than the page size spans a run of
-// ordinary pages (MR-MPI's multi-block KMV) instead of one oversized page,
-// and is written and read a page at a time: its key and values may cross
-// page boundaries, and at most one of its pages is pinned at once. So no
-// record ever needs to be resident in full — a hot key's value list can
-// exceed everything the node has left above the pinned and unevictable
-// bytes. Without a store every page is resident anyway and such a record
-// keeps its dedicated page.
+// Every page is PageSize. A record larger than a page spans a run of
+// ordinary pages (MR-MPI's multi-block KMV) and is written and read a page
+// at a time: its key and values may cross page boundaries, and at most one
+// of its pages is pinned at once. So on a PageStore no record ever needs to
+// be resident in full — a hot key's value list can exceed everything the
+// node has left above the pinned and unevictable bytes.
 type KMVC struct {
 	arena *mem.Arena
 	buf   *pagedBuf
@@ -118,9 +116,7 @@ func (c *KMVC) NewRecord(key []byte, nvals, valBytes int) (int, error) {
 }
 
 // spans reports whether a record of size bytes runs across pages.
-func (c *KMVC) spans(size int) bool {
-	return c.buf.store != nil && size > c.buf.pageSize
-}
+func (c *KMVC) spans(size int) bool { return size > c.buf.pageSize }
 
 // writeSpan copies b to offset pos of the spanning record at r, pinning
 // and dirtying each page it touches in turn.
@@ -141,10 +137,11 @@ func (c *KMVC) writeSpan(r ref, pos int, b []byte) error {
 }
 
 // AppendValue writes the next value into record id (pass two of convert).
-// The write lands on whatever page holds the record — typically a sealed
-// one — so with a PageStore attached the page is pinned (restoring it if
-// convert pass 2 finds it spilled) and marked dirty around the scatter;
-// without one every page is resident and the value is written directly.
+// A spanning record is written a page at a time. Any other record's write
+// lands on the one page that holds it — typically a sealed one — so with a
+// PageStore attached the page is pinned (restoring it if convert pass 2
+// finds it spilled) and marked dirty around the scatter; without one every
+// page is resident and the value is written directly.
 func (c *KMVC) AppendValue(id int, v []byte) error {
 	if id < 0 || id >= len(c.recs) {
 		return fmt.Errorf("kvbuf: bad KMV record id %d", id)
@@ -156,11 +153,11 @@ func (c *KMVC) AppendValue(id int, v []byte) error {
 	if err := c.hint.Val.check("value", v); err != nil {
 		return err
 	}
-	if c.buf.store == nil {
-		return c.putValue(id, rec, v)
-	}
 	if c.spans(rec.size) {
 		return c.putSpanValue(id, rec, v)
+	}
+	if c.buf.store == nil {
+		return c.putValue(id, rec, v)
 	}
 	page := rec.r.page()
 	if _, err := c.buf.pinPage(page); err != nil {

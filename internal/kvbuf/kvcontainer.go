@@ -66,8 +66,9 @@ func (c *KVC) Append(k, v []byte) error {
 // KVs that fits the head page's remainder and moves the run with one copy
 // (fixed/fixed hints skip even the measuring — runs split by division).
 // Runs never straddle a page boundary and the per-KV fallback handles page
-// rolls and oversized records, so the resulting page layout is byte-for-byte
-// identical to appending each KV individually.
+// rolls, so the resulting page layout is byte-for-byte identical to
+// appending each KV individually; a KV larger than a page fails in that
+// fallback with Append's error.
 func (c *KVC) AppendChunk(chunk []byte) (int, error) {
 	count := 0
 	pos := 0
@@ -105,9 +106,9 @@ func (c *KVC) AppendChunk(chunk []byte) (int, error) {
 			pos += runBytes
 			continue
 		}
-		// No whole KV fits the head remainder (page roll or oversized
-		// record), or the next KV is malformed: one per-KV append replicates
-		// the slow path's layout and errors exactly.
+		// No whole KV fits the head remainder (a page roll, or a KV larger
+		// than a page), or the next KV is malformed: one per-KV append
+		// replicates the slow path's layout and errors exactly.
 		k, v, n, err := c.hint.Decode(chunk[pos:])
 		if err != nil {
 			return count, fmt.Errorf("kvbuf: bad chunk at offset %d: %w", pos, err)

@@ -6,13 +6,13 @@ import (
 	"mimir/internal/mem"
 )
 
-// pagedBuf is an append-only byte store built from fixed-size arena pages.
-// Records appended with reserve never straddle page boundaries: an append
-// that does not fit in the current page's remainder opens a new page, and a
-// record larger than the page size gets a dedicated oversized page;
-// reserveSpan lays such a record across a run of ordinary pages instead.
-// This mirrors how the paper's containers "gradually allocate more memory
-// to store the data" in fixed-size units to avoid fragmentation.
+// pagedBuf is an append-only byte store built from arena pages of exactly
+// pageSize bytes — the paper's containers "gradually allocate more memory
+// to store the data" in fixed-size units to avoid fragmentation. Records
+// appended with reserve never straddle page boundaries: an append that does
+// not fit in the current page's remainder opens a new page, and a record
+// larger than a page is an error. reserveSpan lays a longer range across a
+// run of pages instead (see KMVC's spanning records).
 //
 // With a PageStore attached, pages are registered for out-of-core eviction:
 // the buffer seals the previous page whenever it opens a new one (the last
@@ -53,19 +53,19 @@ func newStorePagedBuf(store PageStore, arena *mem.Arena, pageSize int) *pagedBuf
 	return &pagedBuf{arena: arena, pageSize: pageSize, store: store}
 }
 
-// newPage opens a new page of the given size, sealing the previous append
-// head so it becomes evictable.
-func (pb *pagedBuf) newPage(size int) (*mem.Page, error) {
+// newPage opens a new page, sealing the previous append head so it becomes
+// evictable.
+func (pb *pagedBuf) newPage() (*mem.Page, error) {
 	if pb.store == nil {
 		var p *mem.Page
 		if pb.room != nil {
-			if err := pb.room.Reserve(int64(size)); err != nil {
+			if err := pb.room.Reserve(int64(pb.pageSize)); err != nil {
 				return nil, err
 			}
-			p = pb.arena.AdoptPage(size)
+			p = pb.arena.AdoptPage(pb.pageSize)
 		} else {
 			var err error
-			p, err = pb.arena.NewPage(size)
+			p, err = pb.arena.NewPage(pb.pageSize)
 			if err != nil {
 				return nil, err
 			}
@@ -73,7 +73,7 @@ func (pb *pagedBuf) newPage(size int) (*mem.Page, error) {
 		pb.pages = append(pb.pages, p)
 		return p, nil
 	}
-	id, p, err := pb.store.NewPage(size)
+	id, p, err := pb.store.NewPage(pb.pageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -85,23 +85,18 @@ func (pb *pagedBuf) newPage(size int) (*mem.Page, error) {
 	return p, nil
 }
 
-// reserve allocates n contiguous bytes and returns their ref. The bytes
-// hold arbitrary stale data (pages are pooled) and must be fully written
-// via at() before reading. The returned range is always
-// on the last (unsealed, resident) page, so the caller may write it without
-// pinning — but must do so before the next reserve.
+// reserve allocates n contiguous bytes and returns their ref; n larger
+// than the page size is an error naming both. The bytes hold arbitrary
+// stale data (pages are pooled) and must be fully written via at() before
+// reading. The returned range is always on the last (unsealed, resident)
+// page, so the caller may write it without pinning — but must do so before
+// the next reserve.
 func (pb *pagedBuf) reserve(n int) (ref, error) {
 	if n > pb.pageSize {
-		// Oversized record: dedicated page.
-		p, err := pb.newPage(n)
-		if err != nil {
-			return 0, err
-		}
-		p.Used = n
-		return makeRef(len(pb.pages)-1, 0), nil
+		return 0, fmt.Errorf("kvbuf: record of %d bytes exceeds PageSize %d", n, pb.pageSize)
 	}
 	if len(pb.pages) == 0 || pb.pages[len(pb.pages)-1].Remaining() < n {
-		if _, err := pb.newPage(pb.pageSize); err != nil {
+		if _, err := pb.newPage(); err != nil {
 			return 0, err
 		}
 	}
@@ -120,7 +115,7 @@ func (pb *pagedBuf) reserve(n int) (ref, error) {
 func (pb *pagedBuf) reserveSpan(n int) (ref, error) {
 	first := len(pb.pages)
 	for left := n; left > 0; left -= pb.pageSize {
-		p, err := pb.newPage(pb.pageSize)
+		p, err := pb.newPage()
 		if err != nil {
 			return 0, err
 		}

@@ -2,6 +2,7 @@ package kvbuf
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,20 +38,27 @@ func TestPagedBufRefsStable(t *testing.T) {
 	}
 }
 
+// TestPagedBufOversized: every page is pageSize, so a record larger than a
+// page is rejected with an error naming PageSize and the record's size, and
+// leaves neither a page nor an arena charge behind. A record of exactly a
+// page still fits.
 func TestPagedBufOversized(t *testing.T) {
 	a := mem.NewArena(0)
 	pb := newPagedBuf(a, 16)
-	big := bytes.Repeat([]byte{7}, 500)
-	r, err := pb.append(big)
+	_, err := pb.append(bytes.Repeat([]byte{7}, 500))
+	if err == nil || !strings.Contains(err.Error(), "PageSize 16") || !strings.Contains(err.Error(), "500 bytes") {
+		t.Fatalf("append of 500 bytes into 16-byte pages: err = %v, want one naming PageSize and the size", err)
+	}
+	if pb.numPages() != 0 || a.Used() != 0 {
+		t.Fatalf("rejected record left %d pages and %d arena bytes", pb.numPages(), a.Used())
+	}
+	full := bytes.Repeat([]byte{9}, 16)
+	r, err := pb.append(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pb.at(r, 500), big) {
-		t.Error("oversized record corrupted")
-	}
-	// The oversized page is charged exactly, not rounded to pageSize.
-	if a.Used() != 500+0 && a.Used() != 500 {
-		t.Errorf("arena used %d, want 500", a.Used())
+	if !bytes.Equal(pb.at(r, 16), full) || a.Used() != 16 {
+		t.Fatalf("page-sized record: arena used %d, want 16", a.Used())
 	}
 	pb.free()
 }
@@ -65,7 +73,8 @@ func TestPagedBufInvalidPageSize(t *testing.T) {
 }
 
 // Property: appends never alias each other — writing one record never
-// alters another — across random record sizes.
+// alters another — across random record sizes up to a page, and a record
+// over a page is rejected without disturbing them.
 func TestPagedBufIsolationProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		a := mem.NewArena(0)
@@ -76,13 +85,16 @@ func TestPagedBufIsolationProperty(t *testing.T) {
 		}
 		var entries []entry
 		for i, s := range sizes {
-			n := int(s)%60 + 1
+			n := int(s)%32 + 1
 			b := bytes.Repeat([]byte{byte(i + 1)}, n)
 			r, err := pb.append(b)
 			if err != nil {
 				return false
 			}
 			entries = append(entries, entry{r, b})
+		}
+		if _, err := pb.append(make([]byte, 33)); err == nil {
+			return false
 		}
 		for _, e := range entries {
 			if !bytes.Equal(pb.at(e.r, len(e.b)), e.b) {

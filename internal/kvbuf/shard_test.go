@@ -265,10 +265,10 @@ func FuzzShardMerge(f *testing.F) {
 		// Draining either bucket yields the scanned sequence — under release
 		// scribbling, so a page freed too early shows as wrong bytes — and
 		// frees it.
-		mem.DebugScribble(true)
+		mem.DebugPool(true)
 		drainedRef := collectBucket(t, ref.Drain)
 		drainedSharded := collectBucket(t, sb.Drain)
-		mem.DebugScribble(false)
+		mem.DebugPool(false)
 		if !slices.Equal(drainedRef, want) || !slices.Equal(drainedSharded, want) {
 			t.Fatalf("workers=%d: a drain diverges from the scan", workers)
 		}

@@ -336,7 +336,7 @@ func TestPageAllocFailure(t *testing.T) {
 	}
 }
 
-// TestDebugScribble: with scribbling on, a slice kept past its page's
+// TestDebugScribble: with DebugPool on, a slice kept past its page's
 // Release or Evict reads the scribble byte; with it off, the stale bytes are
 // still there — which is exactly why a use-after-release goes unnoticed
 // without it.
@@ -364,8 +364,8 @@ func TestDebugScribble(t *testing.T) {
 		t.Fatal("a release with scribbling off changed the bytes")
 	}
 
-	DebugScribble(true)
-	defer DebugScribble(false)
+	DebugPool(true)
+	defer DebugPool(false)
 	p, _ = a.NewPage(4096)
 	kept = fill(p)
 	p.Release()

@@ -19,7 +19,7 @@ func (a *Arena) NewPage(size int) (*Page, error) {
 	if err := a.Alloc(int64(size)); err != nil {
 		return nil, err
 	}
-	return &Page{arena: a, Buf: getPageBuf(size)}, nil
+	return &Page{arena: a, Buf: GetBuf(size)}, nil
 }
 
 // AdoptPage wraps size bytes the caller has already reserved on the arena
@@ -28,7 +28,7 @@ func (a *Arena) NewPage(size int) (*Page, error) {
 // Release returns the bytes as usual. As with NewPage, the buffer is not
 // zeroed.
 func (a *Arena) AdoptPage(size int) *Page {
-	return &Page{arena: a, Buf: getPageBuf(size)}
+	return &Page{arena: a, Buf: GetBuf(size)}
 }
 
 // Remaining returns the unused capacity of the page.
@@ -53,7 +53,7 @@ func (p *Page) Release() {
 	if p.arena != nil {
 		p.arena.Free(int64(len(p.Buf)))
 		p.arena = nil
-		putPageBuf(p.Buf)
+		PutBuf(p.Buf)
 		p.Buf = nil
 		p.Used = 0
 	}
@@ -70,7 +70,7 @@ func (p *Page) Evict() int {
 	}
 	n := len(p.Buf)
 	p.arena.Free(int64(n))
-	putPageBuf(p.Buf)
+	PutBuf(p.Buf)
 	p.Buf = nil
 	return n
 }
@@ -93,6 +93,6 @@ func (p *Page) Restore(size int) error {
 	if err := p.arena.Alloc(int64(size)); err != nil {
 		return err
 	}
-	p.Buf = getPageBuf(size)
+	p.Buf = GetBuf(size)
 	return nil
 }

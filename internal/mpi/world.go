@@ -244,7 +244,7 @@ func (c *Comm) Net() simtime.NetworkModel { return c.world.net }
 func (c *Comm) Abort(cause error) { c.world.abort(cause) }
 
 // bufRecycler is the optional transport hook for returning received payload
-// buffers to the transport's frame pool once the consumer has copied them
+// buffers to the buffer pool once the consumer has copied them
 // out (the TCP transport implements it; in-process transports, whose receive
 // buffers are plain garbage, do not).
 type bufRecycler interface {

@@ -614,36 +614,42 @@ func TestFailedSpillWriteKeepsPageResident(t *testing.T) {
 	s.Free(id)
 }
 
-// TestOversizedRecord: a record larger than the page size gets a dedicated
-// page that spills and restores like any other.
+// TestOversizedRecord: a KV larger than the page size is rejected on a
+// store too, with an error naming PageSize; it registers no page, and the
+// container keeps spilling and restoring the KVs around it.
 func TestOversizedRecord(t *testing.T) {
 	const pageSize = 128
 	s, arena, _, _ := newTestStore(t, 8*pageSize, WhenNeeded)
 	kvc := kvbuf.NewKVCOn(s, arena, pageSize, kvbuf.DefaultHint())
-	big := make([]byte, 4*pageSize)
-	for i := range big {
-		big[i] = byte('a' + i%26)
-	}
-	if err := kvc.Append([]byte("big"), big); err != nil {
-		t.Fatalf("oversized append: %v", err)
-	}
+	want := 0
 	for i := 0; i < 64; i++ {
-		if err := kvc.Append([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if i == 32 {
+			err := kvc.Append([]byte("big"), make([]byte, 4*pageSize))
+			if err == nil || !strings.Contains(err.Error(), "PageSize 128") {
+				t.Fatalf("oversized append: err = %v, want a PageSize error", err)
+			}
+		}
+		if err := kvc.Append([]byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("v"), 40)); err != nil {
 			t.Fatal(err)
 		}
+		want++
 	}
-	found := false
+	got := 0
 	err := kvc.Scan(func(k, v []byte) error {
-		if string(k) == "big" {
-			found = string(v) == string(big)
+		if string(k) != fmt.Sprintf("k%04d", got) || len(v) != 40 {
+			return fmt.Errorf("KV %d: key %q with %d value bytes", got, k, len(v))
 		}
+		got++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("oversized record lost or corrupted through spill")
+	if got != want {
+		t.Fatalf("scanned %d KVs, want %d", got, want)
+	}
+	if st := s.Stats(); st.SpilledBytes == 0 || st.Restores == 0 {
+		t.Fatalf("no spill traffic: %+v", st)
 	}
 	kvc.Free()
 	if arena.Used() != 0 {
@@ -651,10 +657,11 @@ func TestOversizedRecord(t *testing.T) {
 	}
 }
 
-// TestSpanningKMVRecord: on a store, a KMV record larger than the page
-// spans ordinary pages, so a hot key whose record is bigger than the whole
-// arena still builds, spills and scans back intact under every length mode
-// — with its key and values crossing page boundaries.
+// TestSpanningKMVRecord: a KMV record larger than the page spans ordinary
+// pages, in memory and on a store alike, under every length mode — with its
+// key and values crossing page boundaries. On the store, a hot key whose
+// record is bigger than the whole arena still builds, spills and scans back
+// intact.
 func TestSpanningKMVRecord(t *testing.T) {
 	const pageSize = 128
 	hotKey := bytes.Repeat([]byte("k"), 200) // the header alone spans two pages
@@ -673,72 +680,87 @@ func TestSpanningKMVRecord(t *testing.T) {
 		{"fixed", kvbuf.Hint{Key: kvbuf.Varlen(), Val: kvbuf.Fixed(8)}},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
-			s, arena, _, _ := newTestStore(t, 6*pageSize, WhenNeeded)
-			kmv := kvbuf.NewKMVCOn(s, arena, pageSize, tc.hint)
-			const hotVals = 300
-			keys := [][]byte{[]byte("before"), hotKey, []byte("after")}
-			counts := []int{3, hotVals, 4}
-			want := make([][][]byte, len(keys))
-			for r := range keys {
-				valBytes := 0
-				for i := 0; i < counts[r]; i++ {
-					v := value(tc.mode, r*1000+i)
-					want[r] = append(want[r], v)
-					valBytes += len(v)
+			for _, onStore := range []bool{false, true} {
+				name := "memory"
+				if onStore {
+					name = "store"
 				}
-				if _, err := kmv.NewRecord(keys[r], counts[r], valBytes); err != nil {
-					t.Fatalf("NewRecord %d: %v", r, err)
-				}
-			}
-			// Pass 2 interleaves the records, as convert's scatter does.
-			for i := 0; i < hotVals; i++ {
-				for r := range keys {
-					if i < counts[r] {
-						if err := kmv.AppendValue(r, want[r][i]); err != nil {
-							t.Fatalf("AppendValue(%d, #%d): %v", r, i, err)
+				t.Run(name, func(t *testing.T) {
+					arena := mem.NewArena(0)
+					kmv := kvbuf.NewKMVC(arena, pageSize, tc.hint)
+					var s *Store
+					if onStore {
+						s, arena, _, _ = newTestStore(t, 6*pageSize, WhenNeeded)
+						kmv = kvbuf.NewKMVCOn(s, arena, pageSize, tc.hint)
+					}
+					const hotVals = 300
+					keys := [][]byte{[]byte("before"), hotKey, []byte("after")}
+					counts := []int{3, hotVals, 4}
+					want := make([][][]byte, len(keys))
+					for r := range keys {
+						valBytes := 0
+						for i := 0; i < counts[r]; i++ {
+							v := value(tc.mode, r*1000+i)
+							want[r] = append(want[r], v)
+							valBytes += len(v)
+						}
+						if _, err := kmv.NewRecord(keys[r], counts[r], valBytes); err != nil {
+							t.Fatalf("NewRecord %d: %v", r, err)
 						}
 					}
-				}
-			}
-			if kmv.Bytes() <= arena.Capacity() {
-				t.Fatalf("records hold %d bytes, want more than the %d-byte arena", kmv.Bytes(), arena.Capacity())
-			}
-			r := 0
-			err := kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
-				if !bytes.Equal(key, keys[r]) {
-					return fmt.Errorf("record %d: key %q, want %q", r, key, keys[r])
-				}
-				for pass := 0; pass < 2; pass++ { // Reset rewinds across pages
-					i := 0
-					for v, ok := vals.Next(); ok; v, ok = vals.Next() {
-						if i >= len(want[r]) || !bytes.Equal(v, want[r][i]) {
-							return fmt.Errorf("record %d value %d: %q, want %q", r, i, v, want[r][i])
+					// Pass 2 interleaves the records, as convert's scatter does.
+					for i := 0; i < hotVals; i++ {
+						for r := range keys {
+							if i < counts[r] {
+								if err := kmv.AppendValue(r, want[r][i]); err != nil {
+									t.Fatalf("AppendValue(%d, #%d): %v", r, i, err)
+								}
+							}
 						}
-						i++
 					}
-					if i != counts[r] {
-						return fmt.Errorf("record %d: %d values, want %d", r, i, counts[r])
+					if onStore && kmv.Bytes() <= arena.Capacity() {
+						t.Fatalf("records hold %d bytes, want more than the %d-byte arena", kmv.Bytes(), arena.Capacity())
 					}
-					vals.Reset()
-				}
-				if !bytes.Equal(key, keys[r]) {
-					return fmt.Errorf("record %d: key changed to %q during the value scan", r, key)
-				}
-				r++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r != len(keys) {
-				t.Fatalf("scanned %d records, want %d", r, len(keys))
-			}
-			if st := s.Stats(); st.SpilledBytes == 0 || st.Restores == 0 {
-				t.Fatalf("no spill traffic: %+v", st)
-			}
-			kmv.Free()
-			if arena.Used() != 0 {
-				t.Fatalf("arena holds %d bytes after Free", arena.Used())
+					r := 0
+					err := kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
+						if !bytes.Equal(key, keys[r]) {
+							return fmt.Errorf("record %d: key %q, want %q", r, key, keys[r])
+						}
+						for pass := 0; pass < 2; pass++ { // Reset rewinds across pages
+							i := 0
+							for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+								if i >= len(want[r]) || !bytes.Equal(v, want[r][i]) {
+									return fmt.Errorf("record %d value %d: %q, want %q", r, i, v, want[r][i])
+								}
+								i++
+							}
+							if i != counts[r] {
+								return fmt.Errorf("record %d: %d values, want %d", r, i, counts[r])
+							}
+							vals.Reset()
+						}
+						if !bytes.Equal(key, keys[r]) {
+							return fmt.Errorf("record %d: key changed to %q during the value scan", r, key)
+						}
+						r++
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r != len(keys) {
+						t.Fatalf("scanned %d records, want %d", r, len(keys))
+					}
+					if onStore {
+						if st := s.Stats(); st.SpilledBytes == 0 || st.Restores == 0 {
+							t.Fatalf("no spill traffic: %+v", st)
+						}
+					}
+					kmv.Free()
+					if arena.Used() != 0 {
+						t.Fatalf("arena holds %d bytes after Free", arena.Used())
+					}
+				})
 			}
 		})
 	}

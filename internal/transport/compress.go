@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"mimir/internal/mem"
 )
 
 // Frame-level compression (wire v3). A sender with TCPConfig.Compress set
@@ -85,12 +87,11 @@ func compressPayload(dst, data []byte) ([]byte, bool) {
 }
 
 // decompressPayload inflates a CompressedFlag payload into a buffer from the
-// frame pool, which the consumer hands back via Recycle like any received
+// buffer pool, which the consumer hands back via Recycle like any received
 // payload. rawLen is attacker-controlled until the stream proves it has the
-// bytes: a claim within the poolable range is bounded by its size class and
-// is allocated whole (as readFramePooled trusts a poolable frame length);
-// above it the output grows chunk by chunk (mirroring readBody) instead of
-// trusting the prefix. Either way the stream must produce exactly rawLen
+// bytes: a claim up to trustedLen is allocated whole (as readFramePooled
+// trusts a frame length up to it); above it the output grows chunk by chunk
+// (mirroring readBody) instead of trusting the prefix. Either way the stream must produce exactly rawLen
 // bytes followed by EOF.
 func decompressPayload(comp []byte) ([]byte, error) {
 	if len(comp) < 4 {
@@ -108,8 +109,8 @@ func decompressPayload(comp []byte) ([]byte, error) {
 	}
 	const chunk = 1 << 20
 	var out []byte
-	if rawLen <= 1<<maxBufBits {
-		out = getBuf(rawLen)[:rawLen]
+	if rawLen <= trustedLen {
+		out = mem.GetBuf(rawLen)
 	} else {
 		out = make([]byte, chunk)
 	}

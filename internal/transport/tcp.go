@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mimir/internal/mem"
 )
 
 // TCPConfig describes one rank's attachment to a multi-process world.
@@ -214,7 +216,7 @@ type tcpPeer struct {
 	replayBytes int64
 	// replaying marks a reconnect replay in flight: install's snapshot
 	// aliases the ledger's buffers, so pruneReplayLocked must not recycle
-	// them to the frame pool while it is set.
+	// them to the buffer pool while it is set.
 	replaying bool
 	// sending is the ledger entry writeFrame is writing. The peer can ack
 	// it before that write call returns, and only the writer's goroutine
@@ -314,7 +316,7 @@ func (p *tcpPeer) writeConnVectored(conn net.Conn, hdr, payload []byte, deadline
 //
 // The hot path is allocation-conscious: the payload is written straight from
 // the caller's buffer via writev (no gather copy), compression scratch and
-// replay entries come from the size-classed frame pool, and the header is
+// replay entries come from the buffer pool (mem.GetBuf), and the header is
 // built in per-peer scratch.
 func (p *tcpPeer) writeFrame(f *Frame) error {
 	t := p.t
@@ -327,18 +329,18 @@ func (p *tcpPeer) writeFrame(f *Frame) error {
 	op, payload := f.Op, f.Data
 	var scratch []byte
 	if t.cfg.Compress && isData(op) && len(payload) >= compressMinSize {
-		out, ok := compressPayload(getBuf(4+len(payload)), payload)
+		out, ok := compressPayload(mem.GetBuf(4 + len(payload))[:0], payload)
 		if ok {
 			op |= CompressedFlag
 			payload = out
 			scratch = out
 		} else {
-			putBuf(out)
+			mem.PutBuf(out)
 		}
 	}
 	defer func() {
 		if scratch != nil {
-			putBuf(scratch)
+			mem.PutBuf(scratch)
 		}
 	}()
 
@@ -347,7 +349,7 @@ func (p *tcpPeer) writeFrame(f *Frame) error {
 		// Owned encoded copy: may outlive the caller's Data. The replay
 		// ledger owns buf from the append below until pruneReplayLocked
 		// recycles it.
-		buf = appendFrameHeaderRaw(getBuf(4+frameHeaderLen+len(payload)), op, f.Src, f.Job, f.Tag, f.Seq, f.Time, payload)
+		buf = appendFrameHeaderRaw(mem.GetBuf(4 + frameHeaderLen + len(payload))[:0], op, f.Src, f.Job, f.Tag, f.Seq, f.Time, payload)
 		buf = append(buf, payload...)
 	}
 
@@ -742,7 +744,7 @@ func (c *tcpChan) Exchange(send [][]byte, now float64) ([][]byte, float64, error
 	}
 	recv := make([][]byte, t.size)
 	if send != nil {
-		recv[t.rank] = append(getBuf(len(send[t.rank])), send[t.rank]...)
+		recv[t.rank] = append(mem.GetBuf(len(send[t.rank]))[:0], send[t.rank]...)
 	}
 	tmax := now
 	for src := 0; src < t.size; src++ {
@@ -1512,14 +1514,14 @@ func (p *tcpPeer) doneReplaying() {
 func (p *tcpPeer) doneSending(b []byte) {
 	p.rmu.Lock()
 	if p.sendingPruned {
-		putBuf(b)
+		mem.PutBuf(b)
 	}
 	p.sending, p.sendingPruned = nil, false
 	p.rmu.Unlock()
 }
 
 // pruneReplayLocked drops replay entries the peer confirmed, recycling their
-// buffers to the frame pool. A cumulative ack only ever covers frames the
+// buffers to the buffer pool. A cumulative ack only ever covers frames the
 // peer fully received, but it can arrive before the write call that sent
 // the frame returns, and nothing orders that call before this goroutine's
 // recycle. So the entry writeFrame is still writing goes back to the pool
@@ -1541,7 +1543,7 @@ func (p *tcpPeer) pruneReplayLocked(upTo uint64) {
 		case p.sending != nil && &b[0] == &p.sending[0]:
 			p.sendingPruned = true
 		default:
-			putBuf(b)
+			mem.PutBuf(b)
 		}
 	}
 	n := copy(p.replay, p.replay[drop:])
@@ -1606,18 +1608,17 @@ func (p *tcpPeer) writeAckLocked(n uint64) error {
 // escapes, so a per-call array would cost an allocation per frame.
 type frameScratch [4 + frameHeaderLen]byte
 
-// readFramePooled is ReadFrame with the payload drawn from the frame pool
+// readFramePooled is ReadFrame with the payload drawn from the buffer pool
 // instead of a fresh allocation: the receive path is per-frame hot, and the
 // consumer hands data buffers back via Recycle once the payload is copied
-// out. The prefix and header go to hdr, the payload alone to getBuf(len),
-// so a delivered f.Data is the whole pooled buffer at its full class
-// capacity and Recycle files it back into the class it came from. Payloads
-// above the poolable range keep readBody's chunked growth (a lying length
-// prefix must not allocate its claim up front); poolable sizes can be
-// trusted whole, since the pool class bounds the allocation anyway. The
-// pooled payload is recycled here whenever the frame does not deliver it
-// (compressed payloads inflate into a second pooled buffer, and decoding
-// errors deliver nothing).
+// out. The prefix and header go to hdr, the payload alone to
+// mem.GetBuf(len), so a delivered f.Data is the whole pooled buffer at its
+// full class capacity and Recycle files it back into the class it came
+// from. Payloads above trustedLen keep readBody's chunked growth (a lying
+// length prefix must not allocate its claim up front). The pooled payload
+// is recycled here whenever the frame does not deliver it (compressed
+// payloads inflate into a second pooled buffer, and decoding errors deliver
+// nothing).
 func readFramePooled(r io.Reader, hdr *frameScratch) (*Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err
@@ -1641,10 +1642,10 @@ func readFramePooled(r io.Reader, hdr *frameScratch) (*Frame, error) {
 	var payload []byte
 	switch m := n - frameHeaderLen; {
 	case m == 0:
-	case m <= 1<<maxBufBits:
-		payload = getBuf(m)[:m]
+	case m <= trustedLen:
+		payload = mem.GetBuf(m)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			putBuf(payload)
+			mem.PutBuf(payload)
 			return nil, truncated(err)
 		}
 	default:
@@ -1655,21 +1656,21 @@ func readFramePooled(r io.Reader, hdr *frameScratch) (*Frame, error) {
 	}
 	f, err := parseFrameParts(hdr[4:], payload)
 	if err != nil {
-		putBuf(payload)
+		mem.PutBuf(payload)
 		return nil, err
 	}
 	if len(payload) > 0 && (len(f.Data) == 0 || &f.Data[0] != &payload[0]) {
-		putBuf(payload)
+		mem.PutBuf(payload)
 	}
 	return f, nil
 }
 
 // Recycle returns a payload buffer delivered by Recv or Exchange to the
-// frame pool. Optional: an un-recycled buffer is simply garbage. The caller
+// buffer pool. Optional: an un-recycled buffer is simply garbage. The caller
 // must not touch the buffer afterwards.
 func (t *TCP) Recycle(b []byte) {
 	if cap(b) > 0 {
-		putBuf(b)
+		mem.PutBuf(b)
 	}
 }
 

@@ -57,6 +57,10 @@ const (
 	// MaxFrameSize bounds length so corrupted or hostile length prefixes
 	// cannot trigger huge allocations.
 	MaxFrameSize = 1 << 30
+	// trustedLen is the largest payload a length prefix is trusted for:
+	// up to it, the receiver draws the whole claim from the buffer pool at
+	// once; above it, memory grows chunk by chunk with the data (readBody).
+	trustedLen = 1 << 22
 )
 
 // crcTab is the Castagnoli table (hardware-accelerated on amd64/arm64).
@@ -222,8 +226,8 @@ func parseFrameBody(body []byte) (*Frame, error) {
 // after the length prefix) and its payload, which may live in separate
 // buffers. Both are owned by the caller. An uncompressed payload is
 // delivered as is — f.Data is payload itself, not a copy — so a payload
-// drawn whole from the frame pool reaches the consumer as the pooled buffer;
-// a compressed payload is inflated into a buffer from the frame pool and
+// drawn whole from the buffer pool reaches the consumer as the pooled buffer;
+// a compressed payload is inflated into a buffer from the buffer pool and
 // payload is left unreferenced. The CRC is checked before anything else —
 // over the wire bytes, compressed or not — so corruption never reaches the
 // inflater.

@@ -13,7 +13,9 @@ import (
 // passes them (stage output into RunStage's sink, partial-reduction and
 // combiner buckets into the output and the send buffer), so a sink, reducer
 // or combiner that keeps a key or value slice past its callback reads freed
-// memory. With release scribbling on, such a slice reads garbage at once.
+// memory. With mem.DebugPool on, every released buffer is scribbled, so such
+// a slice reads garbage at once, and a buffer released twice panics — the
+// TCP cell puts the transport's frame buffers under the same check.
 // Every job kind, with and without its combiner, in memory and under
 // SpillWhenNeeded, on Local (one and four workers) and TCP, must produce
 // exactly the bytes of its run with scribbling off.
@@ -45,8 +47,8 @@ func TestScribbleBattery(t *testing.T) {
 					if len(want) == 0 {
 						t.Fatal("empty reference output")
 					}
-					mem.DebugScribble(true)
-					defer mem.DebugScribble(false)
+					mem.DebugPool(true)
+					defer mem.DebugPool(false)
 					for _, cl := range cells {
 						c := cfg
 						c.Workers = cl.workers

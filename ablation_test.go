@@ -293,116 +293,6 @@ func TestSpillPeakBelowMRMPI(t *testing.T) {
 	}
 }
 
-// workersPoint is one point of the worker-pool ablation. All values are
-// simulated seconds from the simtime max-rule, so they are identical on any
-// host regardless of its core count — which is why the committed baseline in
-// BENCH_workers.json can double as a regression fixture.
-type workersPoint struct {
-	Workers int `json:"workers"`
-	// MapSec is the max over ranks of the simulated map-phase time.
-	MapSec float64 `json:"map_sim_sec"`
-	// SimSec is the simulated job time (max over ranks, all phases).
-	SimSec float64 `json:"total_sim_sec"`
-	// EffMap is the worst rank's map parallel efficiency, sum/(W*max).
-	EffMap float64 `json:"par_eff_map"`
-}
-
-// runWorkersWC runs the map-heavy uniform WordCount (1 MiB over 8 ranks with
-// Comet's calibrated costs) at one pool size and returns the simulated
-// figures.
-func runWorkersWC(tb testing.TB, workers int) workersPoint {
-	tb.Helper()
-	const p = 8
-	plat := mimir.Comet()
-	w := mimir.NewWorldOn(plat, p)
-	arena := mimir.NewArena(0)
-	var mu sync.Mutex
-	pt := workersPoint{Workers: workers}
-	err := w.Run(func(c *mimir.Comm) error {
-		jc := mimir.Config{Arena: arena, Costs: plat.Costs(), Workers: workers}
-		job := mimir.NewJob(c, jc)
-		input := workloads.TextInput(nil, c.Clock(), workloads.Uniform, 42, 1<<20, c.Rank(), p)
-		out, err := job.Run(input, workloads.WordCountMap, workloads.WordCountReduce)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if out.Stats.Phases.Map > pt.MapSec {
-			pt.MapSec = out.Stats.Phases.Map
-		}
-		if e := out.Stats.ParEff.Map; e > 0 && (pt.EffMap == 0 || e < pt.EffMap) {
-			pt.EffMap = e
-		}
-		mu.Unlock()
-		out.Free()
-		return nil
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pt.SimSec = w.MaxTime()
-	return pt
-}
-
-// BenchmarkAblationWorkers sweeps the per-rank worker pool on the map-heavy
-// WordCount. The speedup lives in map-sim-sec (the simtime max-rule charges
-// the slowest worker's share); ns/op shows the host-side cost of the pool,
-// which on a single-core host stays flat — the simulated figures are the
-// machine-independent result.
-func BenchmarkAblationWorkers(b *testing.B) {
-	for _, wk := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", wk), func(b *testing.B) {
-			b.ReportAllocs()
-			var pt workersPoint
-			for i := 0; i < b.N; i++ {
-				pt = runWorkersWC(b, wk)
-			}
-			b.ReportMetric(pt.MapSec, "map-sim-sec")
-			b.ReportMetric(pt.SimSec, "sim-sec")
-			b.ReportMetric(pt.EffMap, "par-eff-map")
-		})
-	}
-}
-
-// benchWorkersBaseline is the committed shape of BENCH_workers.json.
-type benchWorkersBaseline struct {
-	Benchmark   string         `json:"benchmark"`
-	Workload    string         `json:"workload"`
-	Note        string         `json:"note"`
-	Points      []workersPoint `json:"points"`
-	MapSpeedup8 float64        `json:"map_speedup_8_workers"`
-}
-
-// benchWorkersRun executes the sweep once and packages it as the baseline.
-func benchWorkersRun(tb testing.TB) benchWorkersBaseline {
-	base := benchWorkersBaseline{
-		Benchmark: "BenchmarkAblationWorkers",
-		Workload:  "WordCount uniform, 1 MiB over 8 ranks, Comet costs",
-		Note: "All figures are simulated seconds under the simtime max-rule " +
-			"(charge the slowest worker per fan-out), so they are byte-identical " +
-			"on any host; wall-clock parallelism additionally needs GOMAXPROCS >= workers.",
-	}
-	for _, wk := range []int{1, 2, 4, 8} {
-		base.Points = append(base.Points, runWorkersWC(tb, wk))
-	}
-	base.MapSpeedup8 = base.Points[0].MapSec / base.Points[3].MapSec
-	return base
-}
-
-// TestWorkersBenchBaseline regenerates the sweep and holds it against the
-// committed BENCH_workers.json, pinning both the >=2x map-phase speedup at 8
-// workers and the exact simulated figures (they are machine-independent, so
-// any drift is a real accounting change). Regenerate the file with:
-//
-//	MIMIR_BENCH_OUT=BENCH_workers.json go test -run TestWorkersBenchBaseline .
-func TestWorkersBenchBaseline(t *testing.T) {
-	got := benchWorkersRun(t)
-	if got.MapSpeedup8 < 2 {
-		t.Errorf("map-phase speedup at 8 workers = %.2fx, want >= 2x", got.MapSpeedup8)
-	}
-	holdBaseline(t, "BENCH_workers.json", got)
-}
-
 // BenchmarkAblationHintEncoding isolates the KV-hint's effect on an
 // end-to-end job (bytes moved, memory held).
 func BenchmarkAblationHintEncoding(b *testing.B) {

@@ -49,7 +49,6 @@ func TestArenaPeakPerKind(t *testing.T) {
 	fmt.Fprintf(&table, "%-10s %14s %14s %10s\n", "kind", "arena peak B", "heap growth B", "heap/arena")
 	for _, cfg := range jobs {
 		cfg.Seed = 3
-		cfg.Workers = 1
 		arenas := make([]*mem.Arena, ranks)
 		world := mpi.NewWorld(mpi.Config{Size: ranks, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
 		runtime.GC()

@@ -29,7 +29,6 @@ func main() {
 	hint := flag.Bool("hint", true, "use the KV-hint (strz keys, fixed 8-byte counts)")
 	pr := flag.Bool("pr", true, "use partial reduction instead of convert+reduce")
 	cps := flag.Bool("cps", false, "use KV compression before the shuffle")
-	workers := flag.Int("workers", 0, "per-rank worker pool size (0 = all cores, 1 = serial)")
 	partArg := flag.String("partitioner", "", "key->rank strategy: hash (default) or sample (sampled weighted ranges)")
 	flag.Parse()
 	part, err := mimir.PartitionerByName(*partArg)
@@ -37,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// The engine config every rank's job shares (runWC adds the arena).
-	opts := mimir.Config{Workers: *workers, Partitioner: part}
+	opts := mimir.Config{Partitioner: part}
 	if *hint {
 		opts.Hint = mimir.Hint{Key: mimir.StrZ(), Val: mimir.Fixed(8)}
 	}

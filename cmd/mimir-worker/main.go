@@ -94,7 +94,6 @@ func main() {
 		hint       = flag.Bool("hint", true, "use the KV-hint")
 		pr         = flag.Bool("pr", true, "use partial reduction")
 		cps        = flag.Bool("cps", false, "use KV compression")
-		workers    = flag.Int("workers", 0, "per-rank worker pool size (0 = all cores, 1 = serial)")
 		mpath      = flag.String("metrics", "", "write per-rank distribution JSON to this file (- = stdout)")
 	)
 	flag.Parse()
@@ -117,7 +116,6 @@ func main() {
 		Hint:        *hint,
 		PR:          *pr,
 		CPS:         *cps,
-		Workers:     *workers,
 		Partitioner: *partArg,
 		Rows:        *rows,
 		Scale:       *scale,

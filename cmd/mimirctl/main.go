@@ -155,7 +155,6 @@ func submit(cl *jobsvc.Client, args []string) {
 	fs.BoolVar(&spec.Hint, "hint", true, "use the KV-hint")
 	fs.BoolVar(&spec.PR, "pr", true, "use partial reduction")
 	fs.BoolVar(&spec.CPS, "cps", false, "use KV compression")
-	fs.IntVar(&spec.Workers, "workers", 0, "per-rank worker pool size (0 = all cores)")
 	fs.Int64Var(&spec.MemBytes, "mem", 0, "job memory floor in bytes: admitted only once the daemon can reserve this much (0 = no reservation)")
 	fs.IntVar(&spec.Crash, "crash", 0, "fault-injection: this worker rank dies when the job starts (tests only)")
 	fs.IntVar(&spec.CrashRound, "crash-round", 0, "fault-injection: with -crash, the rank dies at the top of this round of an iterative job instead of at job start")

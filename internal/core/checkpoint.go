@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"mimir/internal/kvbuf"
 	"mimir/internal/pfs"
 )
 
@@ -61,8 +60,8 @@ func (j *Job) saveCheckpoint() error {
 	binary.LittleEndian.PutUint64(header[0:], ckptMagic)
 	var count uint64
 	scan := func(fn func(k, v []byte) error) error {
-		if j.prBkt != nil || j.prShard != nil {
-			return j.prScan(fn)
+		if j.prBkt != nil {
+			return j.prBkt.Scan(fn)
 		}
 		return j.recvKVC.Scan(fn)
 	}
@@ -117,36 +116,17 @@ func (j *Job) restoreCheckpoint() error {
 
 	var got uint64
 	if j.cfg.PartialReduce != nil {
-		var put func(k, v []byte) error
-		if j.prParallel() {
-			// Restore into the sharded form so finish takes the same path as
-			// a live run; sequence numbers follow checkpoint order, which is
-			// the serial insertion order the checkpoint was scanned in.
-			j.prShard, err = kvbuf.NewShardedBucket(j.cfg.Arena, j.cfg.PageSize, j.workers())
-			if err != nil {
-				return err
-			}
-			put = func(k, v []byte) error {
-				cur := j.prSeq
-				j.prSeq++
-				// Checkpointed entries are unique per key; the merge never runs.
-				return j.prShard.Upsert(j.prShard.ShardOf(k), cur, k, v,
-					func(existing, incoming []byte) ([]byte, error) { return incoming, nil })
-			}
-		} else {
-			j.prBkt, err = newBucketForJob(j)
-			if err != nil {
-				return err
-			}
-			// Checkpointed bucket entries are already unique per key.
-			put = j.prBkt.Put
+		j.prBkt, err = newBucketForJob(j)
+		if err != nil {
+			return err
 		}
 		for pos := 0; pos < len(payload); {
 			k, v, n, err := j.cfg.Hint.Decode(payload[pos:])
 			if err != nil {
 				return fmt.Errorf("core: corrupt checkpoint record: %w", err)
 			}
-			if err := put(k, v); err != nil {
+			// Checkpointed bucket entries are already unique per key.
+			if err := j.prBkt.Put(k, v); err != nil {
 				return err
 			}
 			pos += n

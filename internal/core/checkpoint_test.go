@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"mimir/internal/mem"
 	"mimir/internal/mpi"
 	"mimir/internal/pfs"
+	"mimir/internal/spill"
 )
 
 func ckptFS() *pfs.FS { return pfs.New(pfs.Config{Bandwidth: 1e9, Latency: 1e-6}) }
@@ -201,5 +204,99 @@ func TestCheckpointPartialSetIgnored(t *testing.T) {
 	}
 	if restored || !mapped {
 		t.Errorf("partial checkpoint: restored=%v mapped=%v", restored, mapped)
+	}
+}
+
+// rawOutput flattens one rank's output in Scan order into length-prefixed
+// bytes: the byte-exact observable a resumed run must reproduce.
+func rawOutput(out *Output) ([]byte, error) {
+	var buf []byte
+	err := out.Scan(func(k, v []byte) error {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(k)))
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(v)))
+		buf = append(buf, hdr[:]...)
+		buf = append(buf, k...)
+		buf = append(buf, v...)
+		return nil
+	})
+	return buf, err
+}
+
+// TestCheckpointResumeByteIdentical: a checkpointed run and the run that
+// resumes from its checkpoint both reproduce an uncheckpointed run's output
+// bytes on every rank, with the post-aggregate state in a spilling KV
+// container or in a partial-reduction bucket.
+func TestCheckpointResumeByteIdentical(t *testing.T) {
+	const p = 4
+	lines := spillLines(3000)
+	for _, tc := range []struct {
+		name     string
+		capacity int64
+		mod      func(*Config)
+	}{
+		{"spill-always", 192 << 10, func(cfg *Config) {
+			cfg.CommBuf = 4 << 10
+			cfg.OutOfCore = SpillAlways
+		}},
+		{"partial-reduce", 0, func(cfg *Config) { cfg.PartialReduce = wcCombine }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(ck *Checkpoint) (outs [][]byte, restored []bool) {
+				t.Helper()
+				w := mpi.NewWorld(mpi.Config{Size: p, Net: testNet()})
+				arena := mem.NewArena(tc.capacity)
+				spillFS := pfs.New(pfs.Config{Bandwidth: 1 << 30, Latency: 1e-4})
+				group := spill.NewGroup()
+				outs, restored = make([][]byte, p), make([]bool, p)
+				err := w.Run(func(c *mpi.Comm) error {
+					cfg := Config{Arena: arena, PageSize: 1 << 10, SpillFS: spillFS, SpillGroup: group, Checkpoint: ck}
+					tc.mod(&cfg)
+					var mine []Record
+					for i, l := range lines {
+						if i%p == c.Rank() {
+							mine = append(mine, Record{Val: []byte(l)})
+						}
+					}
+					out, err := NewJob(c, cfg).Run(SliceInput(mine), wcMap, wcReduce)
+					if err != nil {
+						return err
+					}
+					defer out.Free()
+					restored[c.Rank()] = out.Stats.RestoredFromCheckpoint
+					outs[c.Rank()], err = rawOutput(out)
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if used := arena.Used(); used != 0 {
+					t.Fatalf("arena used %d after job, want 0 (buffer leak)", used)
+				}
+				return outs, restored
+			}
+
+			want, _ := run(nil)
+			ck := &Checkpoint{FS: ckptFS(), Name: tc.name}
+			first, restored := run(ck)
+			if restored[0] {
+				t.Fatal("first run claims to have restored from a checkpoint")
+			}
+			if !ck.Exists(p) {
+				t.Fatal("first run left no checkpoint")
+			}
+			second, restored := run(ck)
+			for r := range want {
+				if !bytes.Equal(first[r], want[r]) {
+					t.Errorf("rank %d: checkpointed output diverges (%d vs %d bytes)", r, len(first[r]), len(want[r]))
+				}
+				if !bytes.Equal(second[r], want[r]) {
+					t.Errorf("rank %d: resumed output diverges (%d vs %d bytes)", r, len(second[r]), len(want[r]))
+				}
+				if !restored[r] {
+					t.Errorf("rank %d did not restore from the checkpoint", r)
+				}
+			}
+		})
 	}
 }

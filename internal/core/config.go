@@ -10,7 +10,7 @@
 package core
 
 import (
-	"runtime"
+	"fmt"
 
 	"mimir/internal/kvbuf"
 	"mimir/internal/mem"
@@ -173,21 +173,11 @@ type Config struct {
 	// the same group. Optional; nil confines eviction to the rank's own
 	// pages.
 	SpillGroup *spill.Group
-	// Workers is the rank's intra-process worker pool size: the map phase,
-	// both convert passes, partial reduction, and reduce shard their work
-	// across this many goroutines, while every result — output bytes, page
-	// layout, exchange rounds, checkpoint files — stays byte-identical to a
-	// serial run. 1 is the serial path; 0 (the default) uses
-	// runtime.GOMAXPROCS(0), the hybrid MPI+threads layout of one process
-	// per node spanning its cores. Simulated time charges the slowest
-	// worker per phase (the max rule, like the overlap window), so Workers
-	// also models intra-node parallelism in the cost model. With Workers >
-	// 1 the map and reduce callbacks and any Combiner/PartialReduce/
-	// Partitioner functions must be safe for concurrent calls (pure
-	// functions, as all paper workloads are). Container-phase sharding
-	// engages only for purely in-memory jobs (OutOfCore: Error); under a
-	// spill policy the store serializes container access and only the map
-	// fan-out applies.
+	// Workers is kept so existing configurations still compile; a rank runs
+	// map, aggregate, convert and reduce on one goroutine, as the paper's
+	// one-rank-per-core MPI layout does, and more cores are used by running
+	// more ranks. 0 and 1 both mean one goroutine; any other value makes
+	// Job.Run fail.
 	Workers int
 	// Partitioner overrides the strategy that assigns keys to ranks ("Users
 	// can provide alternative hash functions that suit their needs"). Nil
@@ -213,8 +203,14 @@ func (c Config) withDefaults() Config {
 	if c.Hint == zero {
 		c.Hint = kvbuf.DefaultHint()
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
+}
+
+// CheckWorkers returns an error naming field unless workers is 0 or 1: a
+// rank is one goroutine, and more cores are used by running more ranks.
+func CheckWorkers(field string, workers int) error {
+	if workers == 0 || workers == 1 {
+		return nil
+	}
+	return fmt.Errorf("%s = %d: a rank runs on one goroutine; use more ranks (-inproc N, -spawn N or more mimird seats) for more cores", field, workers)
 }

@@ -36,14 +36,9 @@ type Job struct {
 	inputDone bool
 
 	// destination of received KVs: either a KV container (core workflow) or
-	// the partial-reduction bucket — sharded across the worker pool when
-	// prParallel, single otherwise.
+	// the partial-reduction bucket.
 	recvKVC *kvbuf.KVC
 	prBkt   *kvbuf.Bucket
-	prShard *kvbuf.ShardedBucket
-	// prSeq numbers received KVs across exchange rounds so the sharded
-	// bucket's merged scan reproduces serial insertion order.
-	prSeq uint64
 	// cpsBkt is the KV compression bucket, when enabled.
 	cpsBkt *kvbuf.Bucket
 
@@ -55,9 +50,6 @@ type Job struct {
 	planPending bool
 	planStage   *kvbuf.KVC
 	splitSeq    map[string]uint64
-
-	// Per-phase parallel-time accumulators for the worker pool (max rule).
-	parMap, parAggr, parConvert, parReduce parAcc
 
 	// store is the rank's out-of-core page store (nil under OutOfCore:
 	// Error). All KV/KMV container pages of this job register with it; it
@@ -105,13 +97,6 @@ type Stats struct {
 	// RestoredFromCheckpoint reports that the map and aggregate phases were
 	// skipped by resuming from a checkpoint.
 	RestoredFromCheckpoint bool
-	// Workers is the rank's worker-pool size (Config.Workers after
-	// defaulting); ParEff is the measured per-phase parallel efficiency,
-	// sum-over-workers / (Workers x max-over-workers) of the phase's
-	// sharded compute — 1.0 for perfectly balanced shards, for serial
-	// execution, and for phases that did no sharded work.
-	Workers int
-	ParEff  PhaseTimes
 	// Spill reports the rank's out-of-core activity (zero under OutOfCore:
 	// Error, and whenever the data fit under the watermark). Snapshot at
 	// job end; pages the Output spills later are not included.
@@ -132,6 +117,9 @@ func NewJob(comm *mpi.Comm, cfg Config) *Job {
 // map-only jobs, whose output is the post-shuffle KV set. All ranks must
 // call Run collectively.
 func (j *Job) Run(input Input, mapFn MapFunc, reduceFn ReduceFunc) (*Output, error) {
+	if err := CheckWorkers("core: Config.Workers", j.cfg.Workers); err != nil {
+		return nil, err
+	}
 	if j.cfg.OutOfCore != Error {
 		if j.cfg.SpillFS == nil {
 			return nil, fmt.Errorf("core: OutOfCore %v requires Config.SpillFS", j.cfg.OutOfCore)
@@ -200,14 +188,6 @@ func (j *Job) Run(input Input, mapFn MapFunc, reduceFn ReduceFunc) (*Output, err
 	if j.store != nil {
 		j.stats.Spill = j.store.Stats()
 	}
-	w := j.workers()
-	j.stats.Workers = w
-	j.stats.ParEff = PhaseTimes{
-		Map:       j.parMap.eff(w),
-		Aggregate: j.parAggr.eff(w),
-		Convert:   j.parConvert.eff(w),
-		Reduce:    j.parReduce.eff(w),
-	}
 	out.Stats = j.stats
 	return out, nil
 }
@@ -222,10 +202,6 @@ func (j *Job) cleanup() {
 	if j.prBkt != nil {
 		j.prBkt.Free()
 		j.prBkt = nil
-	}
-	if j.prShard != nil {
-		j.prShard.Free()
-		j.prShard = nil
 	}
 	if j.cpsBkt != nil {
 		j.cpsBkt.Free()
@@ -285,11 +261,7 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 
 	// Destination of received KVs.
 	if j.cfg.PartialReduce != nil {
-		if j.prParallel() {
-			j.prShard, err = kvbuf.NewShardedBucket(j.cfg.Arena, j.cfg.PageSize, j.workers())
-		} else {
-			j.prBkt, err = newBucketForJob(j)
-		}
+		j.prBkt, err = newBucketForJob(j)
 		if err != nil {
 			return err
 		}
@@ -322,28 +294,11 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 		}
 	}
 
-	if j.workers() > 1 {
-		// Worker-pool map: buffer input records, fan each batch out over
-		// contiguous chunks, replay the staged output in worker order —
-		// the emit sequence (and so every downstream byte) matches serial.
-		batch := &recBatch{}
-		err = input(func(rec Record) error {
-			batch.add(rec)
-			if batch.full() {
-				return j.flushMapBatch(batch, mapFn)
-			}
-			return nil
-		})
-		if err == nil {
-			err = j.flushMapBatch(batch, mapFn)
-		}
-	} else {
-		emit := &mapEmitter{job: j}
-		err = input(func(rec Record) error {
-			j.charge(float64(len(rec.Key)+len(rec.Val))*j.cfg.Costs.MapPerByte, simtime.Compute)
-			return mapFn(rec, emit)
-		})
-	}
+	emit := &mapEmitter{job: j}
+	err = input(func(rec Record) error {
+		j.charge(float64(len(rec.Key)+len(rec.Val))*j.cfg.Costs.MapPerByte, simtime.Compute)
+		return mapFn(rec, emit)
+	})
 	if err != nil {
 		return err
 	}
@@ -404,13 +359,6 @@ type mapEmitter struct {
 func (e *mapEmitter) Emit(k, v []byte) error {
 	j := e.job
 	j.charge(j.cfg.Costs.PerRecord+float64(len(k)+len(v))*j.cfg.Costs.KVPerByte, simtime.Compute)
-	return j.emitMapped(k, v)
-}
-
-// emitMapped routes one map-output KV past the per-emit cost charge: the
-// serial emitter charges the rank clock directly, the worker-pool path
-// accumulates the same cost per worker and replays staged KVs through here.
-func (j *Job) emitMapped(k, v []byte) error {
 	if j.cpsBkt != nil {
 		// KV compression "introduces extra computational overhead"
 		// (Section III-C2): every emitted KV pays a second hash-and-merge
@@ -509,8 +457,8 @@ func (j *Job) insertSend(k, v []byte) error {
 // destFor resolves one KV's destination rank under the job's assignment
 // (legacy FNV-1a when none). Split keys advance a per-key sequence counter
 // so their emissions round-robin over the split set; the counters live on
-// the serial insert path (worker-pool output is replayed serially), so the
-// sequence — and every routed byte — is deterministic.
+// the rank's one insert path, so the sequence — and every routed byte — is
+// deterministic.
 func (j *Job) destFor(k []byte) (int, error) {
 	if j.asn == nil {
 		return int(kvbuf.HashKey(k) % uint64(j.comm.Size())), nil
@@ -640,9 +588,6 @@ func (j *Job) buildSend() [][]byte {
 // consumeRound folds one round's received chunks into the KV container or
 // partial-reduction bucket and charges the receive-side compute cost.
 func (j *Job) consumeRound(recv [][]byte) error {
-	if j.prShard != nil {
-		return j.consumeRoundSharded(recv)
-	}
 	var recvBytes int
 	for _, chunk := range recv {
 		recvBytes += len(chunk)
@@ -752,7 +697,7 @@ func (j *Job) consumeChunk(chunk []byte) error {
 func (j *Job) finish(reduceFn ReduceFunc) (*Output, error) {
 	// Partial reduction replaced convert+reduce; the bucket holds the
 	// final unique KVs.
-	if j.prBkt != nil || j.prShard != nil {
+	if j.prBkt != nil {
 		tReduce := j.comm.Clock().Now()
 		defer func() {
 			j.stats.Phases.Reduce = j.comm.Clock().Now() - tReduce
@@ -766,7 +711,10 @@ func (j *Job) finish(reduceFn ReduceFunc) (*Output, error) {
 			merge = newSplitMerge(j)
 		}
 		out := kvbuf.NewKVCOn(j.pageStore(), j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
-		err := j.prDrain(func(k, v []byte) error {
+		// Drain frees the bucket behind the walk, even on error.
+		prBkt := j.prBkt
+		j.prBkt = nil
+		err := prBkt.Drain(func(k, v []byte) error {
 			if merge != nil && j.asn.SplitWidth(k) > 1 {
 				return merge.add(k, v)
 			}
@@ -794,22 +742,8 @@ func (j *Job) finish(reduceFn ReduceFunc) (*Output, error) {
 
 	// Convert (two passes, drains the input KVC) ...
 	tConvert := j.comm.Clock().Now()
-	var kmv *kvbuf.KMVC
-	var err error
-	if j.containersParallel() {
-		var work []int64
-		kmv, work, err = kvbuf.ConvertParallel(j.recvKVC, j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint, j.workers())
-		if err == nil {
-			costs := make([]float64, len(work))
-			for i, wb := range work {
-				costs[i] = float64(wb) * j.cfg.Costs.ReducePerByte
-			}
-			j.charge(j.parConvert.add(costs), simtime.Compute)
-		}
-	} else {
-		j.charge(float64(j.recvKVC.Bytes())*j.cfg.Costs.ReducePerByte, simtime.Compute)
-		kmv, err = kvbuf.ConvertOn(j.pageStore(), j.recvKVC, j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
-	}
+	j.charge(float64(j.recvKVC.Bytes())*j.cfg.Costs.ReducePerByte, simtime.Compute)
+	kmv, err := kvbuf.ConvertOn(j.pageStore(), j.recvKVC, j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
 	if err != nil {
 		return nil, err
 	}
@@ -823,15 +757,11 @@ func (j *Job) finish(reduceFn ReduceFunc) (*Output, error) {
 		j.stats.Phases.Reduce = j.comm.Clock().Now() - tReduce
 	}()
 	out := kvbuf.NewKVCOn(j.pageStore(), j.cfg.Arena, j.cfg.PageSize, j.cfg.Hint)
-	if j.containersParallel() {
-		err = j.reduceParallel(kmv, reduceFn, out)
-	} else {
-		red := &outputEmitter{job: j, kvc: out}
-		err = kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
-			j.charge(j.cfg.Costs.PerRecord, simtime.Compute)
-			return reduceFn(key, vals, red)
-		})
-	}
+	red := &outputEmitter{job: j, kvc: out}
+	err = kmv.Scan(func(key []byte, vals *kvbuf.ValueIter) error {
+		j.charge(j.cfg.Costs.PerRecord, simtime.Compute)
+		return reduceFn(key, vals, red)
+	})
 	if err != nil {
 		out.Free()
 		return nil, err

@@ -144,3 +144,65 @@ func TestOutputDrainReleasesSpill(t *testing.T) {
 		t.Fatalf("arena holds %d bytes after the job, want 0", arena.Used())
 	}
 }
+
+// wcReduceText is wcReduce with a decimal-text sum, so persisted golden
+// output is printable.
+func wcReduceText(key []byte, vals *kvbuf.ValueIter, emit Emitter) error {
+	var sum uint64
+	for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+		sum += BytesUint64(v)
+	}
+	return emit.Emit(key, []byte(fmt.Sprintf("%d", sum)))
+}
+
+// TestPersistedOutputGolden pins the exact Output iteration and Persist
+// byte stream of a two-rank WordCount, so any change that reorders output
+// fails loudly here.
+func TestPersistedOutputGolden(t *testing.T) {
+	const golden = "== rank 0 ==\n" +
+		"the\t5\nquick\t1\nfox\t2\njumps\t1\npack\t1\nbox\t1\njugs\t1\nbarks\t1\n" +
+		"and\t1\nboxing\t1\n" +
+		"== rank 1 ==\n" +
+		"brown\t1\nover\t1\nlazy\t1\ndog\t2\nmy\t1\nwith\t1\nfive\t2\ndozen\t1\n" +
+		"liquor\t1\nruns\t1\nwizards\t1\njump\t1\nquickly\t1\n"
+
+	const p = 2
+	w := mpi.NewWorld(mpi.Config{Size: p, Net: testNet()})
+	arena := mem.NewArena(0)
+	outFS := pfs.New(pfs.Config{Bandwidth: 1 << 30, Latency: 1e-4})
+	persisted := make([]string, p)
+	err := w.Run(func(c *mpi.Comm) error {
+		job := NewJob(c, Config{Arena: arena, PageSize: 512})
+		var mine []Record
+		for i, l := range testText {
+			if i%p == c.Rank() {
+				mine = append(mine, Record{Val: []byte(l)})
+			}
+		}
+		out, err := job.Run(SliceInput(mine), wcMap, wcReduceText)
+		if err != nil {
+			return err
+		}
+		defer out.Free()
+		name := fmt.Sprintf("out/rank%d", c.Rank())
+		if err := out.Persist(outFS, c.Clock(), name); err != nil {
+			return err
+		}
+		data, err := outFS.ReadAll(c.Clock(), name)
+		if err != nil {
+			return err
+		}
+		persisted[c.Rank()] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("world: %v", err)
+	}
+	var got string
+	for r, s := range persisted {
+		got += fmt.Sprintf("== rank %d ==\n%s", r, s)
+	}
+	if got != golden {
+		t.Fatalf("persisted output diverges from golden:\ngot:\n%s\nwant:\n%s", got, golden)
+	}
+}

@@ -97,11 +97,7 @@ func timedWC(t *testing.T, serial bool) (simT float64, overlapRounds int, savedS
 			Arena:           arena,
 			CommBuf:         12 * MinPartition,
 			SerialAggregate: serial,
-			// Pin the serial worker path: the overlap-vs-serial comparison
-			// below asserts on exact simulated times, which the pool's
-			// max-rule accounting would shift on multi-core hosts.
-			Workers: 1,
-			Costs:   Costs{MapPerByte: 1e-7, KVPerByte: 3e-7, PerRecord: 1e-6, ReducePerByte: 1e-7},
+			Costs:           Costs{MapPerByte: 1e-7, KVPerByte: 3e-7, PerRecord: 1e-6, ReducePerByte: 1e-7},
 		})
 		var mine []Record
 		for i, l := range lines {

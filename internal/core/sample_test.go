@@ -42,7 +42,6 @@ func TestSamplePartitionerWordCount(t *testing.T) {
 		{"pr", func(cfg *Config) { cfg.PartialReduce = wcCombine }},
 		{"cps", func(cfg *Config) { cfg.Combiner = wcCombine }},
 		{"serial-aggregate", func(cfg *Config) { cfg.SerialAggregate = true }},
-		{"workers", func(cfg *Config) { cfg.Workers = 4; cfg.PartialReduce = wcCombine }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runWC(t, 4, lines, func(cfg *Config) {

@@ -62,7 +62,7 @@ func TestRunJobOutputAllocs(t *testing.T) {
 		t.Run(tc.small.Kind, func(t *testing.T) {
 			var lines, job, added, engineB, addedB [2]float64
 			for i, cfg := range []JobConfig{tc.small, tc.large} {
-				cfg.Seed, cfg.Hint, cfg.Workers = 1, true, 1
+				cfg.Seed, cfg.Hint = 1, true
 				var jobB float64
 				job[i], jobB = perRun(5, func() {
 					out, err := RunJob(testWorld(2), cfg, nil)

@@ -29,7 +29,7 @@ const (
 // regenerated per rank from (seed, rank, size), so no input distribution
 // step is needed, any two worlds of the same size and config process the
 // same data, and the gathered output is byte-identical whatever transport,
-// process layout, worker count, or spill policy ran it.
+// process layout, or spill policy ran it.
 type JobConfig struct {
 	// Kind selects the job (see JobKinds; "" means wordcount).
 	Kind string
@@ -41,8 +41,9 @@ type JobConfig struct {
 	// one candidate parent per sender and so may settle on a different —
 	// equally valid, equally deterministic — parents tree.
 	Hint, PR, CPS bool
-	// Workers is each rank's worker-pool size (see core.Config.Workers;
-	// 0 defaults to GOMAXPROCS, 1 is serial).
+	// Workers stays so existing configurations still compile: each rank
+	// runs on one goroutine, and more cores take more ranks. 0 and 1 are
+	// accepted; Validate rejects any other value (see core.Config.Workers).
 	Workers int
 	// MemBytes caps each rank's engine arena (0 = unlimited). The job
 	// service sets it to the job's admitted memory floor divided by the
@@ -127,6 +128,9 @@ func (c JobConfig) Validate() error {
 	}
 	if c.Contention < 0 || c.Contention > 1 {
 		return fmt.Errorf("driver: contention %v out of [0, 1]", c.Contention)
+	}
+	if err := core.CheckWorkers("driver: JobConfig.Workers", c.Workers); err != nil {
+		return err
 	}
 	_, err := partition.ByName(c.Partitioner)
 	return err

@@ -29,7 +29,6 @@ func fourRanks(plat *platform.Platform, cfg driver.JobConfig) Spec {
 // name ("hash" or "sample"), exponent outermost.
 func SkewCells(cfg driver.JobConfig, skews []float64, partitioners ...string) []Cell {
 	cfg.Kind, cfg.UseZipf = driver.JobWordCount, true
-	cfg.Workers = max(cfg.Workers, 1) // spelled out: the rows are named by it
 	rows := make([]variant, len(skews))
 	for i, skew := range skews {
 		rows[i] = variant{fmt.Sprintf("%.1f", skew), func(s *Spec) { s.ZipfSkew = skew }}
@@ -66,7 +65,6 @@ func MRCCells(cfg driver.JobConfig, jobs ...string) []Cell {
 // SkewRow is one measured skew cell, shaped for JSON.
 type SkewRow struct {
 	Skew             float64 `json:"skew"`
-	Workers          int     `json:"workers"`
 	Ranks            int     `json:"ranks"`
 	OutOfCore        string  `json:"out_of_core"`
 	Partitioner      string  `json:"partitioner"`
@@ -78,7 +76,7 @@ type SkewRow struct {
 
 // Name is the row's stable identifier (and its artifact file stem).
 func (r SkewRow) Name() string {
-	return fmt.Sprintf("skew%.1f_w%d_r%d_%s_%s", r.Skew, r.Workers, r.Ranks, r.OutOfCore, r.Partitioner)
+	return fmt.Sprintf("skew%.1f_r%d_%s_%s", r.Skew, r.Ranks, r.OutOfCore, r.Partitioner)
 }
 
 // SkewRows projects measured skew cells to their JSON rows.
@@ -87,7 +85,7 @@ func SkewRows(cells []Cell) []SkewRow {
 	for i, c := range cells {
 		s, r := c.Spec, c.Result
 		rows[i] = SkewRow{
-			Skew: s.ZipfSkew, Workers: s.Workers, Ranks: s.Nodes,
+			Skew: s.ZipfSkew, Ranks: s.Nodes,
 			OutOfCore: s.OutOfCore.String(), Partitioner: s.Partitioner,
 			TimeSec: r.Time, PeakPerRankBytes: r.PeakPerProc, SpilledBytes: r.SpilledBytes,
 		}

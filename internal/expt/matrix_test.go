@@ -139,9 +139,9 @@ func roundTrip[R namedRow](t *testing.T, row R, file string) {
 
 func TestWriteCellsRoundTrip(t *testing.T) {
 	t.Run("skew", func(t *testing.T) {
-		roundTrip(t, SkewRow{Skew: 1.1, Workers: 1, Ranks: 4, OutOfCore: "error",
+		roundTrip(t, SkewRow{Skew: 1.1, Ranks: 4, OutOfCore: "error",
 			Partitioner: "sample", TimeSec: 2.5, PeakPerRankBytes: 1 << 20},
-			"skew1.1_w1_r4_error_sample.json")
+			"skew1.1_r4_error_sample.json")
 	})
 	t.Run("mrc", func(t *testing.T) {
 		roundTrip(t, MRCRow{Job: "pagerank", Variant: "hint;pr", Ranks: 4, Rounds: 2,
@@ -206,8 +206,8 @@ func TestSpecKnobsReachEngine(t *testing.T) {
 	if r := run(func(c *driver.JobConfig) { c.CommBuf = 16 << 10 }); r.Failed() || r.Time <= base.Time {
 		t.Errorf("CommBuf 16 KiB: time %.3fs not above the 64 KiB-buffer time %.3fs — no extra exchange rounds (err=%v)", r.Time, base.Time, r.Err)
 	}
-	if r := run(func(c *driver.JobConfig) { c.Workers = 4 }); r.Failed() || r.Time >= base.Time {
-		t.Errorf("Workers 4: time %.3fs not below serial %.3fs (err=%v)", r.Time, base.Time, r.Err)
+	if r := run(func(c *driver.JobConfig) { c.Workers = 4 }); !r.Failed() {
+		t.Error("Workers 4 accepted; a rank runs on one goroutine")
 	}
 	if r := run(func(c *driver.JobConfig) { c.Partitioner = "sample" }); r.Failed() || r.Time == base.Time {
 		t.Errorf("Partitioner sample: time %.3fs equals hash's; no plan ran (err=%v)", r.Time, r.Err)

@@ -38,12 +38,11 @@ const (
 // Spec describes one experimental run: a driver job (the embedded JobConfig
 // — kind, dataset, optimizations and engine knobs, exactly as RunJob reads
 // them) plus what only the harness knows: the platform and its shape, and
-// which engine runs the job. Three JobConfig fields read differently here:
-// a zero PageSize / CommBuf is the platform's page size, a zero Workers
-// pins 1 (serial) — never GOMAXPROCS: host core count may not leak into a
-// simulated result — and MemBytes, when set, replaces the platform's node
-// memory with that much per rank. The engine knobs are Mimir's; MR-MPI
-// honors only CPS, as in the original library.
+// which engine runs the job. Two JobConfig fields read differently here:
+// a zero PageSize / CommBuf is the platform's page size, and MemBytes, when
+// set, replaces the platform's node memory with that much per rank. The
+// engine knobs are Mimir's; MR-MPI honors only CPS, as in the original
+// library.
 type Spec struct {
 	driver.JobConfig
 
@@ -140,7 +139,6 @@ func Run(spec Spec) Result {
 	if cfg.CommBuf == 0 {
 		cfg.CommBuf = plat.PageSize
 	}
-	cfg.Workers = max(cfg.Workers, 1)
 
 	// One memory arena per node; the node's memory is shared by its ranks.
 	// Per-process budget scales with ranks per node so that reducing the

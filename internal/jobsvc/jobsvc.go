@@ -59,10 +59,13 @@ type Spec struct {
 	// equal-size meshes produce byte-identical output.
 	Seed uint64 `json:"seed,omitempty"`
 	// Engine options (see driver.JobConfig).
-	Hint    bool `json:"hint,omitempty"`
-	PR      bool `json:"pr,omitempty"`
-	CPS     bool `json:"cps,omitempty"`
-	Workers int  `json:"workers,omitempty"`
+	Hint bool `json:"hint,omitempty"`
+	PR   bool `json:"pr,omitempty"`
+	CPS  bool `json:"cps,omitempty"`
+	// Workers stays so existing submissions still decode: each rank runs
+	// on one goroutine, so only 0 and 1 are admitted; any other value is
+	// rejected at submit (see driver.JobConfig.Workers).
+	Workers int `json:"workers,omitempty"`
 	// MemBytes is the job's memory floor: the server admits the job only
 	// once it can reserve this many bytes in the node arena, and each rank's
 	// engine arena is capped at MemBytes divided by the world size — the job

@@ -278,13 +278,12 @@ func HashKey(k []byte) uint64 {
 
 // slotHash is the hash the buckets index by: HashKey pushed through the
 // 64-bit murmur3 finalizer, a bijection under which every output bit
-// depends on every input bit. One hash pass over the key thus serves three
-// moduli — HashKey % P picks the rank, the remix's low bits pick the chain
-// head inside a Bucket and its high 32 bits pick the shard inside a
-// ShardedBucket (shardOf). The fields must be disjoint: a rank holds only
-// keys of one HashKey residue and a shard only keys of one shardOf value,
-// so an index drawn from bits that already chose the rank or the shard
-// reaches 1/P (or 1/shards) of the chain heads and chains grow P× too long.
+// depends on every input bit. One hash pass over the key thus serves two
+// moduli — HashKey % P picks the rank and the remix's low bits pick the
+// chain head inside a Bucket. The two must be independent: a rank holds
+// only keys of one HashKey residue, so an index drawn from the bits that
+// already chose the rank reaches 1/P of the chain heads and chains grow P×
+// too long.
 func slotHash(k []byte) uint64 {
 	h := HashKey(k)
 	h ^= h >> 33
@@ -294,7 +293,3 @@ func slotHash(k []byte) uint64 {
 	h ^= h >> 33
 	return h
 }
-
-// shardOf maps a slotHash to one of n shards from its high 32 bits
-// (multiply-shift, so any n — not just powers of two — divides them evenly).
-func shardOf(h uint64, n int) int { return int((h >> 32) * uint64(n) >> 32) }

@@ -56,8 +56,8 @@ func groupReference(stream [][2][]byte) []kmvRecord {
 // TestConvertEqualsReferenceEverywhere holds every convert entry point to
 // the map-based reference — record order (hence record ids), values and
 // stored bytes — on the key population one rank of an 8-rank job holds
-// (HashKey = 3 mod 8), under each length mode, in memory, on a spill store
-// small enough to evict during both passes, and sharded 1, 2 and 8 ways.
+// (HashKey = 3 mod 8), under each length mode, in memory and on a spill
+// store small enough to evict during both passes.
 func TestConvertEqualsReferenceEverywhere(t *testing.T) {
 	const pageSize = 512
 	var words [][]byte
@@ -136,18 +136,6 @@ func TestConvertEqualsReferenceEverywhere(t *testing.T) {
 			}
 			check("ConvertOn(store)", kmv, capped, bytes)
 
-			for _, workers := range []int{1, 2, 8} {
-				kmv, work, err := kvbuf.ConvertParallel(fill(kvbuf.NewKVC(arena, pageSize, hint)), arena, pageSize, hint, workers)
-				if err != nil {
-					t.Fatalf("ConvertParallel(%d): %v", workers, err)
-				}
-				for w, n := range work {
-					if workers > 1 && n == 0 {
-						t.Errorf("ConvertParallel(%d): worker %d was handed no keys", workers, w)
-					}
-				}
-				check(fmt.Sprintf("ConvertParallel(%d)", workers), kmv, arena, bytes)
-			}
 		})
 	}
 }

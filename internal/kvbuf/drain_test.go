@@ -9,8 +9,37 @@ import (
 	"mimir/internal/mem"
 )
 
+// mergeValues is a partial-reduction callback that changes a value's length
+// when the two lengths differ, so an upsert sometimes relocates the value.
+func mergeValues(existing, incoming []byte) ([]byte, error) {
+	if len(existing) == len(incoming) {
+		for i := range existing {
+			existing[i] += incoming[i]
+		}
+		return existing, nil
+	}
+	merged := append(append([]byte{}, existing...), incoming...)
+	if len(merged) > 32 {
+		merged = merged[:32]
+	}
+	return merged, nil
+}
+
+// collectBucket returns what scan yields, as strings.
+func collectBucket(t testing.TB, scan func(func(k, v []byte) error) error) [][2]string {
+	t.Helper()
+	var out [][2]string
+	if err := scan(func(k, v []byte) error {
+		out = append(out, [2]string{string(k), string(v)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // drainStream is a KV stream whose second half re-upserts every third key of
-// the first with a value of another length, so shardMerge relocates those
+// the first with a value of another length, so mergeValues relocates those
 // values to pages far past their keys' — the case Drain's release rule must
 // get right.
 func drainStream() [][2][]byte {
@@ -40,7 +69,7 @@ func stillNeeded(b *Bucket) int64 {
 
 // checkDrain drains through drain and asserts the walk yields want, that the
 // arena's usage never rises from one entry to the next (a drain only ever
-// releases), that at the last entry it holds exactly atEnd (the buckets'
+// releases), that at the last entry it holds exactly atEnd (the bucket's
 // stillNeeded: every page the walk has passed is gone), and that the drain
 // returns every byte the bucket held. Release scribbling is on, so a page
 // freed before its last entry was handed over shows up as wrong bytes.
@@ -83,7 +112,7 @@ func TestBucketDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kv := range drainStream() {
-		if err := b.Upsert(kv[0], kv[1], shardMerge); err != nil {
+		if err := b.Upsert(kv[0], kv[1], mergeValues); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,37 +123,6 @@ func TestBucketDrain(t *testing.T) {
 	checkDrain(t, arena, b.Drain, want, stillNeeded(b))
 	if b.Len() != 0 {
 		t.Fatalf("bucket holds %d keys after the drain", b.Len())
-	}
-}
-
-// TestShardedBucketDrain: the sharded drain walks the serial bucket's
-// insertion order and frees each shard behind its own cursor.
-func TestShardedBucketDrain(t *testing.T) {
-	stream := drainStream()
-	arena := mem.NewArena(0)
-	ref, err := NewBucket(arena, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range stream {
-		if err := ref.Upsert(kv[0], kv[1], shardMerge); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want := collectBucket(t, ref.Scan)
-	ref.Free()
-	for _, workers := range []int{1, 3, 8} {
-		sb, err := NewShardedBucket(arena, 128, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedSharded(t, sb, stream)
-		// Every shard has handed over its last entry by the global last one.
-		var atEnd int64
-		for _, shard := range sb.shards {
-			atEnd += stillNeeded(shard)
-		}
-		checkDrain(t, arena, sb.Drain, want, atEnd)
 	}
 }
 
@@ -146,24 +144,16 @@ func TestDrainErrorFreesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := NewShardedBucket(arena, 128, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	stream := drainStream()
 	for _, kv := range stream {
-		if err := b.Upsert(kv[0], kv[1], shardMerge); err != nil {
+		if err := b.Upsert(kv[0], kv[1], mergeValues); err != nil {
 			t.Fatal(err)
 		}
 	}
-	feedSharded(t, sb, stream)
 	if err := b.Drain(failAt(150)); !errors.Is(err, boom) {
 		t.Fatalf("bucket drain returned %v, want the callback's error", err)
 	}
-	if err := sb.Drain(failAt(150)); !errors.Is(err, boom) {
-		t.Fatalf("sharded drain returned %v, want the callback's error", err)
-	}
 	if used := arena.Used(); used != 0 {
-		t.Fatalf("arena holds %d bytes after failed drains, want 0", used)
+		t.Fatalf("arena holds %d bytes after a failed drain, want 0", used)
 	}
 }

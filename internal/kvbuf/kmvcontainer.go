@@ -237,24 +237,9 @@ func (c *KMVC) ReservedBytes() int64 {
 // iterator is reused for the next record: neither may be kept after fn
 // returns.
 func (c *KMVC) Scan(fn func(key []byte, vals *ValueIter) error) error {
-	return c.ScanRange(0, len(c.recs), fn)
-}
-
-// ScanRange is Scan restricted to records [lo, hi), clamped to the record
-// count. Without a PageStore attached, concurrent ScanRange calls over
-// disjoint ranges are safe (pinning is a no-op and every read is confined
-// to the range's records), which is what lets the reduce phase run record
-// shards on a worker pool.
-func (c *KMVC) ScanRange(lo, hi int, fn func(key []byte, vals *ValueIter) error) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(c.recs) {
-		hi = len(c.recs)
-	}
 	it := &ValueIter{} // one per call, reset per record: fn must not keep it
 	var sr *spanReader
-	for i := lo; i < hi; i++ {
+	for i := range c.recs {
 		rec := &c.recs[i]
 		if rec.written != rec.nvals {
 			return fmt.Errorf("kvbuf: KMV record %d incomplete: %d of %d values", i, rec.written, rec.nvals)

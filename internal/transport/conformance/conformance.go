@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,55 +29,18 @@ type World struct {
 	Ep   transport.Endpoint
 	Rank int
 	Size int
-	// Workers is the rank's intra-rank pool size: payload construction and
-	// verification fan out over this many goroutines (1 = serial). Transport
-	// calls themselves stay on the rank goroutine — the endpoint contract
-	// does not promise concurrent use — so Workers changes only who computes
-	// the bytes, never what crosses the wire. Scenario digests must be
-	// byte-identical at every pool size.
-	Workers int
 }
 
-// pfor computes fn(0..n-1) over the world's worker pool and returns the
-// results in index order; errors report the lowest failing index. The
-// serial path (Workers <= 1) calls fn inline in order.
-func (w *World) pfor(n int, fn func(i int) ([]byte, error)) ([][]byte, error) {
+// collect computes fn(0..n-1) in order and returns the results, stopping at
+// the first error.
+func collect(n int, fn func(i int) ([]byte, error)) ([][]byte, error) {
 	outs := make([][]byte, n)
-	workers := w.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			b, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			outs[i] = b
-		}
-		return outs, nil
-	}
-	errs := make([]error, n)
-	var next int64
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= n {
-					return
-				}
-				outs[i], errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for i := range outs {
+		b, err := fn(i)
 		if err != nil {
 			return nil, err
 		}
+		outs[i] = b
 	}
 	return outs, nil
 }
@@ -145,7 +107,7 @@ func jobStream(w *World, ch transport.Transport, job int) ([]byte, error) {
 	var out []byte
 	for round := 0; round < 3; round++ {
 		round := round
-		send, err := w.pfor(w.Size, func(dst int) ([]byte, error) {
+		send, err := collect(w.Size, func(dst int) ([]byte, error) {
 			return pattern(job*1000+round, w.Rank, dst, 96+32*round), nil
 		})
 		if err != nil {
@@ -155,7 +117,7 @@ func jobStream(w *World, ch transport.Transport, job int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		checked, err := w.pfor(len(recv), func(src int) ([]byte, error) {
+		checked, err := collect(len(recv), func(src int) ([]byte, error) {
 			if err := checkPattern(recv[src], job*1000+round, src, w.Rank, 96+32*round); err != nil {
 				return nil, err
 			}
@@ -264,7 +226,7 @@ func scExchangeRounds(w *World) ([]byte, error) {
 	var out []byte
 	for round := 0; round < 4; round++ {
 		round := round
-		send, err := w.pfor(w.Size, func(dst int) ([]byte, error) {
+		send, err := collect(w.Size, func(dst int) ([]byte, error) {
 			return pattern(round, w.Rank, dst, 64+16*round), nil
 		})
 		if err != nil {
@@ -278,7 +240,7 @@ func scExchangeRounds(w *World) ([]byte, error) {
 		if want := float64(10*(w.Size-1) + round); tmax != want {
 			return nil, fmt.Errorf("round %d: tmax %v, want %v", round, tmax, want)
 		}
-		checked, err := w.pfor(len(recv), func(src int) ([]byte, error) {
+		checked, err := collect(len(recv), func(src int) ([]byte, error) {
 			if err := checkPattern(recv[src], round, src, w.Rank, 64+16*round); err != nil {
 				return nil, err
 			}
@@ -311,7 +273,7 @@ func scExchangeRagged(w *World) ([]byte, error) {
 	var out []byte
 	for round := 0; round < 3; round++ {
 		round := round
-		send, err := w.pfor(w.Size, func(dst int) ([]byte, error) {
+		send, err := collect(w.Size, func(dst int) ([]byte, error) {
 			n := 32 * ((w.Rank + dst + round) % 3) // 0, 32, or 64 bytes
 			return pattern(100+round, w.Rank, dst, n), nil
 		})
@@ -322,7 +284,7 @@ func scExchangeRagged(w *World) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		checked, err := w.pfor(len(recv), func(src int) ([]byte, error) {
+		checked, err := collect(len(recv), func(src int) ([]byte, error) {
 			n := 32 * ((src + w.Rank + round) % 3)
 			if err := checkPattern(recv[src], 100+round, src, w.Rank, n); err != nil {
 				return nil, err
@@ -344,7 +306,7 @@ func scExchangeRagged(w *World) ([]byte, error) {
 // under fault injection, to be cut mid-frame and replayed).
 func scExchangeLarge(w *World) ([]byte, error) {
 	const n = 384 << 10
-	send, err := w.pfor(w.Size, func(dst int) ([]byte, error) {
+	send, err := collect(w.Size, func(dst int) ([]byte, error) {
 		return pattern(7, w.Rank, dst, n), nil
 	})
 	if err != nil {
@@ -354,7 +316,7 @@ func scExchangeLarge(w *World) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	checked, err := w.pfor(len(recv), func(src int) ([]byte, error) {
+	checked, err := collect(len(recv), func(src int) ([]byte, error) {
 		if err := checkPattern(recv[src], 7, src, w.Rank, n); err != nil {
 			return nil, err
 		}
@@ -376,7 +338,7 @@ func scP2PRing(w *World) ([]byte, error) {
 	right := (w.Rank + 1) % w.Size
 	left := (w.Rank + w.Size - 1) % w.Size
 	var out []byte
-	payloads, err := w.pfor(4, func(i int) ([]byte, error) {
+	payloads, err := collect(4, func(i int) ([]byte, error) {
 		return pattern(200+i, w.Rank, right, 48), nil
 	})
 	if err != nil {
@@ -395,7 +357,7 @@ func scP2PRing(w *World) ([]byte, error) {
 		}
 		got[i] = m
 	}
-	checked, err := w.pfor(len(got), func(i int) ([]byte, error) {
+	checked, err := collect(len(got), func(i int) ([]byte, error) {
 		m := got[i]
 		if m.Src != left || m.Tag != i {
 			return nil, fmt.Errorf("recv: got (src %d, tag %d), want (%d, %d)", m.Src, m.Tag, left, i)
@@ -436,7 +398,7 @@ func scP2PGatherAny(w *World) ([]byte, error) {
 			msgs = append(msgs, m)
 		}
 		sort.Slice(msgs, func(i, j int) bool { return msgs[i].Src < msgs[j].Src })
-		checked, err := w.pfor(len(msgs), func(i int) ([]byte, error) {
+		checked, err := collect(len(msgs), func(i int) ([]byte, error) {
 			if err := checkPattern(msgs[i].Data, 300, msgs[i].Src, 0, 40); err != nil {
 				return nil, err
 			}
@@ -472,7 +434,7 @@ func scP2PGatherAny(w *World) ([]byte, error) {
 func scSkewedExchange(w *World) ([]byte, error) {
 	var out []byte
 	// Round 1: the sample all-gather (equal small cells, tag 7001).
-	send, err := w.pfor(w.Size, func(dst int) ([]byte, error) {
+	send, err := collect(w.Size, func(dst int) ([]byte, error) {
 		return pattern(7001, w.Rank, dst, 48), nil
 	})
 	if err != nil {
@@ -489,7 +451,7 @@ func scSkewedExchange(w *World) ([]byte, error) {
 		out = append(out, recv[src]...)
 	}
 	// Round 2: the plan broadcast — only rank 0 contributes (tag 7002).
-	send, err = w.pfor(w.Size, func(dst int) ([]byte, error) {
+	send, err = collect(w.Size, func(dst int) ([]byte, error) {
 		if w.Rank != 0 {
 			return nil, nil
 		}
@@ -515,7 +477,7 @@ func scSkewedExchange(w *World) ([]byte, error) {
 	// Rounds 3..5: skewed exchanges — rank 0 is the hot destination.
 	for round := 0; round < 3; round++ {
 		round := round
-		send, err = w.pfor(w.Size, func(dst int) ([]byte, error) {
+		send, err = collect(w.Size, func(dst int) ([]byte, error) {
 			n := 64
 			if dst == 0 {
 				n = 1024 + 256*round
@@ -529,7 +491,7 @@ func scSkewedExchange(w *World) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		checked, err := w.pfor(len(recv), func(src int) ([]byte, error) {
+		checked, err := collect(len(recv), func(src int) ([]byte, error) {
 			n := 64
 			if w.Rank == 0 {
 				n = 1024 + 256*round
@@ -575,25 +537,18 @@ type Builder func(t testing.TB, size int) []transport.Transport
 // results. Two conforming transports return identical maps; Run compares
 // them for you.
 func Digests(t *testing.T, build Builder) map[string]string {
-	return DigestsWorkers(t, build, 1)
-}
-
-// DigestsWorkers is Digests with every rank running an intra-rank worker
-// pool of the given size. Digests are defined by the serial run; any pool
-// size must reproduce them exactly.
-func DigestsWorkers(t *testing.T, build Builder, workers int) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			out[sc.Name] = runScenario(t, sc, build, workers)
+			out[sc.Name] = runScenario(t, sc, build)
 		})
 	}
 	return out
 }
 
-func runScenario(t *testing.T, sc Scenario, build Builder, workers int) string {
+func runScenario(t *testing.T, sc Scenario, build Builder) string {
 	t.Helper()
 	trs := build(t, WorldSize)
 	defer func() {
@@ -609,7 +564,7 @@ func runScenario(t *testing.T, sc Scenario, build Builder, workers int) string {
 		for _, rank := range tr.LocalRanks() {
 			started++
 			go func(tr transport.Transport, rank int) {
-				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize, Workers: workers}
+				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize}
 				results[rank], errs[rank] = sc.Run(w)
 				done <- rank
 			}(tr, rank)
@@ -649,21 +604,12 @@ func runScenario(t *testing.T, sc Scenario, build Builder, workers int) string {
 // byte-identical to the reference (the local transport's).
 func Run(t *testing.T, build Builder) {
 	t.Helper()
-	RunWorkers(t, build, 1)
-}
-
-// RunWorkers executes the full suite at the given intra-rank pool size and
-// asserts the digests are byte-identical to the serial golden run on the
-// local transport — the cross-product contract: neither the transport nor
-// the worker pool may change a single observable byte.
-func RunWorkers(t *testing.T, build Builder, workers int) {
-	t.Helper()
 	ref := Digests(t, LocalBuilder)
-	got := DigestsWorkers(t, build, workers)
+	got := Digests(t, build)
 	for name, want := range ref {
 		if got[name] != want {
-			t.Errorf("scenario %s: workers=%d digest %s, want %s (not byte-identical to the serial local run)",
-				name, workers, got[name], want)
+			t.Errorf("scenario %s: digest %s, want %s (not byte-identical to the local run)",
+				name, got[name], want)
 		}
 	}
 }
@@ -717,7 +663,7 @@ func runJobStreams(t *testing.T, build Builder, jobs []int) map[int][][]byte {
 			started++
 			go func(tr transport.Transport, rank int) {
 				defer func() { done <- struct{}{} }()
-				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize, Workers: 1}
+				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize}
 				mux, ok := tr.(transport.Mux)
 				if !ok {
 					errs[rank] = fmt.Errorf("transport %T cannot multiplex job channels", tr)

@@ -1,18 +1,13 @@
 package conformance
 
 import (
-	"bytes"
 	"flag"
 	"sync"
 	"testing"
 	"time"
 
-	"mimir/internal/driver"
 	"mimir/internal/faultinject"
-	"mimir/internal/mpi"
-	"mimir/internal/simtime"
 	"mimir/internal/transport"
-	"mimir/internal/workloads"
 )
 
 // faultSpec lets CI's chaos job sweep fixed seeds:
@@ -205,96 +200,4 @@ func TestConcurrentJobsFaultedTCP(t *testing.T) {
 		cfg.WrapConn = faultinject.New(spec, rank).WrapConn
 		cfg.BackoffBase = 5 * time.Millisecond
 	}))
-}
-
-// confWorkers is the pool size the Workers conformance variants run at.
-const confWorkers = 4
-
-// TestLocalConformanceWorkers: the local transport at Workers=4 must
-// reproduce the serial digests byte for byte.
-func TestLocalConformanceWorkers(t *testing.T) {
-	RunWorkers(t, LocalBuilder, confWorkers)
-}
-
-// TestTCPConformanceWorkers: real sockets with intra-rank worker pools —
-// digests still byte-identical to the serial local golden run.
-func TestTCPConformanceWorkers(t *testing.T) {
-	RunWorkers(t, tcpBuilder(transport.AbortOnFailure, nil), confWorkers)
-}
-
-// TestFaultedTCPConformanceWorkers stacks all three axes: fault injection,
-// TCP recovery, and intra-rank parallelism, against the serial golden.
-func TestFaultedTCPConformanceWorkers(t *testing.T) {
-	spec, err := faultinject.ParseSpec(*faultSpec)
-	if err != nil {
-		t.Fatalf("bad -fault-spec: %v", err)
-	}
-	if len(spec.Kills) > 0 {
-		t.Fatalf("-fault-spec %q kills ranks; conformance needs the world to survive", *faultSpec)
-	}
-	build := tcpBuilder(transport.RetryTransient, func(rank int, cfg *transport.TCPConfig) {
-		cfg.WrapConn = faultinject.New(spec, rank).WrapConn
-		cfg.BackoffBase = 5 * time.Millisecond
-	})
-	RunWorkers(t, build, confWorkers)
-}
-
-// TestWordCountWorkersCrossTransport lifts the Workers=4 determinism claim
-// from transport scenarios to a whole job: a distributed WordCount over real
-// TCP sockets with 4-worker ranks must be byte-identical to the serial
-// in-process reference run.
-func TestWordCountWorkersCrossTransport(t *testing.T) {
-	const size = 3
-	cfg := driver.JobConfig{
-		Dist:       workloads.Uniform,
-		TotalBytes: 1 << 16,
-		Seed:       5,
-		Hint:       true,
-		PR:         true,
-		Workers:    1,
-	}
-	ref, err := driver.RunJob(mpi.NewWorld(mpi.Config{
-		Size: size,
-		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
-	}), cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) == 0 {
-		t.Fatal("serial reference run produced no output")
-	}
-
-	trs := tcpBuilder(transport.AbortOnFailure, nil)(t, size)
-	cfg.Workers = confWorkers
-	outs := make([][]byte, size)
-	errs := make([]error, size)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for r := range trs {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				world := mpi.NewWorld(mpi.Config{Transport: trs[r]})
-				outs[r], errs[r] = driver.RunJob(world, cfg, nil)
-				world.Close()
-			}(r)
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cross-transport world hung")
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if !bytes.Equal(outs[0], ref) {
-		t.Fatalf("Workers=%d TCP output not byte-identical to serial in-process reference: %d vs %d bytes",
-			confWorkers, len(outs[0]), len(ref))
-	}
 }

@@ -50,11 +50,6 @@ type StageStats struct {
 	SpillIOSec        float64
 	// Phase times in simulated seconds (map / aggregate / convert+reduce).
 	MapTime, AggrTime, ConvertTime, ReduceTime float64
-	// Workers is the rank's worker-pool size and ParEff* its per-phase
-	// parallel efficiency, sum-over-workers / (Workers x max-over-workers)
-	// of the sharded compute (Mimir only; 1.0 when serial or idle).
-	Workers                                            int
-	ParEffMap, ParEffAggr, ParEffConvert, ParEffReduce float64
 }
 
 // accumulate folds another stage's stats into s (for iterative workloads).
@@ -75,20 +70,6 @@ func (s *StageStats) accumulate(o StageStats) {
 	s.AggrTime += o.AggrTime
 	s.ConvertTime += o.ConvertTime
 	s.ReduceTime += o.ReduceTime
-	// Pool size is a configuration, not a counter; efficiencies keep the
-	// worst stage seen so iterative jobs report their bottleneck.
-	if o.Workers > s.Workers {
-		s.Workers = o.Workers
-	}
-	minEff := func(dst *float64, v float64) {
-		if v > 0 && (*dst == 0 || v < *dst) {
-			*dst = v
-		}
-	}
-	minEff(&s.ParEffMap, o.ParEffMap)
-	minEff(&s.ParEffAggr, o.ParEffAggr)
-	minEff(&s.ParEffConvert, o.ParEffConvert)
-	minEff(&s.ParEffReduce, o.ParEffReduce)
 }
 
 // Record adds the stage's counters as one rank's samples to a metrics
@@ -105,11 +86,6 @@ func (s StageStats) Record(m *metrics.Summary) {
 	m.Add("spill-restores", float64(s.SpillRestores))
 	m.Add("spill-prefetch-hits", float64(s.SpillPrefetchHits))
 	m.Add("spill-io-sec", s.SpillIOSec)
-	m.Add("workers", float64(s.Workers))
-	m.Add("par-eff-map", s.ParEffMap)
-	m.Add("par-eff-aggregate", s.ParEffAggr)
-	m.Add("par-eff-convert", s.ParEffConvert)
-	m.Add("par-eff-reduce", s.ParEffReduce)
 }
 
 // Engine runs MapReduce stages on one rank. It abstracts over the Mimir and
@@ -130,7 +106,7 @@ type Engine interface {
 
 // MimirEngine runs stages on the Mimir engine (internal/core). Its knobs are
 // the embedded core.Config itself — PageSize, CommBuf, OutOfCore, SpillFS,
-// Workers, Partitioner, Costs and the rest are set on the engine and reach
+// Partitioner, Costs and the rest are set on the engine and reach
 // every stage's job unchanged. The four per-stage fields (Hint, Combiner,
 // PartialReduce, Checkpoint) are overwritten from StageOpts on every
 // RunStage; setting them on the engine has no effect.
@@ -189,11 +165,6 @@ func (e *MimirEngine) RunStage(opts StageOpts, input core.Input, mapFn core.MapF
 		AggrTime:          s.Phases.Aggregate,
 		ConvertTime:       s.Phases.Convert,
 		ReduceTime:        s.Phases.Reduce,
-		Workers:           s.Workers,
-		ParEffMap:         s.ParEff.Map,
-		ParEffAggr:        s.ParEff.Aggregate,
-		ParEffConvert:     s.ParEff.Convert,
-		ParEffReduce:      s.ParEff.Reduce,
 	}, nil
 }
 

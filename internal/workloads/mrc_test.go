@@ -120,19 +120,18 @@ func TestTeraSortVerifierCatches(t *testing.T) {
 
 // TestPageRankConverges checks the iteration terminates by residual (not
 // the round cap), conserves total probability mass to within the known
-// truncation leak, and is invariant to worker count and partial reduction.
+// truncation leak, and is invariant to partial reduction.
 func TestPageRankConverges(t *testing.T) {
 	cfg := PageRankConfig{Scale: 7, Seed: 11}
 	type run struct {
 		rounds int
 		scores string
 	}
-	do := func(workers int, pr bool) run {
+	do := func(pr bool) run {
 		var mu sync.Mutex
 		var b bytes.Buffer
 		var rounds int
 		mrcWorld(t, 4, func(c *mpi.Comm, e *MimirEngine) error {
-			e.Workers = workers
 			opts := StageOpts{Hint: PageRankHint()}
 			if pr {
 				opts.PartialReduce = Int64VecAdd
@@ -157,7 +156,7 @@ func TestPageRankConverges(t *testing.T) {
 		})
 		return run{rounds, canonicalLines(b.Bytes())}
 	}
-	base := do(1, false)
+	base := do(false)
 	if base.rounds < 3 {
 		t.Fatalf("suspiciously fast convergence: %d rounds", base.rounds)
 	}
@@ -177,10 +176,8 @@ func TestPageRankConverges(t *testing.T) {
 	if mass < want*9/10 || mass > want*11/10 {
 		t.Fatalf("total mass %d far from %d", mass, want)
 	}
-	for _, alt := range []run{do(4, false), do(1, true), do(8, true)} {
-		if alt.rounds != base.rounds || alt.scores != base.scores {
-			t.Fatalf("pagerank output varies with workers/PR (%d vs %d rounds)", alt.rounds, base.rounds)
-		}
+	if alt := do(true); alt.rounds != base.rounds || alt.scores != base.scores {
+		t.Fatalf("pagerank output varies with PR (%d vs %d rounds)", alt.rounds, base.rounds)
 	}
 }
 
@@ -199,14 +196,13 @@ func canonicalLines(b []byte) string {
 }
 
 // TestKMeansConverges checks convergence, that every point is accounted
-// for, and invariance to workers and the sampling partitioner (whose
+// for, and invariance to partial reduction and the sampling partitioner (whose
 // hot-key split engages on K hot centroid keys when PR is commutative).
 func TestKMeansConverges(t *testing.T) {
 	cfg := KMeansConfig{Points: 2000, K: 4, Dims: 2, Seed: 9}
-	do := func(workers int, pr bool, partName string) KMeansResult {
+	do := func(pr bool, partName string) KMeansResult {
 		var res KMeansResult
 		mrcWorld(t, 4, func(c *mpi.Comm, e *MimirEngine) error {
-			e.Workers = workers
 			if partName != "" {
 				p, err := partition.ByName(partName)
 				if err != nil {
@@ -229,7 +225,7 @@ func TestKMeansConverges(t *testing.T) {
 		})
 		return res
 	}
-	base := do(1, false, "")
+	base := do(false, "")
 	if !base.Converged {
 		t.Fatalf("did not converge in %d rounds (movement %d)", base.Rounds, base.Movement)
 	}
@@ -243,10 +239,10 @@ func TestKMeansConverges(t *testing.T) {
 	if n != cfg.Points {
 		t.Fatalf("final assignment covers %d of %d points", n, cfg.Points)
 	}
-	for _, alt := range []KMeansResult{do(4, true, ""), do(8, true, "sample"), do(1, false, "sample")} {
+	for _, alt := range []KMeansResult{do(true, ""), do(true, "sample"), do(false, "sample")} {
 		if alt.Rounds != base.Rounds || fmt.Sprint(alt.Centroids) != fmt.Sprint(base.Centroids) ||
 			fmt.Sprint(alt.Counts) != fmt.Sprint(base.Counts) {
-			t.Fatalf("kmeans table varies with workers/PR/partitioner:\n%v\n%v", alt, base)
+			t.Fatalf("kmeans table varies with PR/partitioner:\n%v\n%v", alt, base)
 		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 // is redistributed uniformly via one AllreduceInt64 per round.
 //
 // All arithmetic is int64 fixed point (PageRankOne = 1.0). Floating-point
-// addition is not associative, and both the worker pool and the hot-key
+// addition is not associative, and both partial reduction and the hot-key
 // split re-merge are free to reassociate partial sums — integer scores make
 // every reassociation exact, which is what lets the determinism battery
-// demand byte-identical output across workers, transports, and spill
+// demand byte-identical output across optimizations, transports, and spill
 // policies. Scores use the "unit mass per vertex" formulation: sum of all
 // scores stays near N*PageRankOne (uniform-redistribution truncation leaks
 // a few units per round, deterministically).
@@ -211,8 +211,7 @@ func RunPageRank(e Engine, fs *pfs.FS, cfg PageRankConfig, opts StageOpts, mr Mu
 	}
 	res.Vertices = int64(len(owned))
 	// parts[8i:8i+8] is the contribution owned[i] sends each neighbour in
-	// the current round. Only the map call for owned[i] writes it, so
-	// concurrent map workers share no buffer.
+	// the current round. Only the map call for owned[i] writes it.
 	parts := make([]byte, 8*len(owned))
 	score := make(map[uint64]int64, len(owned))
 	for _, v := range owned {

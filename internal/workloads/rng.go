@@ -27,12 +27,11 @@ func mix64(x uint64) uint64 {
 }
 
 // streamFor derives an independent RNG stream for one (rank, record)
-// coordinate of a dataset. Because the stream depends only on the logical
-// record index — not on which worker or how many workers generate it — any
-// sharding of the record space reproduces identical content, making
-// Workers>1 runs byte-identical to serial ones. The stream comes back by
-// value: generators open one per record, and a pointer would put each on
-// the heap.
+// coordinate of a dataset. The stream depends only on the logical record
+// index, not on what was generated before it, so a record's content is
+// fixed by (seed, rank, record) alone; the committed outputs are defined
+// by these streams. The stream comes back by value: generators open one
+// per record, and a pointer would put each on the heap.
 func streamFor(seed uint64, rank int, record int64) rng {
 	h := mix64(seed + 0x9E3779B97F4A7C15)
 	h = mix64(h ^ mix64(uint64(rank)+0xD1B54A32D192ED03))

@@ -68,9 +68,9 @@ func (t *zipfTable) sample(r *rng) uint64 {
 // ZipfTextInput returns a rank's share of a zipf-skewed synthetic text
 // dataset totalling totalBytes across nranks ranks, in the same ~1 KiB-line
 // shape as TextInput. Every record draws from its own RNG stream keyed by
-// (seed, rank, record index) — never from worker-shared state — so runs are
-// reproducible under any Workers setting. Reading charges the input file
-// system like TextInput.
+// (seed, rank, record index), never from state shared across records, so a
+// record's bytes do not depend on how many records were read before it.
+// Reading charges the input file system like TextInput.
 func ZipfTextInput(fs *pfs.FS, clock *simtime.Clock, cfg ZipfConfig, seed uint64,
 	totalBytes int64, rank, nranks int) core.Input {
 	share := totalBytes / int64(nranks)

@@ -3,16 +3,17 @@ package mimir_test
 // The MRC determinism battery: every driver job kind (terasort, pagerank,
 // kmeans, bfs, and wordcount) must produce byte-identical canonical output
 // whatever runs it — the in-process Local transport, a real loopback TCP
-// mesh, or a fault-injected TCP mesh recovering from connection resets — at
-// every worker-pool size and out-of-core policy. The invariants doing the work:
-// integer fixed-point arithmetic (reassociation by worker pools and hot-key
-// split/re-merge is exact), per-rank deterministic input regeneration, and
+// mesh, or a fault-injected TCP mesh recovering from connection resets — in
+// memory or spilling. The invariants doing the work: integer fixed-point
+// arithmetic (reassociation by hot-key split/re-merge and partial reduction
+// is exact), per-rank deterministic input regeneration, and
 // canonical gather ordering. quick.Check drives the dataset seed; set
 // MIMIR_PROP_SEED to reproduce a failing draw.
 
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,13 +139,23 @@ func mrcMesh(size int, faults string) ([]transport.Transport, error) {
 // recovered under the fail-recover policy).
 func runMRCJob(t *testing.T, cfg driver.JobConfig, mode string, sum *metrics.Summary) []byte {
 	t.Helper()
-	if mode == "local" {
-		world := mpi.NewWorld(mpi.Config{Size: propWorldSize, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-		out, err := driver.RunJob(world, cfg, sum)
+	out, errs := runMRCJobErrs(t, cfg, mode, sum)
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+	}
+	return out
+}
+
+// runMRCJobErrs is runMRCJob returning each rank's error instead of failing
+// the test: one error for the local world, one per rank over TCP.
+func runMRCJobErrs(t *testing.T, cfg driver.JobConfig, mode string, sum *metrics.Summary) ([]byte, []error) {
+	t.Helper()
+	if mode == "local" {
+		world := mpi.NewWorld(mpi.Config{Size: propWorldSize, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
+		out, err := driver.RunJob(world, cfg, sum)
+		return out, []error{err}
 	}
 	faults := ""
 	if mode == "tcp-fault" {
@@ -174,16 +185,23 @@ func runMRCJob(t *testing.T, cfg driver.JobConfig, mode string, sum *metrics.Sum
 		}(r, mpi.NewWorld(mpi.Config{Transport: tr}))
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
+	return out, errs
 }
 
-// mrcCell is one grid cell: a worker-pool size, an out-of-core policy, and
-// a transport mode.
+// checkWorkersRefused asserts that every rank refuses a job configured with
+// an out-of-range Workers value, with an error naming the field, instead of
+// running it on one goroutine.
+func checkWorkersRefused(t *testing.T, errs []error, workers int) {
+	t.Helper()
+	for r, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "Workers") {
+			t.Errorf("rank %d: Workers=%d: err = %v, want the job refused with an error naming Workers", r, workers, err)
+		}
+	}
+}
+
+// mrcCell is one grid cell: a Workers value, an out-of-core policy, and a
+// transport mode.
 type mrcCell struct {
 	workers int
 	spill   bool
@@ -198,21 +216,24 @@ func (c mrcCell) name() string {
 	return fmt.Sprintf("workers=%d/ooc=%s/%s", c.workers, ooc, c.mode)
 }
 
-// TestMRCJobDeterminism is the battery: for every job kind and grid cell,
-// quick.Check draws dataset seeds and asserts the cell's output is
-// byte-identical to the reference run (Local, one worker, in-memory). The
-// full worker x spill grid runs on Local; TCP and faulted-TCP cover the
-// corner cells, like the zipf battery.
+// TestMRCJobDeterminism is the battery: for every job kind and grid cell
+// with Workers=1, quick.Check draws dataset seeds and asserts the cell's
+// output is byte-identical to the reference run (Local, Workers left at 0,
+// in-memory): an explicit Workers=1 run, a spilling run, in-memory and
+// spilling runs over TCP, and an in-memory run over faulted TCP. A rank
+// runs on one goroutine, so the Workers=4 and Workers=8 cells assert the
+// job is refused on every rank, on every transport and out-of-core policy,
+// rather than run serially with the value ignored.
 func TestMRCJobDeterminism(t *testing.T) {
 	cells := []mrcCell{
 		{1, false, "local"}, {4, false, "local"}, {8, false, "local"},
 		{1, true, "local"}, {4, true, "local"}, {8, true, "local"},
-		{1, false, "tcp"}, {8, true, "tcp"},
+		{1, false, "tcp"}, {1, true, "tcp"}, {8, true, "tcp"},
 		{1, false, "tcp-fault"}, {8, false, "tcp-fault"},
 	}
 	maxCount := 2
 	if testing.Short() {
-		cells = []mrcCell{{1, false, "local"}, {8, true, "local"}}
+		cells = []mrcCell{{1, false, "local"}, {1, true, "local"}, {8, true, "local"}}
 		maxCount = 1
 	}
 	for _, base := range mrcBatteryJobs() {
@@ -227,7 +248,6 @@ func TestMRCJobDeterminism(t *testing.T) {
 				}
 				cfg := base
 				cfg.Seed = seed
-				cfg.Workers = 1
 				cfg.PageSize = 1 << 10
 				cfg.CommBuf = 8 << 10
 				out := runMRCJob(t, cfg, "local", nil)
@@ -240,6 +260,17 @@ func TestMRCJobDeterminism(t *testing.T) {
 			for _, cl := range cells {
 				cl := cl
 				t.Run(cl.name(), func(t *testing.T) {
+					if cl.workers > 1 {
+						cfg := base
+						cfg.Seed = uint64(propSeed(t))
+						cfg.Workers = cl.workers
+						if cl.spill {
+							cfg = mrcSpillCfg(cfg)
+						}
+						_, errs := runMRCJobErrs(t, cfg, cl.mode, nil)
+						checkWorkersRefused(t, errs, cl.workers)
+						return
+					}
 					count := maxCount
 					if cl.mode != "local" {
 						count = 1 // fresh loopback mesh per draw: one is plenty
@@ -284,7 +315,6 @@ func TestMRCSpillEngages(t *testing.T) {
 	for _, base := range mrcBatteryJobs() {
 		cfg := base
 		cfg.Seed = uint64(propSeed(t))
-		cfg.Workers = 1
 		cfg.PageSize = 1 << 10
 		cfg.CommBuf = 8 << 10
 		cfg = mrcSpillCfg(cfg)
@@ -316,7 +346,6 @@ func TestMRCFaultedRunRecovered(t *testing.T) {
 	}
 	base := mrcBatteryJobs()[1] // pagerank: many rounds, plenty of frames
 	base.Seed = uint64(propSeed(t))
-	base.Workers = 1
 	base.PageSize = 1 << 10
 	base.CommBuf = 8 << 10
 	want := runMRCJob(t, base, "local", nil)

@@ -17,24 +17,19 @@ import (
 // a slice reads garbage at once, and a buffer released twice panics — the
 // TCP cell puts the transport's frame buffers under the same check.
 // Every job kind, with and without its combiner, in memory and under
-// SpillWhenNeeded, on Local (one and four workers) and TCP, must produce
+// SpillWhenNeeded, on Local and TCP, must produce
 // exactly the bytes of its run with scribbling off.
 func TestScribbleBattery(t *testing.T) {
 	jobs := append(mrcBatteryJobs(), driver.JobConfig{Kind: driver.JobOctree, Points: 1 << 12, Hint: true, PR: true})
-	type cell struct {
-		mode    string
-		workers int
-	}
-	cells := []cell{{"local", 1}, {"local", 4}, {"tcp", 1}}
+	modes := []string{"local", "tcp"}
 	if testing.Short() {
-		cells = cells[:2]
+		modes = modes[:1]
 	}
 	for _, base := range jobs {
 		for _, cps := range []bool{false, true} {
 			for _, spill := range []bool{false, true} {
 				cfg := base
 				cfg.Seed = 7
-				cfg.Workers = 1
 				cfg.PageSize = 1 << 10
 				cfg.CommBuf = 8 << 10
 				cfg.CPS = cps
@@ -49,12 +44,10 @@ func TestScribbleBattery(t *testing.T) {
 					}
 					mem.DebugPool(true)
 					defer mem.DebugPool(false)
-					for _, cl := range cells {
-						c := cfg
-						c.Workers = cl.workers
-						if got := runMRCJob(t, c, cl.mode, nil); !bytes.Equal(got, want) {
-							t.Errorf("%s, %d workers: output with release scribbling differs (%d vs %d bytes)",
-								cl.mode, cl.workers, len(got), len(want))
+					for _, mode := range modes {
+						if got := runMRCJob(t, cfg, mode, nil); !bytes.Equal(got, want) {
+							t.Errorf("%s: output with release scribbling differs (%d vs %d bytes)",
+								mode, len(got), len(want))
 						}
 					}
 				})

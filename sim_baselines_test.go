@@ -35,12 +35,11 @@ func holdBaseline(t *testing.T, file string, got any) {
 }
 
 // TestSimulatedBaselinesIgnoreGOMAXPROCS holds the committed simulated
-// sweeps (BENCH_mrc / BENCH_skew / BENCH_workers) to their "byte-identical
-// on any host" note: each is re-run in-process under GOMAXPROCS 1, 2 and 8
-// and must serialize to the same bytes every time. A harness path that lets
-// the engines' Workers default (GOMAXPROCS) through — as the MRC matrix once
-// did — fails here on any host, not only on the one whose core count differs
-// from the baseline's author's.
+// sweeps (BENCH_mrc / BENCH_skew) to their "byte-identical on any host"
+// note: each is re-run in-process under GOMAXPROCS 1, 2 and 8 and must
+// serialize to the same bytes every time. A harness path that lets the
+// host's core count leak into a simulated result fails here on any host,
+// not only on the one whose core count differs from the baseline's author's.
 func TestSimulatedBaselinesIgnoreGOMAXPROCS(t *testing.T) {
 	sweeps := []struct {
 		name string
@@ -48,7 +47,6 @@ func TestSimulatedBaselinesIgnoreGOMAXPROCS(t *testing.T) {
 	}{
 		{"mrc", func() any { return benchMRCRun() }},
 		{"skew", func() any { return benchSkewRun() }},
-		{"workers", func() any { return benchWorkersRun(t) }},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, sw := range sweeps {

@@ -89,7 +89,6 @@ func TestSpillKeepsBytesOffTheHeap(t *testing.T) {
 	h := sampleHeap()
 	err := world.Run(func(c *mpi.Comm) error {
 		eng := workloads.NewMimirEngine(c, mem.NewArena(perCap))
-		eng.Workers = 1
 		eng.OutOfCore = core.SpillWhenNeeded
 		eng.SpillFS = fs
 		input := workloads.TextInput(nil, c.Clock(), workloads.Uniform, 11, corpus, c.Rank(), c.Size())

@@ -4,7 +4,8 @@ package mimir_test
 // corpus must produce byte-identical canonical output whichever partitioner
 // routes the keys — FNV-1a hashing or the sampling partitioner (whose plan
 // collectives, weighted ranges, and hot-key split+re-merge all sit on the
-// data path) — at every skew, worker-pool size, and transport. quick.Check
+// data path) — at every skew and on every transport, with Workers=1 (the
+// only value above 0 a rank accepts). quick.Check
 // drives the corpus seed; set MIMIR_PROP_SEED to reproduce a failing draw.
 
 import (
@@ -46,13 +47,23 @@ func propSeed(t *testing.T) int64 {
 // every rank in this process).
 func runZipfWC(t *testing.T, cfg driver.JobConfig, tcp bool) []byte {
 	t.Helper()
-	if !tcp {
-		world := mpi.NewWorld(mpi.Config{Size: propWorldSize, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
-		out, err := driver.RunJob(world, cfg, nil)
+	out, errs := runZipfWCErrs(t, cfg, tcp)
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+	}
+	return out
+}
+
+// runZipfWCErrs is runZipfWC returning each rank's error instead of failing
+// the test: one error for the local world, one per rank over TCP.
+func runZipfWCErrs(t *testing.T, cfg driver.JobConfig, tcp bool) ([]byte, []error) {
+	t.Helper()
+	if !tcp {
+		world := mpi.NewWorld(mpi.Config{Size: propWorldSize, Net: simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9}})
+		out, err := driver.RunJob(world, cfg, nil)
+		return out, []error{err}
 	}
 	trs, err := shuffleMesh(propWorldSize, false)
 	if err != nil {
@@ -74,12 +85,7 @@ func runZipfWC(t *testing.T, cfg driver.JobConfig, tcp bool) []byte {
 		}(r, mpi.NewWorld(mpi.Config{Transport: tr}))
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
+	return out, errs
 }
 
 // zipfCase is one cell of the battery grid.
@@ -102,20 +108,35 @@ func (c zipfCase) name() string {
 // gathered output is byte-identical to hash partitioning's. PR is on, so at
 // high skew plus contention the hot key splits across ranks and re-merges —
 // equivalence then also proves split+re-merge equals the unsplit reduce.
+// A rank runs on one goroutine, so the Workers=4 and Workers=8 cells assert
+// that both partitioners' jobs are refused on every rank instead.
 func TestZipfPartitionerEquivalence(t *testing.T) {
 	cases := []zipfCase{
 		{0, 1, false}, {0, 4, false}, {0, 8, false},
 		{0.8, 1, false}, {0.8, 4, false}, {0.8, 8, false},
 		{1.1, 1, false}, {1.1, 4, false}, {1.1, 8, false},
-		{0, 1, true}, {0.8, 4, true}, {1.1, 8, true},
+		{0, 1, true}, {0.8, 1, true}, {1.1, 1, true},
+		{0.8, 4, true}, {1.1, 8, true},
 	}
 	maxCount := 2
 	if testing.Short() {
-		cases = []zipfCase{{0, 1, false}, {1.1, 8, false}}
+		cases = []zipfCase{{0, 1, false}, {1.1, 1, false}, {1.1, 8, false}}
 		maxCount = 1
 	}
 	for _, tc := range cases {
 		t.Run(tc.name(), func(t *testing.T) {
+			if tc.workers > 1 {
+				for _, part := range []string{"hash", "sample"} {
+					cfg := driver.JobConfig{
+						TotalBytes: 32 << 10, Seed: uint64(propSeed(t)),
+						Hint: true, PR: true, Workers: tc.workers, Partitioner: part,
+						UseZipf: true, ZipfSkew: tc.skew, Contention: 0.25,
+					}
+					_, errs := runZipfWCErrs(t, cfg, tc.tcp)
+					checkWorkersRefused(t, errs, tc.workers)
+				}
+				return
+			}
 			count := maxCount
 			if tc.tcp {
 				count = 1 // fresh loopback mesh per draw: one is plenty

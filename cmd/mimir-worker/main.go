@@ -71,10 +71,8 @@ func main() {
 		joinDaemon = flag.String("join-daemon", "", "with -daemon: join a running daemon at this admin address as an elastic worker instead of hosting one")
 		joinToken  = flag.String("join-token", "", "with -join-daemon: the join token (mimirctl join-token)")
 
-		policyArg = flag.String("fault-policy", "abort", "link fault handling: abort (fail-stop) or retry (reconnect + replay)")
-		faults    = flag.String("faults", "", "deterministic fault-injection spec, e.g. seed:42,kill:rank2@round3")
-		window    = flag.Duration("reconnect-window", 0, "with -fault-policy retry: give up on an unreachable peer after this long (0 = default 10s)")
-		compress  = flag.Bool("compress", false, "compress TCP wire frames (flate, per frame); trades CPU for bytes on the wire")
+		faults   = flag.String("faults", "", "deterministic fault-injection spec, e.g. seed:42,kill:rank2@round3")
+		compress = flag.Bool("compress", false, "compress TCP wire frames (flate, per frame); trades CPU for bytes on the wire")
 
 		job        = flag.String("job", "", "job kind: wordcount (default), terasort, pagerank, kmeans, bfs, or octree")
 		rows       = flag.Int64("rows", 0, "terasort: total rows across all ranks (0 = default)")
@@ -133,16 +131,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	policy, err := mimir.ParseFaultPolicy(*policyArg)
-	if err != nil {
-		log.Fatal(err)
-	}
 	opts := mimir.TCPOptions{
-		Policy:          policy,
-		ReconnectWindow: *window,
-		Deadline:        *timeout,
-		Faults:          *faults,
-		Compress:        *compress,
+		Deadline: *timeout,
+		Faults:   *faults,
+		Compress: *compress,
 	}
 
 	// Daemon workers come first: a -daemon -spawn child re-executes with the
@@ -169,7 +161,7 @@ func main() {
 
 	// A process re-executed by -spawn joins the parent's world via the
 	// environment, whatever flags it was copied with — including the
-	// parent's fault policy and fault-injection spec.
+	// parent's fault-injection spec.
 	if world, ok, err := mimir.TCPWorldFromEnv(); ok {
 		if err != nil {
 			log.Fatal(err)

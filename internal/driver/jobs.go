@@ -278,11 +278,11 @@ func RunJob(world *mpi.World, cfg JobConfig, sum *metrics.Summary) ([]byte, erro
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	if sum != nil {
 		recordFaultStats(world, sum)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if out == nil && len(world.LocalRanks()) > 0 && world.LocalRanks()[0] == 0 {
 		out = []byte{}
@@ -430,15 +430,11 @@ func mergeLines(blocks [][]byte) []byte {
 	return out
 }
 
-// recordFaultStats appends the world's fault-recovery counters to sum:
-// a run that needed reconnects still produced byte-identical output, and
-// these counters are the proof it wasn't free.
+// recordFaultStats appends the world's link-failure count to sum, for a
+// failed run too: a link failure aborts the world, and this counter says
+// the abort came from the network rather than from the job.
 func recordFaultStats(world *mpi.World, sum *metrics.Summary) {
 	if fs, ok := world.FaultStats(); ok {
 		sum.Add("net-link-failures", float64(fs.LinkFailures))
-		sum.Add("net-reconnects", float64(fs.Reconnects))
-		sum.Add("net-dial-retries", float64(fs.DialRetries))
-		sum.Add("net-replayed-frames", float64(fs.ReplayedFrames))
-		sum.Add("net-replayed-bytes", float64(fs.ReplayedBytes))
 	}
 }

@@ -19,8 +19,9 @@ import (
 func FuzzFaultedWire(f *testing.F) {
 	f.Add(byte(transport.OpP2P), uint32(1), int32(-1), uint64(7), []byte("hello world"), byte(0x5A))
 	f.Add(byte(transport.OpExchange), uint32(3), int32(0), uint64(1<<40), []byte{}, byte(0x01))
-	f.Add(byte(transport.OpResume), uint32(0), int32(9), uint64(0), bytes.Repeat([]byte{0xAB}, 300), byte(0x80))
-	f.Add(byte(transport.OpAck), uint32(2), int32(-5), uint64(12345), []byte{0, 0, 0, 0, 0xFF}, byte(0xFF))
+	// Ops 6 and 7 were the link-recovery resume and ack of wire v2–v5.
+	f.Add(byte(6), uint32(0), int32(9), uint64(0), bytes.Repeat([]byte{0xAB}, 300), byte(0x80))
+	f.Add(byte(7), uint32(2), int32(-5), uint64(12345), []byte{0, 0, 0, 0, 0xFF}, byte(0xFF))
 	f.Fuzz(func(t *testing.T, op byte, src uint32, tag int32, seq uint64, data []byte, mask byte) {
 		if len(data) > 2048 {
 			data = data[:2048] // keep the per-offset loops fast
@@ -28,7 +29,15 @@ func FuzzFaultedWire(f *testing.F) {
 		if mask == 0 {
 			mask = 0xFF // a zero mask is no corruption at all
 		}
-		valid := &transport.Frame{Op: op%transport.OpAck + 1, Src: src, Tag: tag, Seq: seq, Data: data}
+		// An op byte naming no op of this wire version (the CompressedFlag
+		// bit aside) must be refused, whatever the rest of the frame holds.
+		if base := op &^ transport.CompressedFlag; base == 0 || base > transport.OpTable {
+			bad := transport.AppendFrame(nil, &transport.Frame{Op: op, Src: src, Tag: tag, Seq: seq, Data: data})
+			if _, _, err := transport.DecodeFrame(bad); !errors.Is(err, transport.ErrBadFrame) {
+				t.Fatalf("frame with unknown op %d decoded (err %v)", op, err)
+			}
+		}
+		valid := &transport.Frame{Op: op%transport.OpTable + 1, Src: src, Tag: tag, Seq: seq, Data: data}
 		enc := transport.AppendFrame(nil, valid)
 		if _, _, err := transport.DecodeFrame(enc); err != nil {
 			t.Fatalf("valid frame rejected: %v", err)

@@ -16,9 +16,9 @@ type Stats struct {
 
 // Injector is one process's view of a Spec: it acts out the scheduled
 // events whose rank matches (or target all ranks), plus the seeded chaos.
-// One Injector serves all of the process's links and lives across
-// reconnects, so one-shot events stay one-shot even though the underlying
-// connections are replaced.
+// One Injector serves all of the process's links, and a launcher that keeps
+// it across mesh rebuilds keeps one-shot events one-shot even though the
+// underlying connections are replaced.
 type Injector struct {
 	spec Spec
 	rank int
@@ -64,7 +64,7 @@ func (in *Injector) WrapConn(peer int, c net.Conn) net.Conn {
 
 // nextFault consumes the schedule for one outgoing data frame on the link
 // to peer: frame is the link's 0-based data-frame index (data frames only,
-// so acknowledgements do not shift the schedule). It returns the fault to
+// so control frames do not shift the schedule). It returns the fault to
 // apply, if any.
 func (in *Injector) nextFault(peer int, frame uint64, rng *uint64) (Kind, bool) {
 	in.mu.Lock()
@@ -131,8 +131,8 @@ type faultConn struct {
 var _ transport.FrameMarker = (*faultConn)(nil)
 
 // BeginFrame consumes the schedule for the frame about to be written.
-// Scheduled events fire only on data frames (so the schedule is independent
-// of acknowledgement timing); chaos may hit any frame.
+// Scheduled events and chaos fire only on data frames, so the schedule is
+// independent of control traffic (aborts, byes).
 func (c *faultConn) BeginFrame(op byte, size int) error {
 	c.frameOff = 0
 	c.corruptAt = -1
@@ -141,7 +141,7 @@ func (c *faultConn) BeginFrame(op byte, size int) error {
 	frame := c.frames
 	if data {
 		// The schedule indexes data frames per connection (indices restart
-		// after a reconnect); the injector's one-shot map keeps an event
+		// on a rebuilt mesh); the injector's one-shot map keeps an event
 		// from firing twice on the same link either way.
 		c.frames++
 	}

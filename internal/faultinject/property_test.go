@@ -1,8 +1,8 @@
 package faultinject_test
 
-// The end-to-end property of the fail-recover transport: under ANY
-// randomized fault schedule, a distributed WordCount either completes with
-// output byte-identical to the fault-free run, or every rank surfaces
+// The end-to-end property of the fail-stop transport: under ANY randomized
+// fault schedule, a distributed WordCount either completes with output
+// byte-identical to the fault-free run, or every rank that fails surfaces
 // ErrAborted — and it never hangs or panics. quick.Check draws the seeds;
 // every schedule is reconstructible from its seed alone, so a failure here
 // replays locally from the logged seed.
@@ -70,8 +70,10 @@ func specFromSeed(seed uint64) faultinject.Spec {
 
 // faultedMesh builds an in-process TCP mesh (real loopback sockets) where
 // every rank plays its part of the schedule: wire faults via WrapConn,
-// kills via the Wrap decorator.
-func faultedMesh(spec faultinject.Spec) ([]transport.Transport, error) {
+// kills via the Wrap decorator. The schedule counts the initial barrier's
+// frames too, so a fault can abort a rank's bootstrap: errs[r] is then its
+// error and trs[r] is nil.
+func faultedMesh(spec faultinject.Spec) (trs []transport.Transport, errs []error) {
 	injs := make([]*faultinject.Injector, propRanks)
 	for r := range injs {
 		injs[r] = faultinject.New(spec, r)
@@ -79,19 +81,19 @@ func faultedMesh(spec faultinject.Spec) ([]transport.Transport, error) {
 	cfg := func(rank int, addr string) transport.TCPConfig {
 		return transport.TCPConfig{
 			Addr: addr, Rank: rank, Size: propRanks,
-			Policy:           transport.RetryTransient,
 			BootstrapTimeout: 30 * time.Second,
-			ReconnectWindow:  700 * time.Millisecond,
-			BackoffBase:      5 * time.Millisecond,
 			WrapConn:         injs[rank].WrapConn,
 		}
 	}
+	trs = make([]transport.Transport, propRanks)
+	errs = make([]error, propRanks)
 	b, err := transport.ListenTCP(cfg(0, "127.0.0.1:0"))
 	if err != nil {
-		return nil, err
+		for r := range errs {
+			errs[r] = err
+		}
+		return trs, errs
 	}
-	trs := make([]transport.Transport, propRanks)
-	errs := make([]error, propRanks)
 	var wg sync.WaitGroup
 	for r := 1; r < propRanks; r++ {
 		wg.Add(1)
@@ -112,17 +114,7 @@ func faultedMesh(spec faultinject.Spec) ([]transport.Transport, error) {
 		trs[0] = injs[0].Wrap(tr0)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, tr := range trs {
-				if tr != nil {
-					tr.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	return trs, nil
+	return trs, errs
 }
 
 // TestWordCountUnderRandomFaults is the property test. Each seed becomes a
@@ -164,17 +156,16 @@ func TestWordCountUnderRandomFaults(t *testing.T) {
 }
 
 func runFaultedWordCount(spec faultinject.Spec, ref []byte) error {
-	trs, err := faultedMesh(spec)
-	if err != nil {
-		return fmt.Errorf("mesh bootstrap: %v", err)
-	}
+	trs, errs := faultedMesh(spec)
 	outs := make([][]byte, propRanks)
-	errs := make([]error, propRanks)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var wg sync.WaitGroup
 		for r := range trs {
+			if trs[r] == nil {
+				continue // its bootstrap failed: errs[r] says how
+			}
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()

@@ -64,21 +64,13 @@ func (k *killTransport) Err() error {
 	return nil
 }
 
-// FaultStats forwards the inner transport's recovery counters, so the
+// FaultStats forwards the inner transport's link-failure counter, so the
 // runtime's metrics see through the decorator.
 func (k *killTransport) FaultStats() transport.FaultStats {
 	if r, ok := k.inner.(transport.FaultReporter); ok {
 		return r.FaultStats()
 	}
 	return transport.FaultStats{}
-}
-
-// Policy forwards the inner transport's fault policy.
-func (k *killTransport) Policy() transport.FaultPolicy {
-	if r, ok := k.inner.(transport.PolicyReporter); ok {
-		return r.Policy()
-	}
-	return transport.AbortOnFailure
 }
 
 // Endpoint returns a stable wrapper per rank: the kill schedule counts the

@@ -10,7 +10,7 @@ import (
 // The process has one buffer pool. Page buffers cycle fast on the shuffle
 // hot path — a Job allocates its send set and containers allocate pages
 // every round, and all of it is dead a round later — and so do the TCP
-// transport's frame, replay and payload buffers. Recycling the backing
+// transport's frame and payload buffers. Recycling the backing
 // arrays through power-of-two size classes removes both the make() zeroing
 // and the GC scan pressure of that churn. The arena still accounts every
 // page at its requested size; the pool only reuses the underlying memory.

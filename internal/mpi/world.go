@@ -33,20 +33,7 @@ import (
 // surviving rank gets when a peer process dies.
 var ErrAborted = transport.ErrAborted
 
-// FaultPolicy selects fail-stop or fail-recover behavior for transport
-// faults; see transport.FaultPolicy. It is configured where the transport
-// is built (transport.TCPConfig.Policy) and surfaced here so runtime users
-// can ask a world how it will behave.
-type FaultPolicy = transport.FaultPolicy
-
-// Fault policies, re-exported for runtime users.
-const (
-	AbortOnFailure = transport.AbortOnFailure
-	RetryTransient = transport.RetryTransient
-)
-
-// FaultStats counts a transport's failure and recovery activity; see
-// transport.FaultStats.
+// FaultStats counts a transport's link failures; see transport.FaultStats.
 type FaultStats = transport.FaultStats
 
 // Config describes a world.
@@ -173,24 +160,14 @@ func (w *World) Run(f func(*Comm) error) error {
 // closes the mesh). Call it when done with the world, after Run.
 func (w *World) Close() error { return w.tr.Close() }
 
-// FaultStats reports the transport's failure/recovery counters. ok is false
-// for transports that do not track faults (e.g. the in-process transport).
-// Safe to call concurrently with Run; the counters are monotonic.
+// FaultStats reports the transport's link-failure counter. ok is false for
+// transports that do not track faults (e.g. the in-process transport).
+// Safe to call concurrently with Run; the counter is monotonic.
 func (w *World) FaultStats() (FaultStats, bool) {
 	if fr, yes := w.tr.(transport.FaultReporter); yes {
 		return fr.FaultStats(), true
 	}
 	return FaultStats{}, false
-}
-
-// FaultPolicy reports how the transport reacts to link faults. Transports
-// without a configurable policy (e.g. in-process) report AbortOnFailure,
-// which matches their behavior: any failure poisons the world.
-func (w *World) FaultPolicy() FaultPolicy {
-	if pr, ok := w.tr.(transport.PolicyReporter); ok {
-		return pr.Policy()
-	}
-	return AbortOnFailure
 }
 
 // Epoch reports the mesh incarnation the world's transport belongs to

@@ -18,9 +18,8 @@ import (
 // — and purely sender-side: receivers always accept both forms, so ranks
 // with different Compress settings interoperate. The frame CRC-32C is
 // computed over the compressed bytes (compress-then-CRC), so CRC
-// verification, the replay buffer, and fault injection all operate on the
-// exact bytes that cross the wire, and a replayed frame is re-sent
-// bit-identical to its first transmission.
+// verification and fault injection both operate on the exact bytes that
+// cross the wire.
 
 // CompressedFlag marks a frame whose payload is deflate-compressed. It is a
 // flag bit on the op byte; mask it off to recover the opcode. FrameMarker

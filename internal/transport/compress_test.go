@@ -3,11 +3,8 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestCompressPayloadRoundTrip pins the compressed-payload envelope:
@@ -94,80 +91,4 @@ func TestTCPCompressedExchange(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-}
-
-// TestTCPReconnectReplaysCompressedFrames is the compressed twin of
-// TestTCPReconnectReplaysFrames: the only link of a Compress=on two-rank
-// world is cut mid-frame, twice. The transport must reconnect and replay the
-// missed frames — which sit in the replay ledger in their ENCODED
-// (compressed) form — and every round must still deliver exactly-once: the
-// per-round payload check catches duplicates and losses alike, because
-// frames on one link are ordered and any replay error shifts the sequence.
-func TestTCPReconnectReplaysCompressedFrames(t *testing.T) {
-	const size = 2
-	cuts := int32(2)
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.ReconnectWindow = 5 * time.Second
-		cfg.BackoffBase = 5 * time.Millisecond
-		cfg.Compress = true
-		if rank == 0 {
-			cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
-				return &cutConn{Conn: c, trigger: 10, cuts: &cuts}
-			}
-		}
-	})
-	const rounds = 40
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep := trs[r].Endpoint(r)
-			for round := 0; round < rounds; round++ {
-				send := make([][]byte, size)
-				for dst := range send {
-					// Repetitive payload: compresses, so the replay ledger
-					// holds compressed frames.
-					send[dst] = bytes.Repeat([]byte{byte(r), byte(round)}, 512)
-				}
-				recv, _, err := ep.Exchange(send, 0)
-				if err != nil {
-					errs[r] = fmt.Errorf("round %d: %w", round, err)
-					return
-				}
-				for src := range recv {
-					if want := bytes.Repeat([]byte{byte(src), byte(round)}, 512); !bytes.Equal(recv[src], want) {
-						errs[r] = fmt.Errorf("round %d: bad payload from %d", round, src)
-						return
-					}
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	total := FaultStats{}
-	for _, tr := range trs {
-		s := tr.FaultStats()
-		total.LinkFailures += s.LinkFailures
-		total.Reconnects += s.Reconnects
-		total.ReplayedFrames += s.ReplayedFrames
-		total.ReplayedBytes += s.ReplayedBytes
-	}
-	if total.LinkFailures == 0 || total.Reconnects == 0 || total.ReplayedFrames == 0 {
-		t.Fatalf("no recovery recorded: %+v", total)
-	}
-	if total.ReplayedBytes == 0 {
-		t.Fatalf("replayed %d frames but 0 bytes: %+v", total.ReplayedFrames, total)
-	}
-	if atomic.LoadInt32(&cuts) > 0 {
-		t.Fatalf("fault budget not exhausted: %d cuts left", cuts)
-	}
-	t.Logf("fault stats: %+v", total)
 }

@@ -1,9 +1,11 @@
 // Package conformance is the cross-transport contract test: one table of
 // point-to-point, collective, large-payload, and abort scenarios that every
-// transport — Local, TCP, fault-injected TCP — must pass with byte-identical
-// results. A transport that survives this suite is substitutable for any
-// other as far as the runtime (internal/mpi) can observe, which is what lets
-// the experiment harness validate on the local transport and deploy on TCP.
+// transport — Local, TCP, compressed TCP — must pass with byte-identical
+// results, and on which a fault-injected TCP world must fail fast
+// (FailStop). A transport that survives this suite is substitutable for any
+// other as far as the runtime (internal/mpi) can observe, which is what
+// lets the experiment harness validate on the local transport and deploy on
+// TCP.
 package conformance
 
 import (
@@ -12,7 +14,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"regexp"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -187,9 +191,8 @@ func scMuxInterleaved(w *World) ([]byte, error) {
 // scMuxAbortIsolated is job-failure isolation: aborting one job's channel
 // kills that job on every rank (ErrAborted, never a hang) while a concurrent
 // job and the default channel sail through untouched. The abort fires before
-// any job traffic so its control frames lead every connection — an abort is
-// not replayed after a link fault, so this mirrors how the job service
-// sequences a scripted crash.
+// any job traffic so its control frames lead every connection, which
+// mirrors how the job service sequences a scripted crash.
 func scMuxAbortIsolated(w *World) ([]byte, error) {
 	mux, ok := w.T.(transport.Mux)
 	if !ok {
@@ -303,7 +306,7 @@ func scExchangeRagged(w *World) ([]byte, error) {
 }
 
 // scExchangeLarge moves payloads big enough to span many write chunks (and,
-// under fault injection, to be cut mid-frame and replayed).
+// under fault injection, to be cut mid-frame).
 func scExchangeLarge(w *World) ([]byte, error) {
 	const n = 384 << 10
 	send, err := collect(w.Size, func(dst int) ([]byte, error) {
@@ -532,6 +535,12 @@ func scAbort(w *World) ([]byte, error) {
 // closes them.
 type Builder func(t testing.TB, size int) []transport.Transport
 
+// FailStopBound is how long a world a fault disrupted may take, from the
+// start of its run to its last rank's return, to fail with ErrAborted on
+// every rank. A fail-stop transport has nothing to wait out: the bound is
+// far below every deadline a hang would run into.
+const FailStopBound = 2 * time.Second
+
 // Digests runs every scenario against the transports build produces and
 // returns scenario → hex digest of the world's concatenated per-rank
 // results. Two conforming transports return identical maps; Run compares
@@ -550,37 +559,15 @@ func Digests(t *testing.T, build Builder) map[string]string {
 
 func runScenario(t *testing.T, sc Scenario, build Builder) string {
 	t.Helper()
-	trs := build(t, WorldSize)
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-	results := make([][]byte, WorldSize)
-	errs := make([]error, WorldSize)
-	done := make(chan int, WorldSize)
-	started := 0
-	for _, tr := range trs {
-		for _, rank := range tr.LocalRanks() {
-			started++
-			go func(tr transport.Transport, rank int) {
-				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize}
-				results[rank], errs[rank] = sc.Run(w)
-				done <- rank
-			}(tr, rank)
-		}
-	}
-	if started != WorldSize {
-		t.Fatalf("builder produced %d ranks, want %d", started, WorldSize)
-	}
-	watchdog := time.After(60 * time.Second)
-	for i := 0; i < WorldSize; i++ {
-		select {
-		case <-done:
-		case <-watchdog:
-			t.Fatalf("scenario %s: world hung (ranks finished: %d of %d)", sc.Name, i, WorldSize)
-		}
-	}
+	results, errs, _ := runWorld(t, "scenario "+sc.Name, build, sc.Run)
+	return digest(t, sc, results, errs)
+}
+
+// digest checks a scenario's per-rank outcome and hashes it: "aborted" for
+// an abort scenario (every rank must have ErrAborted), otherwise the hex
+// SHA-256 of the ranks' length-prefixed results.
+func digest(t *testing.T, sc Scenario, results [][]byte, errs []error) string {
+	t.Helper()
 	if sc.ExpectAbort {
 		for rank, err := range errs {
 			if !errors.Is(err, transport.ErrAborted) {
@@ -600,6 +587,47 @@ func runScenario(t *testing.T, sc Scenario, build Builder) string {
 	return fmt.Sprintf("%x", sum.Sum(nil))
 }
 
+// runWorld runs fn on every rank of a fresh world from build, fails the
+// test if the world hangs, and closes it. It returns each rank's result
+// and error, and the time from the start of the run until the last rank
+// returned.
+func runWorld(t *testing.T, label string, build Builder, fn func(w *World) ([]byte, error)) ([][]byte, []error, time.Duration) {
+	t.Helper()
+	trs := build(t, WorldSize)
+	defer func() {
+		for _, tr := range trs {
+			tr.Close()
+		}
+	}()
+	results := make([][]byte, WorldSize)
+	errs := make([]error, WorldSize)
+	done := make(chan int, WorldSize)
+	started := 0
+	start := time.Now()
+	for _, tr := range trs {
+		for _, rank := range tr.LocalRanks() {
+			started++
+			go func(tr transport.Transport, rank int) {
+				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize}
+				results[rank], errs[rank] = fn(w)
+				done <- rank
+			}(tr, rank)
+		}
+	}
+	if started != WorldSize {
+		t.Fatalf("builder produced %d ranks, want %d", started, WorldSize)
+	}
+	watchdog := time.After(60 * time.Second)
+	for i := 0; i < WorldSize; i++ {
+		select {
+		case <-done:
+		case <-watchdog:
+			t.Fatalf("%s: world hung (ranks finished: %d of %d)", label, i, WorldSize)
+		}
+	}
+	return results, errs, time.Since(start)
+}
+
 // Run executes the full suite for a transport and asserts its digests are
 // byte-identical to the reference (the local transport's).
 func Run(t *testing.T, build Builder) {
@@ -617,6 +645,96 @@ func Run(t *testing.T, build Builder) {
 // LocalBuilder builds the reference world on the in-process transport.
 func LocalBuilder(t testing.TB, size int) []transport.Transport {
 	return []transport.Transport{transport.NewLocal(size)}
+}
+
+// rankRef matches the rank numbers an abort cause names.
+var rankRef = regexp.MustCompile(`rank (\d+)`)
+
+// NamesPeer reports whether rank's error names another rank of a size-rank
+// world: the peer whose link failed, or the peer whose abort it relayed.
+func NamesPeer(err error, rank, size int) bool {
+	for _, m := range rankRef.FindAllStringSubmatch(err.Error(), -1) {
+		if r, _ := strconv.Atoi(m[1]); r != rank && r < size {
+			return true
+		}
+	}
+	return false
+}
+
+// checkFailStop asserts a disrupted world failed fast: every rank returned
+// ErrAborted within FailStopBound, and (when namePeer is set) each error
+// names a peer rank.
+func checkFailStop(t *testing.T, label string, errs []error, took time.Duration, namePeer bool) {
+	t.Helper()
+	if took > FailStopBound {
+		t.Errorf("%s: ranks took %v to fail, want at most %v", label, took, FailStopBound)
+	}
+	for rank, err := range errs {
+		if !errors.Is(err, transport.ErrAborted) {
+			t.Errorf("%s: rank %d: err = %v, want ErrAborted", label, rank, err)
+		} else if namePeer && !NamesPeer(err, rank, len(errs)) {
+			t.Errorf("%s: rank %d: %q names no peer rank", label, rank, err)
+		}
+	}
+}
+
+// FailStop is the fail-stop contract under a fault schedule, in two parts.
+// First every scenario runs on a world from faulted; disrupted reports how
+// many disruptive faults (resets, cuts, corruptions) have fired so far
+// across all faulted worlds. A world the schedule disrupted must fail fast
+// (checkFailStop; the abort scenario's scripted cause names no link, so it
+// only has to abort), and one it missed must still match the local digest.
+// Then the re-run: the whole table on fresh worlds from clean must be
+// byte-identical to the local transport. FailStop returns how many worlds
+// the schedule disrupted.
+func FailStop(t *testing.T, faulted, clean Builder, disrupted func() uint64) int {
+	t.Helper()
+	hit := 0
+	t.Run("faulted", func(t *testing.T) {
+		for _, sc := range Scenarios() {
+			sc := sc
+			t.Run(sc.Name, func(t *testing.T) {
+				before := disrupted()
+				results, errs, took := runWorld(t, "scenario "+sc.Name, faulted, sc.Run)
+				if disrupted() == before {
+					if got, want := digest(t, sc, results, errs), runScenario(t, sc, LocalBuilder); got != want {
+						t.Errorf("undisrupted world: digest %s, want %s", got, want)
+					}
+					return
+				}
+				hit++
+				checkFailStop(t, "scenario "+sc.Name, errs, took, !sc.ExpectAbort)
+			})
+		}
+	})
+	t.Run("rerun", func(t *testing.T) { Run(t, clean) })
+	return hit
+}
+
+// FailStopJobs is FailStop for concurrent jobs: job streams 11 and 12 run
+// interleaved on one world from faulted, which, if the schedule disrupted
+// it, must fail fast on every rank. Then the same interleaved streams on a
+// fresh world from clean must match the local transport's bytes on every
+// rank. It returns whether the faulted world was disrupted.
+func FailStopJobs(t *testing.T, faulted, clean Builder, disrupted func() uint64) bool {
+	t.Helper()
+	jobs := []int{11, 12}
+	before := disrupted()
+	_, errs, took := jobStreams(t, faulted, jobs)
+	hit := disrupted() > before
+	if hit {
+		checkFailStop(t, "concurrent jobs", errs, took, true)
+	}
+	want := runJobStreams(t, LocalBuilder, jobs)
+	got := runJobStreams(t, clean, jobs)
+	for _, job := range jobs {
+		for rank := 0; rank < WorldSize; rank++ {
+			if !bytes.Equal(got[job][rank], want[job][rank]) {
+				t.Errorf("job %d rank %d: re-run bytes differ from the local run", job, rank)
+			}
+		}
+	}
+	return hit
 }
 
 // ConcurrentJobs is the multi-tenancy conformance check: it runs job streams
@@ -642,72 +760,47 @@ func ConcurrentJobs(t *testing.T, build Builder) {
 }
 
 // runJobStreams runs the given job streams concurrently on every rank of a
-// fresh mesh and returns job → per-rank observable bytes.
+// fresh mesh and returns job → per-rank observable bytes, failing the test
+// if any rank fails.
 func runJobStreams(t *testing.T, build Builder, jobs []int) map[int][][]byte {
 	t.Helper()
-	trs := build(t, WorldSize)
-	defer func() {
-		for _, tr := range trs {
-			tr.Close()
-		}
-	}()
-	results := make(map[int][][]byte, len(jobs))
-	for _, job := range jobs {
-		results[job] = make([][]byte, WorldSize)
-	}
-	errs := make([]error, WorldSize)
-	done := make(chan struct{}, WorldSize)
-	started := 0
-	for _, tr := range trs {
-		for _, rank := range tr.LocalRanks() {
-			started++
-			go func(tr transport.Transport, rank int) {
-				defer func() { done <- struct{}{} }()
-				w := &World{T: tr, Ep: tr.Endpoint(rank), Rank: rank, Size: WorldSize}
-				mux, ok := tr.(transport.Mux)
-				if !ok {
-					errs[rank] = fmt.Errorf("transport %T cannot multiplex job channels", tr)
-					return
-				}
-				jerrs := make([]error, len(jobs))
-				var wg sync.WaitGroup
-				for ji, job := range jobs {
-					ch, err := mux.Open(uint32(job))
-					if err != nil {
-						errs[rank] = err
-						return
-					}
-					wg.Add(1)
-					go func(ji, job int, ch transport.Transport) {
-						defer wg.Done()
-						results[job][rank], jerrs[ji] = jobStream(w, ch, job)
-					}(ji, job, ch)
-				}
-				wg.Wait()
-				for _, err := range jerrs {
-					if err != nil {
-						errs[rank] = err
-						return
-					}
-				}
-			}(tr, rank)
-		}
-	}
-	if started != WorldSize {
-		t.Fatalf("builder produced %d ranks, want %d", started, WorldSize)
-	}
-	watchdog := time.After(60 * time.Second)
-	for i := 0; i < WorldSize; i++ {
-		select {
-		case <-done:
-		case <-watchdog:
-			t.Fatalf("concurrent jobs %v: world hung (ranks finished: %d of %d)", jobs, i, WorldSize)
-		}
-	}
+	results, errs, _ := jobStreams(t, build, jobs)
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
 	}
 	return results
+}
+
+// jobStreams is runJobStreams returning each rank's error and the run's
+// time instead of failing the test.
+func jobStreams(t *testing.T, build Builder, jobs []int) (map[int][][]byte, []error, time.Duration) {
+	t.Helper()
+	results := make(map[int][][]byte, len(jobs))
+	for _, job := range jobs {
+		results[job] = make([][]byte, WorldSize)
+	}
+	_, errs, took := runWorld(t, fmt.Sprintf("concurrent jobs %v", jobs), build, func(w *World) ([]byte, error) {
+		mux, ok := w.T.(transport.Mux)
+		if !ok {
+			return nil, fmt.Errorf("transport %T cannot multiplex job channels", w.T)
+		}
+		jerrs := make([]error, len(jobs))
+		var wg sync.WaitGroup
+		for ji, job := range jobs {
+			ch, err := mux.Open(uint32(job))
+			if err != nil {
+				return nil, err
+			}
+			wg.Add(1)
+			go func(ji, job int, ch transport.Transport) {
+				defer wg.Done()
+				results[job][w.Rank], jerrs[ji] = jobStream(w, ch, job)
+			}(ji, job, ch)
+		}
+		wg.Wait()
+		return nil, errors.Join(jerrs...)
+	})
+	return results, errs, took
 }

@@ -18,20 +18,14 @@ var faultSpec = flag.String("fault-spec", "seed:11,delay:all@frame0,reset:all@fr
 
 // tcpBuilder builds an in-process TCP mesh: one *TCP per rank, real
 // sockets over loopback. wrap, when non-nil, decorates rank's config.
-func tcpBuilder(policy transport.FaultPolicy, wrap func(rank int, cfg *transport.TCPConfig)) Builder {
+func tcpBuilder(wrap func(rank int, cfg *transport.TCPConfig)) Builder {
 	return func(t testing.TB, size int) []transport.Transport {
 		cfg := func(rank int, addr string) transport.TCPConfig {
 			c := transport.TCPConfig{
 				Addr:             addr,
 				Rank:             rank,
 				Size:             size,
-				Policy:           policy,
 				BootstrapTimeout: 30 * time.Second,
-				// Long enough for real recovery (a reconnect takes
-				// milliseconds), short enough that the abort scenario —
-				// where survivors must give up on the poisoned rank's
-				// silent links — doesn't stall the suite.
-				ReconnectWindow: 2 * time.Second,
 			}
 			if wrap != nil {
 				wrap(rank, &c)
@@ -81,97 +75,83 @@ func TestLocalConformance(t *testing.T) {
 // TestTCPConformance proves the plain TCP transport byte-identical to the
 // local one across the whole scenario table.
 func TestTCPConformance(t *testing.T) {
-	Run(t, tcpBuilder(transport.AbortOnFailure, nil))
+	Run(t, tcpBuilder(nil))
 }
 
-// TestFaultedTCPConformance proves the fail-recover TCP transport still
-// byte-identical to the local one while a deterministic fault schedule
-// resets, corrupts, delays, and cuts its connections.
+// TestFaultedTCPConformance is the fail-stop contract under the -fault-spec
+// schedule (resets, cut frames, CRC-caught corruption, delays): every world
+// the schedule disrupts fails fast with ErrAborted on every rank, each
+// error naming a peer rank, and a re-run on fresh clean meshes is
+// byte-identical to the local transport. Rows: the scenario table plain
+// and with frame compression (corruption must be caught by the CRC over
+// the compressed bytes), and two interleaved jobs on one mesh. A row whose
+// schedule never disrupted a world fails: it exercised nothing.
 func TestFaultedTCPConformance(t *testing.T) {
 	spec, err := faultinject.ParseSpec(*faultSpec)
 	if err != nil {
 		t.Fatalf("bad -fault-spec: %v", err)
 	}
 	if len(spec.Kills) > 0 {
-		t.Fatalf("-fault-spec %q kills ranks; conformance needs the world to survive", *faultSpec)
+		t.Fatalf("-fault-spec %q kills ranks; conformance injects link faults only", *faultSpec)
 	}
-	var injectors []*faultinject.Injector
-	var mu sync.Mutex
-	build := tcpBuilder(transport.RetryTransient, func(rank int, cfg *transport.TCPConfig) {
-		// A fresh injector per world: scenario runs must not consume each
-		// other's one-shot events.
-		in := faultinject.New(spec, rank)
-		mu.Lock()
-		injectors = append(injectors, in)
-		mu.Unlock()
-		cfg.WrapConn = in.WrapConn
-		cfg.BackoffBase = 5 * time.Millisecond
-	})
-	Run(t, build)
-	mu.Lock()
-	defer mu.Unlock()
-	fired := faultinject.Stats{}
-	for _, in := range injectors {
-		s := in.Stats()
-		fired.Resets += s.Resets
-		fired.Corruptions += s.Corruptions
-		fired.Partials += s.Partials
-		fired.Delays += s.Delays
+	for _, row := range []struct {
+		name       string
+		compress   bool
+		concurrent bool
+	}{
+		{"plain", false, false},
+		{"compressed", true, false},
+		{"concurrent", false, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var injectors []*faultinject.Injector
+			disrupted := func() uint64 {
+				mu.Lock()
+				defer mu.Unlock()
+				var n uint64
+				for _, in := range injectors {
+					s := in.Stats()
+					n += s.Resets + s.Partials + s.Corruptions
+				}
+				return n
+			}
+			faulted := tcpBuilder(func(rank int, cfg *transport.TCPConfig) {
+				// A fresh injector per world: worlds must not consume each
+				// other's one-shot events.
+				in := faultinject.New(spec, rank)
+				mu.Lock()
+				injectors = append(injectors, in)
+				mu.Unlock()
+				cfg.Compress = row.compress
+				cfg.WrapConn = in.WrapConn
+			})
+			clean := tcpBuilder(func(rank int, cfg *transport.TCPConfig) {
+				cfg.Compress = row.compress
+			})
+			hit := 0
+			if row.concurrent {
+				if FailStopJobs(t, faulted, clean, disrupted) {
+					hit = 1
+				}
+			} else {
+				hit = FailStop(t, faulted, clean, disrupted)
+			}
+			if hit == 0 {
+				t.Fatalf("fault schedule %q never disrupted a world; the faulted run exercised nothing", *faultSpec)
+			}
+			t.Logf("%d faulted worlds failed fast", hit)
+		})
 	}
-	if fired == (faultinject.Stats{}) {
-		t.Fatalf("fault schedule %q never fired; the faulted run exercised nothing", *faultSpec)
-	}
-	t.Logf("faults fired: %+v", fired)
 }
 
 // TestCompressedTCPConformance re-runs the whole scenario table with wire
 // v3 frame compression on: outputs must stay byte-identical to the local
 // transport, proving compression is invisible above the framing layer.
 func TestCompressedTCPConformance(t *testing.T) {
-	Run(t, tcpBuilder(transport.AbortOnFailure, func(rank int, cfg *transport.TCPConfig) {
+	Run(t, tcpBuilder(func(rank int, cfg *transport.TCPConfig) {
 		cfg.Compress = true
 	}))
-}
-
-// TestCompressedFaultedTCPConformance stacks compression on top of the
-// deterministic fault schedule: resets force reconnects whose replay ledger
-// holds frames in their encoded (compressed) form, corruption must be caught
-// by the CRC over the compressed bytes, and the digests must still match the
-// local transport — replayed compressed frames resume exactly-once.
-func TestCompressedFaultedTCPConformance(t *testing.T) {
-	spec, err := faultinject.ParseSpec(*faultSpec)
-	if err != nil {
-		t.Fatalf("bad -fault-spec: %v", err)
-	}
-	if len(spec.Kills) > 0 {
-		t.Fatalf("-fault-spec %q kills ranks; conformance needs the world to survive", *faultSpec)
-	}
-	var injectors []*faultinject.Injector
-	var mu sync.Mutex
-	build := tcpBuilder(transport.RetryTransient, func(rank int, cfg *transport.TCPConfig) {
-		in := faultinject.New(spec, rank)
-		mu.Lock()
-		injectors = append(injectors, in)
-		mu.Unlock()
-		cfg.Compress = true
-		cfg.WrapConn = in.WrapConn
-		cfg.BackoffBase = 5 * time.Millisecond
-	})
-	Run(t, build)
-	mu.Lock()
-	defer mu.Unlock()
-	fired := faultinject.Stats{}
-	for _, in := range injectors {
-		s := in.Stats()
-		fired.Resets += s.Resets
-		fired.Corruptions += s.Corruptions
-		fired.Partials += s.Partials
-		fired.Delays += s.Delays
-	}
-	if fired == (faultinject.Stats{}) {
-		t.Fatalf("fault schedule %q never fired; the compressed faulted run exercised nothing", *faultSpec)
-	}
-	t.Logf("faults fired: %+v", fired)
 }
 
 // TestConcurrentJobsLocal: two interleaved job streams on the in-process
@@ -182,22 +162,5 @@ func TestConcurrentJobsLocal(t *testing.T) {
 
 // TestConcurrentJobsTCP: the same multi-tenancy contract over real sockets.
 func TestConcurrentJobsTCP(t *testing.T) {
-	ConcurrentJobs(t, tcpBuilder(transport.AbortOnFailure, nil))
-}
-
-// TestConcurrentJobsFaultedTCP: two interleaved jobs stay solo-identical
-// while the deterministic fault schedule resets, corrupts, delays, and cuts
-// the shared mesh's connections under both of them.
-func TestConcurrentJobsFaultedTCP(t *testing.T) {
-	spec, err := faultinject.ParseSpec(*faultSpec)
-	if err != nil {
-		t.Fatalf("bad -fault-spec: %v", err)
-	}
-	if len(spec.Kills) > 0 {
-		t.Fatalf("-fault-spec %q kills ranks; conformance needs the world to survive", *faultSpec)
-	}
-	ConcurrentJobs(t, tcpBuilder(transport.RetryTransient, func(rank int, cfg *transport.TCPConfig) {
-		cfg.WrapConn = faultinject.New(spec, rank).WrapConn
-		cfg.BackoffBase = 5 * time.Millisecond
-	}))
+	ConcurrentJobs(t, tcpBuilder(nil))
 }

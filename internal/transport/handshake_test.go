@@ -14,9 +14,8 @@ import (
 // already connected. What a path does with a hello that breaks the rule is
 // its own policy: the rank-0 bootstrap drops a stale-epoch dialer and keeps
 // accepting but fails on any other bad hello; a worker's mesh accept fails
-// its bootstrap with an error naming the dialer's rank; a RetryTransient
-// mesh's re-accept listener closes the connection and the mesh keeps
-// working.
+// its bootstrap with an error naming the dialer's rank. Once the mesh is up
+// no listener is left to dial.
 
 const (
 	hsSize  = 4
@@ -102,18 +101,6 @@ func TestHandshakeRejections(t *testing.T) {
 		}
 		for _, row := range rows {
 			t.Run(row.name, func(t *testing.T) { meshAcceptRejects(t, row) })
-		}
-	})
-	t.Run("reaccept", func(t *testing.T) {
-		rows := []badHello{
-			{name: "wrong-size", h: hello{Rank: 2, Size: hsSize + 1, Epoch: hsEpoch}},
-			{name: "wrong-epoch", h: hello{Rank: 2, Size: hsSize, Epoch: hsEpoch - 1}},
-			{name: "rank-out-of-range", h: hello{Rank: hsSize, Size: hsSize, Epoch: hsEpoch}},
-			// Rank 1's re-accept listener only hears from higher ranks.
-			{name: "unknown-peer", h: hello{Rank: 0, Size: hsSize, Epoch: hsEpoch}},
-		}
-		for _, row := range rows {
-			t.Run(row.name, func(t *testing.T) { reacceptRejects(t, row) })
 		}
 	})
 }
@@ -227,49 +214,6 @@ func meshAcceptRejects(t *testing.T, row badHello) {
 		wantFailureNaming(t, err, row.h.Rank)
 	case <-time.After(15 * time.Second):
 		t.Fatal("worker kept bootstrapping after a bad mesh hello")
-	}
-}
-
-// reacceptRejects sends row's hello to rank 1's re-accept listener on a live
-// RetryTransient mesh: the connection must be closed unanswered, and the
-// mesh must keep working with no link disturbed.
-func reacceptRejects(t *testing.T, row badHello) {
-	trs := startMeshCfg(t, hsSize, func(_ int, c *TCPConfig) {
-		c.Policy = RetryTransient
-		c.Epoch = hsEpoch
-	})
-	conn := sendBad(t, trs[1].ln.Addr().String(), row)
-	wantClosedUnanswered(t, conn)
-
-	errs := make([]error, hsSize)
-	var wg sync.WaitGroup
-	for r, tr := range trs {
-		wg.Add(1)
-		go func(r int, tr *TCP) {
-			defer wg.Done()
-			send := make([][]byte, hsSize)
-			for dst := range send {
-				send[dst] = []byte{byte(r), byte(dst)}
-			}
-			recv, _, err := tr.Exchange(send, 0)
-			if err == nil {
-				for src, b := range recv {
-					if len(b) != 2 || b[0] != byte(src) || b[1] != byte(r) {
-						err = fmt.Errorf("from rank %d got %v", src, b)
-					}
-				}
-			}
-			errs[r] = err
-		}(r, tr)
-	}
-	wg.Wait()
-	for r, tr := range trs {
-		if errs[r] != nil {
-			t.Fatalf("rank %d exchange after a bad re-accept hello: %v", r, errs[r])
-		}
-		if fs := tr.FaultStats(); fs.LinkFailures != 0 || fs.Reconnects != 0 {
-			t.Fatalf("rank %d: a bad re-accept hello disturbed a link: %+v", r, fs)
-		}
 	}
 }
 

@@ -8,24 +8,17 @@ import (
 )
 
 // Options is every world-wide setting of a multi-process TCP world that a
-// launcher must hand to the processes it starts: fault handling, deadlines,
-// fault injection, and wire compression (job knobs such as -workers reach a
-// spawned child through the os.Args it re-executes). There is exactly one
+// launcher must hand to the processes it starts: deadlines, fault
+// injection, and wire compression (job knobs reach a spawned child through
+// the os.Args it re-executes). There is exactly one
 // encode (Env) and one decode (OptionsFromEnv), shared by spawn-forwarding,
 // the worker commands, and the job-service daemon — adding a field here and
 // to the two methods is the whole story, so no launch path can silently
 // drop a setting.
 //
-// The zero Options is a valid default everywhere (fail-stop, transport
-// default timings, no injection, no compression).
+// The zero Options is a valid default everywhere (transport default
+// timings, no injection, no compression).
 type Options struct {
-	// Policy selects fail-stop (AbortOnFailure, the default) or
-	// fail-recover (RetryTransient) link handling for every process.
-	Policy FaultPolicy
-	// ReconnectWindow bounds RetryTransient recovery per link; a peer that
-	// stays unreachable longer aborts the world. 0 means the transport's
-	// default (10s).
-	ReconnectWindow time.Duration
 	// Deadline is the per-I/O deadline (TCPConfig.Deadline). 0 means the
 	// default (10s).
 	Deadline time.Duration
@@ -45,12 +38,6 @@ type Options struct {
 // append to a child process environment. OptionsFromEnv inverts it.
 func (o Options) Env() []string {
 	var env []string
-	if o.Policy != AbortOnFailure {
-		env = append(env, EnvPolicy+"="+o.Policy.String())
-	}
-	if o.ReconnectWindow > 0 {
-		env = append(env, EnvWindow+"="+o.ReconnectWindow.String())
-	}
 	if o.Deadline > 0 {
 		env = append(env, EnvDeadline+"="+o.Deadline.String())
 	}
@@ -67,20 +54,6 @@ func (o Options) Env() []string {
 // environment (Env's inverse). Unset variables leave their zero defaults.
 func OptionsFromEnv() (Options, error) {
 	var o Options
-	if s := os.Getenv(EnvPolicy); s != "" {
-		p, err := ParseFaultPolicy(s)
-		if err != nil {
-			return Options{}, fmt.Errorf("transport: bad %s=%q: %v", EnvPolicy, s, err)
-		}
-		o.Policy = p
-	}
-	if s := os.Getenv(EnvWindow); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d <= 0 {
-			return Options{}, fmt.Errorf("transport: bad %s=%q", EnvWindow, s)
-		}
-		o.ReconnectWindow = d
-	}
 	if s := os.Getenv(EnvDeadline); s != "" {
 		d, err := time.ParseDuration(s)
 		if err != nil || d <= 0 {
@@ -104,9 +77,7 @@ func OptionsFromEnv() (Options, error) {
 func (o Options) TCPConfig(addr string, rank, size int) TCPConfig {
 	return TCPConfig{
 		Addr: addr, Rank: rank, Size: size,
-		Deadline:        o.Deadline,
-		Policy:          o.Policy,
-		ReconnectWindow: o.ReconnectWindow,
-		Compress:        o.Compress,
+		Deadline: o.Deadline,
+		Compress: o.Compress,
 	}
 }

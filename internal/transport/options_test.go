@@ -10,14 +10,14 @@ import (
 // Options.Env and OptionsFromEnv are the single encode/decode pair for every
 // world-wide setting a launcher forwards to its workers. These tests pin the
 // round trip for every MIMIR_* variable and — just as important — that every
-// invalid value is a hard error: a typo'd MIMIR_TCP_WINDOW must kill the
+// invalid value is a hard error: a typo'd MIMIR_TCP_DEADLINE must kill the
 // launch, not silently fall back to the default and mask a misconfigured
-// fault-tolerance window.
+// deadline.
 
 // allOptionEnvVars is every variable the codec owns. Keep in sync with the
 // Env consts in spawn.go (EnvJoin/EnvRank/EnvSize/EnvEpoch belong to
 // FromEnv's world-attachment layer, tested separately below).
-var allOptionEnvVars = []string{EnvPolicy, EnvWindow, EnvDeadline, EnvFaults, EnvCompress}
+var allOptionEnvVars = []string{EnvDeadline, EnvFaults, EnvCompress}
 
 func clearOptionEnv(t *testing.T) {
 	t.Helper()
@@ -41,17 +41,13 @@ func setEnvList(t *testing.T, kvs []string) {
 func TestOptionsEnvRoundTrip(t *testing.T) {
 	cases := []Options{
 		{}, // zero options encode to nothing and decode to zero
-		{Policy: RetryTransient},
-		{ReconnectWindow: 1500 * time.Millisecond},
 		{Deadline: 2 * time.Second},
 		{Faults: "seed:42,kill:rank2@round3"},
 		{Compress: true},
 		{ // everything at once
-			Policy:          RetryTransient,
-			ReconnectWindow: 750 * time.Millisecond,
-			Deadline:        3 * time.Second,
-			Faults:          "seed:7,reset:rank1@frame5",
-			Compress:        true,
+			Deadline: 3 * time.Second,
+			Faults:   "seed:7,reset:rank1@frame5",
+			Compress: true,
 		},
 	}
 	for i, want := range cases {
@@ -73,12 +69,6 @@ func TestOptionsEnvRoundTrip(t *testing.T) {
 
 func TestOptionsFromEnvRejectsInvalidValues(t *testing.T) {
 	cases := []struct{ key, val string }{
-		{EnvPolicy, "bogus"},
-		{EnvPolicy, "RETRY"}, // spelling is exact; a near-miss must not fall back to abort
-		{EnvWindow, "nonsense"},
-		{EnvWindow, "-5s"}, // negative window would disarm fault tolerance
-		{EnvWindow, "0s"},
-		{EnvWindow, "10"}, // bare number is not a Go duration
 		{EnvDeadline, "soon"},
 		{EnvDeadline, "-1s"},
 		{EnvDeadline, "0"},
@@ -111,12 +101,12 @@ func TestFromEnvWorldAttachment(t *testing.T) {
 	t.Setenv(EnvRank, "2")
 	t.Setenv(EnvSize, "4")
 	t.Setenv(EnvEpoch, "9")
-	t.Setenv(EnvWindow, "2s")
+	t.Setenv(EnvDeadline, "2s")
 	cfg, ok, err := FromEnv()
 	if !ok || err != nil {
 		t.Fatalf("FromEnv: ok=%v err=%v", ok, err)
 	}
-	if cfg.Addr != "127.0.0.1:7007" || cfg.Rank != 2 || cfg.Size != 4 || cfg.Epoch != 9 || cfg.ReconnectWindow != 2*time.Second {
+	if cfg.Addr != "127.0.0.1:7007" || cfg.Rank != 2 || cfg.Size != 4 || cfg.Epoch != 9 || cfg.Deadline != 2*time.Second {
 		t.Fatalf("FromEnv decoded %+v", cfg)
 	}
 	// Invalid attachment values are hard errors with ok=true (the process
@@ -126,12 +116,12 @@ func TestFromEnvWorldAttachment(t *testing.T) {
 		{EnvSize, ""},
 		{EnvEpoch, "-1"},
 		{EnvEpoch, "latest"},
-		{EnvWindow, "bad"}, // Options errors propagate through FromEnv too
+		{EnvDeadline, "bad"}, // Options errors propagate through FromEnv too
 	} {
 		t.Setenv(EnvRank, "2")
 		t.Setenv(EnvSize, "4")
 		t.Setenv(EnvEpoch, "9")
-		t.Setenv(EnvWindow, "2s")
+		t.Setenv(EnvDeadline, "2s")
 		t.Setenv(tc.key, tc.val)
 		if tc.val == "" {
 			os.Setenv(tc.key, "")

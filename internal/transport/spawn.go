@@ -16,12 +16,6 @@ const (
 	EnvJoin = "MIMIR_TCP_JOIN"
 	EnvRank = "MIMIR_TCP_RANK"
 	EnvSize = "MIMIR_TCP_SIZE"
-	// EnvPolicy carries the fault policy ("abort" or "retry") so every
-	// process of a world reacts to link faults the same way.
-	EnvPolicy = "MIMIR_TCP_POLICY"
-	// EnvWindow carries the RetryTransient reconnect window as a Go
-	// duration string.
-	EnvWindow = "MIMIR_TCP_WINDOW"
 	// EnvFaults carries a fault-injection spec (internal/faultinject
 	// grammar). The transport only forwards it; the facade layer parses it
 	// and wires the injector.
@@ -122,8 +116,8 @@ func SpawnLocal(size int, deadline time.Duration) (*TCP, *Children, error) {
 	return SpawnLocalOpts(size, SpawnOptions{Options: Options{Deadline: deadline}})
 }
 
-// SpawnLocalOpts is SpawnLocal with fault handling configured: the policy,
-// reconnect window, and fault spec travel to every worker through the
+// SpawnLocalOpts is SpawnLocal with every Options field configured: the
+// deadline, fault spec and compression travel to every worker through the
 // environment, so one flag string on the parent configures the whole world.
 func SpawnLocalOpts(size int, opts SpawnOptions) (*TCP, *Children, error) {
 	if size < 1 {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -28,9 +27,9 @@ type TCPConfig struct {
 	// Epoch is the mesh incarnation this rank belongs to. Elastic
 	// membership (internal/membership) rebuilds the mesh under a strictly
 	// higher epoch on every world change; both sides of every connection —
-	// bootstrap, mesh, and reconnect — must present the same epoch in the
-	// wire-v5 handshake or the connection is rejected. Fixed-size worlds
-	// that never resize leave it 0.
+	// bootstrap and mesh — must present the same epoch in the handshake or
+	// the connection is rejected. Fixed-size worlds that never resize leave
+	// it 0.
 	Epoch uint64
 	// Deadline bounds connection progress: the per-connection handshake and
 	// every chunk of a frame write (a peer that cannot accept writeChunk
@@ -40,34 +39,13 @@ type TCPConfig struct {
 	// the address table). 0 means 30 seconds.
 	BootstrapTimeout time.Duration
 
-	// Policy selects fail-stop (AbortOnFailure, the default) or
-	// fail-recover (RetryTransient) behavior for link failures after the
-	// mesh is up. Bootstrap failures are always fatal.
-	Policy FaultPolicy
-	// ReconnectWindow bounds how long a link may stay down under
-	// RetryTransient before the peer is declared dead and the world aborts.
-	// 0 means 10 seconds.
-	ReconnectWindow time.Duration
-	// BackoffBase shapes the reconnect dial backoff: the delay starts at
-	// BackoffBase and doubles (with deterministic jitter) up to one second.
-	// 0 means 20ms.
-	BackoffBase time.Duration
-	// MaxReplay caps the per-link replay buffer (unacknowledged sent
-	// frames) under RetryTransient. A sender that exceeds it while the
-	// link is up blocks until the peer's acks prune the buffer (flow
-	// control); if no ack arrives within ReconnectWindow — or the link is
-	// down when the cap is hit — the world aborts rather than growing the
-	// buffer without bound. 0 means 64 MB.
-	MaxReplay int64
-
 	// Compress enables frame-level flate compression on this rank's
 	// outgoing data frames (wire v3): a payload that shrinks under flate is
 	// sent compressed, flagged by the compressedFlag bit on the op byte.
 	// Compression is a per-frame, per-sender decision — receivers always
 	// accept both forms, so ranks with different Compress settings
 	// interoperate. The CRC-32C covers the compressed bytes (compress-
-	// then-CRC) and the replay buffer stores the encoded frame, so fault
-	// recovery replays exactly what was first sent.
+	// then-CRC), so corruption is caught on the exact wire bytes.
 	Compress bool
 
 	// WrapConn, when non-nil, wraps every established mesh connection —
@@ -83,15 +61,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	}
 	if c.BootstrapTimeout <= 0 {
 		c.BootstrapTimeout = 30 * time.Second
-	}
-	if c.ReconnectWindow <= 0 {
-		c.ReconnectWindow = 10 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 20 * time.Millisecond
-	}
-	if c.MaxReplay <= 0 {
-		c.MaxReplay = 64 << 20
 	}
 	return c
 }
@@ -117,38 +86,23 @@ func (c TCPConfig) validate() error {
 // bandwidth*Deadline.)
 const writeChunk = 128 << 10
 
-// ackEvery is how many data frames a receiver lets accumulate before
-// acknowledging them (OpAck), bounding the sender's replay buffer. Large
-// frames reach the sender's MaxReplay byte cap long before ackEvery frames
-// accumulate, so maybeAck also acks once the unacknowledged bytes pass a
-// quarter of MaxReplay — whichever threshold trips first.
-const ackEvery = 32
-
-// backoffMax caps the reconnect dial backoff.
-const backoffMax = time.Second
-
 // TCP is the multi-process transport: this process hosts exactly one rank
 // and a full mesh of TCP connections carries frames to every peer. Create
 // it with NewTCP (or ListenTCP + Bootstrap.Accept on rank 0 when the
 // bootstrap port is dynamic).
 //
-// Under Policy RetryTransient the mesh is self-healing: each side of a
-// failed link closes it (so the other side notices), the higher rank
-// re-dials the lower rank's listener with capped exponential backoff, the
-// two sides exchange OpResume frames carrying how many data frames each has
-// received, and the sender replays everything newer from its replay buffer.
-// TCP's in-order delivery plus the cumulative frame counts make the resume
-// idempotent: no frame is delivered twice or dropped, so the collective
-// sequence numbers (and with them the SPMD order) survive any number of
-// reconnects.
+// The mesh is fail-stop, as MPI is: any link failure after the mesh is up —
+// a reset, a cut frame, a CRC mismatch, a write that misses its deadline, an
+// EOF without a Bye — poisons the world with an ErrAborted that names the
+// peer rank and the cause, on every rank. Recovery is a fresh mesh and a
+// re-run (or a checkpointed resume), never a repair of the link.
 type TCP struct {
 	cfg   TCPConfig
 	rank  int
 	size  int
 	peers []*tcpPeer // peers[rank] == nil
 
-	addrs []string     // mesh address table (reconnect targets); set before start
-	ln    net.Listener // persistent listener for re-accepts (RetryTransient only)
+	ln net.Listener // bootstrap listener; closed once the mesh is up
 
 	// Multiplexing channels (wire v4): frames demux to the channel named by
 	// their Job header field. Channel 0 is the default — the TCP used
@@ -158,13 +112,6 @@ type TCP struct {
 	ch0   *tcpChan
 	chmu  sync.Mutex
 	chans map[uint32]*tcpChan
-	// chAborts records every locally-originated channel abort (job → cause).
-	// Abort frames are control frames — never acked, never replayed — so a
-	// link fault can swallow one; install re-asserts these on every fresh
-	// connection to make job aborts durable. Guarded by chmu.
-	chAborts map[uint32][]byte
-
-	started atomic.Bool // mesh is up; link failures become recoverable
 
 	mu       sync.Mutex
 	abortErr error
@@ -172,63 +119,26 @@ type TCP struct {
 
 	readers sync.WaitGroup
 
-	linkFailures   atomic.Uint64
-	reconnects     atomic.Uint64
-	dialRetries    atomic.Uint64
-	replayedFrames atomic.Uint64
-	replayedBytes  atomic.Uint64
+	linkFailures atomic.Uint64
 }
 
-// tcpPeer is one mesh link with serialized, deadline-bounded writes and
-// (under RetryTransient) a replay buffer for reconnect recovery.
+// tcpPeer is one mesh link with serialized, deadline-bounded writes. conn
+// is set once, before the mesh starts, and never replaced.
 type tcpPeer struct {
-	t    *TCP
-	rank int
+	t      *TCP
+	rank   int
+	conn   net.Conn
+	failed atomic.Bool // set by fail; the link's failure is counted once
 
-	// wmu serializes writers and guards the connection state: conn, gen,
-	// down. It is held across chunked frame writes, so readers must never
-	// block on it (acks use TryLock).
-	wmu  sync.Mutex
-	conn net.Conn
-	gen  int // connection generation; bumped by every install
-	// down marks an outage, from the failure linkDownLocked declares until
-	// install brings a new connection up. Setting it starts recoverLink.
-	down bool
-	// readerDone is closed when the current generation's readLoop exits;
-	// replaced by install alongside conn/gen. Guarded by wmu.
-	readerDone chan struct{}
-
-	// hdr is the header scratch for the zero-copy write path (headers and
-	// bare-header ack frames are built here instead of a fresh allocation),
-	// and vec/bufs back the net.Buffers writev of header+payload. All three
-	// are guarded by wmu.
+	// wmu serializes writers. It is held across chunked frame writes, so
+	// the reader never takes it.
+	wmu sync.Mutex
+	// hdr is the header scratch for the zero-copy write path (headers are
+	// built here instead of a fresh allocation), and vec/bufs back the
+	// net.Buffers writev of header+payload. All three are guarded by wmu.
 	hdr  [4 + frameHeaderLen]byte
 	vec  [2][]byte
 	bufs net.Buffers
-
-	// rmu guards the replay ledger. It is only ever held briefly (no I/O),
-	// so the ack path can take it without risking the distributed deadlock
-	// that blocking readers on wmu would cause.
-	rmu         sync.Mutex
-	sentSeq     uint64   // data frames accepted for sending on this link
-	ackedSeq    uint64   // data frames the peer confirmed (prefix of sentSeq)
-	replay      [][]byte // encoded frames (ackedSeq, sentSeq], RetryTransient only
-	replayBytes int64
-	// replaying marks a reconnect replay in flight: install's snapshot
-	// aliases the ledger's buffers, so pruneReplayLocked must not recycle
-	// them to the buffer pool while it is set.
-	replaying bool
-	// sending is the ledger entry writeFrame is writing. The peer can ack
-	// it before that write call returns, and only the writer's goroutine
-	// may then recycle it, so an ack that prunes it sets sendingPruned
-	// instead of recycling.
-	sending       []byte
-	sendingPruned bool
-
-	recvSeq      atomic.Uint64 // data frames delivered from this peer
-	recvBytes    atomic.Uint64 // encoded bytes of those frames (sender-side accounting mirror)
-	lastAck      atomic.Uint64 // recvSeq value of the last OpAck we sent
-	lastAckBytes atomic.Uint64 // recvBytes value of the last OpAck we sent
 
 	bmu sync.Mutex
 	bye bool // peer announced clean shutdown; EOF is not a death
@@ -277,9 +187,8 @@ func beginFrameRaw(conn net.Conn, op byte, size int) error {
 	return nil
 }
 
-// isData reports whether op is a data frame — counted, acknowledged, and
-// replayed across reconnects. Control frames (abort, bye, acks, resumes)
-// are link-local and never replayed.
+// isData reports whether op is a data frame, the only frames that may be
+// compressed. Control frames (abort, bye, table) never are.
 func isData(op byte) bool { return op == OpP2P || op == OpExchange }
 
 // writeConnVectored writes a frame as header+payload without gathering them
@@ -309,23 +218,20 @@ func (p *tcpPeer) writeConnVectored(conn net.Conn, hdr, payload []byte, deadline
 	return writeConnChunks(conn, payload[n:], deadline)
 }
 
-// writeFrame sends one frame on the link. Under RetryTransient a data frame
-// is first appended to the replay buffer, so a write failure is not an
-// error: the link is marked down, recovery starts, and the frame reaches
-// the peer via replay. Under AbortOnFailure any failure is returned.
+// writeFrame sends one frame on the link. A failed write closes the
+// connection, so the peer's reader sees the failure at once instead of at
+// its next deadline, and is returned for the caller to abort the world.
 //
 // The hot path is allocation-conscious: the payload is written straight from
-// the caller's buffer via writev (no gather copy), compression scratch and
-// replay entries come from the buffer pool (mem.GetBuf), and the header is
-// built in per-peer scratch.
+// the caller's buffer via writev (no gather copy), compression scratch comes
+// from the buffer pool (mem.GetBuf), and the header is built in per-peer
+// scratch.
 func (p *tcpPeer) writeFrame(f *Frame) error {
 	t := p.t
-	retry := t.cfg.Policy == RetryTransient && t.started.Load()
 
 	// Sender-side per-frame compression decision (wire v3): only data
 	// frames, only when the payload actually shrinks. scratch holds the
-	// pooled compressed payload until the frame is sent or copied into the
-	// replay ledger.
+	// pooled compressed payload until the frame is sent.
 	op, payload := f.Op, f.Data
 	var scratch []byte
 	if t.cfg.Compress && isData(op) && len(payload) >= compressMinSize {
@@ -344,119 +250,41 @@ func (p *tcpPeer) writeFrame(f *Frame) error {
 		}
 	}()
 
-	var buf []byte
-	if retry && isData(f.Op) {
-		// Owned encoded copy: may outlive the caller's Data. The replay
-		// ledger owns buf from the append below until pruneReplayLocked
-		// recycles it.
-		buf = appendFrameHeaderRaw(mem.GetBuf(4 + frameHeaderLen + len(payload))[:0], op, f.Src, f.Job, f.Tag, f.Seq, f.Time, payload)
-		buf = append(buf, payload...)
-	}
-
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	if buf != nil {
-		p.rmu.Lock()
-		p.sentSeq++
-		p.replay = append(p.replay, buf)
-		p.replayBytes += int64(len(buf))
-		p.sending = buf
-		over := p.replayOverLocked()
-		p.rmu.Unlock()
-		defer p.doneSending(buf) // before wmu is released: install may replay buf next
-		if over {
-			if err := p.waitReplayRoom(); err != nil {
-				return err
-			}
-		}
-	}
-	if p.down || p.conn == nil {
-		if retry {
-			return nil // data is in the replay buffer; control frames are best-effort
-		}
-		return fmt.Errorf("transport: connection to rank %d is down", p.rank)
-	}
 	err := beginFrameRaw(p.conn, f.Op, frameHeaderLen+len(payload))
 	if err == nil {
-		if buf != nil {
-			err = writeConnChunks(p.conn, buf, t.cfg.Deadline)
-		} else {
-			hdr := appendFrameHeaderRaw(p.hdr[:0], op, f.Src, f.Job, f.Tag, f.Seq, f.Time, payload)
-			err = p.writeConnVectored(p.conn, hdr, payload, t.cfg.Deadline)
-		}
+		hdr := appendFrameHeaderRaw(p.hdr[:0], op, f.Src, f.Job, f.Tag, f.Seq, f.Time, payload)
+		err = p.writeConnVectored(p.conn, hdr, payload, t.cfg.Deadline)
 	}
 	if err != nil {
-		if retry {
-			t.linkDownLocked(p, p.gen, err)
-			return nil // recovery replays the frame
-		}
-		return err
+		p.fail()
 	}
-	return nil
+	return err
 }
 
-// replayOverLocked reports whether the replay buffer is over the byte cap.
-// A single pending frame is exempt: it has to be held for replay whatever
-// its size, and capping it would turn one large Exchange payload into an
-// abort. Caller holds p.rmu.
-func (p *tcpPeer) replayOverLocked() bool {
-	return p.replayBytes > p.t.cfg.MaxReplay && len(p.replay) > 1
-}
-
-// waitReplayRoom blocks a writer whose replay buffer passed MaxReplay until
-// the peer's cumulative acks prune it back under the cap: on a healthy link
-// acks keep arriving (the reader processes them under rmu alone), so this is
-// flow control for a sender that outruns the ack round-trip, not a failure.
-// A link that is down delivers no acks and cannot recover while the writer
-// holds wmu, so that case fails immediately; a link that dies mid-wait fails
-// when ReconnectWindow passes without room — the same bound a failed
-// reconnect has. Called with wmu held.
-func (p *tcpPeer) waitReplayRoom() error {
+// fail declares the link dead: it closes the connection, so the peer's
+// reader sees the failure at once instead of at its next deadline, and
+// counts the failure once per link — and only while the world is healthy
+// and open, since the links a poisoned or closing world loses afterwards
+// are consequences, not causes.
+func (p *tcpPeer) fail() {
+	p.conn.Close()
+	if p.failed.Swap(true) {
+		return
+	}
 	t := p.t
-	deadline := time.Now().Add(t.cfg.ReconnectWindow)
-	for {
-		p.rmu.Lock()
-		over := p.replayOverLocked()
-		bytes := p.replayBytes
-		p.rmu.Unlock()
-		if !over {
-			return nil
-		}
-		if err := t.abortError(); err != nil {
-			return err
-		}
-		if p.down || p.conn == nil {
-			return fmt.Errorf("transport: replay buffer for rank %d exceeds %d bytes (%d unacknowledged) while the link is down",
-				p.rank, t.cfg.MaxReplay, bytes)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: replay buffer for rank %d exceeds %d bytes (%d unacknowledged) and no ack arrived within %v",
-				p.rank, t.cfg.MaxReplay, bytes, t.cfg.ReconnectWindow)
-		}
-		// Holding wmu starves the reader's maybeAck for this link (it only
-		// TryLocks), so flush any ack we owe the peer ourselves — two ranks
-		// mid-large-transfer would otherwise each park here waiting for acks
-		// the other side can no longer send.
-		if n := p.recvSeq.Load(); n > p.lastAck.Load() {
-			if err := p.writeAckLocked(n); err == nil {
-				p.lastAck.Store(n)
-				p.lastAckBytes.Store(p.recvBytes.Load())
-			} else {
-				// The reader cannot declare the link down while we hold wmu;
-				// do it here so the next loop iteration fails fast instead of
-				// spinning out the whole window on a dead conn.
-				t.linkDownLocked(p, p.gen, err)
-			}
-		}
-		time.Sleep(time.Millisecond)
+	t.mu.Lock()
+	if t.abortErr == nil && !t.closing {
+		t.linkFailures.Add(1)
 	}
+	t.mu.Unlock()
 }
 
 // exchQueue buffers one peer's collective contributions in arrival order.
-// TCP preserves per-connection ordering (and replay preserves it across
-// reconnects) and both sides follow the SPMD contract, so the head frame's
-// sequence number must match the local call counter — a mismatch is a
-// protocol violation.
+// TCP preserves per-connection ordering and both sides follow the SPMD
+// contract, so the head frame's sequence number must match the local call
+// counter — a mismatch is a protocol violation.
 type exchQueue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -514,10 +342,8 @@ func (e *exchQueue) abort(err error) {
 // job's view of the world, with its own point-to-point mailbox, collective
 // queues and sequence counter, and its own abort state. All channels share
 // the physical links — frames carry the channel id in the Job header field
-// and the reader demuxes on it — so the link-level machinery (replay
-// ledger, cumulative acks, reconnect recovery) is channel-agnostic: a
-// reconnect replays every channel's frames in their original link order and
-// the exactly-once guarantee holds per channel for free.
+// and the reader demuxes on it — so a link failure is world-scoped: it
+// poisons the mesh and with it every channel.
 //
 // Channel 0 is the default/control channel: TCP's own Transport/Endpoint
 // methods are that channel, and an abort on it poisons the whole mesh. A
@@ -631,25 +457,20 @@ func (c *tcpChan) Abort(err error) {
 	if !c.poison(err) {
 		return
 	}
-	cause := []byte(err.Error())
-	c.t.chmu.Lock()
-	if c.t.chAborts == nil {
-		c.t.chAborts = make(map[uint32][]byte)
+	// A link that cannot carry the abort has failed, and a failed link
+	// aborts the whole mesh, this job's channel included.
+	if werr := c.t.broadcast(&Frame{Op: OpAbort, Src: uint32(c.t.rank), Job: c.job, Data: []byte(err.Error())}); werr != nil {
+		c.t.Abort(fmt.Errorf("%w: announcing the abort of job %d: %v", ErrAborted, c.job, werr))
 	}
-	c.t.chAborts[c.job] = cause
-	c.t.chmu.Unlock()
-	// Best effort now; install re-asserts it on every reconnect.
-	c.t.broadcast(&Frame{Op: OpAbort, Src: uint32(c.t.rank), Job: c.job, Data: cause})
 }
 
-// A channel is a full Transport/Endpoint view of the mesh, sharing the
-// links and their fault machinery.
+// A channel is a full Transport/Endpoint view of the mesh, sharing its
+// links.
 func (c *tcpChan) Size() int              { return c.t.size }
 func (c *tcpChan) Epoch() uint64          { return c.t.cfg.Epoch }
 func (c *tcpChan) LocalRanks() []int      { return []int{c.t.rank} }
 func (c *tcpChan) Wall() bool             { return true }
 func (c *tcpChan) Rank() int              { return c.t.rank }
-func (c *tcpChan) Policy() FaultPolicy    { return c.t.Policy() }
 func (c *tcpChan) FaultStats() FaultStats { return c.t.FaultStats() }
 func (c *tcpChan) Recycle(b []byte)       { c.t.Recycle(b) }
 func (c *tcpChan) Err() error             { return c.abortError() }
@@ -801,8 +622,8 @@ func newTCPBase(cfg TCPConfig) *TCP {
 }
 
 // prepConn readies a mesh connection to rank once its handshake is done:
-// Nagle off (frames are written whole, and acks must not wait behind a
-// timer), then the fault-injection wrapper, if any.
+// Nagle off (frames are written whole, and small collective frames must
+// not wait behind a timer), then the fault-injection wrapper, if any.
 func (t *TCP) prepConn(rank int, conn net.Conn) net.Conn {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -814,36 +635,21 @@ func (t *TCP) prepConn(rank int, conn net.Conn) net.Conn {
 }
 
 func (t *TCP) addPeer(rank int, conn net.Conn) {
-	t.peers[rank] = &tcpPeer{
-		t:          t,
-		rank:       rank,
-		conn:       t.prepConn(rank, conn),
-		gen:        1,
-		readerDone: make(chan struct{}),
-	}
+	t.peers[rank] = &tcpPeer{t: t, rank: rank, conn: t.prepConn(rank, conn)}
 }
 
-// start launches the per-connection reader goroutines (and, under
-// RetryTransient, the persistent re-accept loop) and runs the initial
-// barrier that confirms every rank's mesh is complete.
+// start closes the bootstrap listener, launches the per-connection reader
+// goroutines and runs the initial barrier that confirms every rank's mesh
+// is complete.
 func (t *TCP) start() (*TCP, error) {
-	if t.cfg.Policy == RetryTransient {
-		if tl, ok := t.ln.(*net.TCPListener); ok {
-			tl.SetDeadline(time.Time{}) // clear the bootstrap deadline
-		}
-		t.readers.Add(1)
-		go t.acceptLoop()
-	} else {
-		t.ln.Close()
-		t.ln = nil
-	}
+	t.ln.Close()
+	t.ln = nil
 	for _, p := range t.peers {
 		if p != nil {
 			t.readers.Add(1)
-			go t.readLoop(p, p.conn, p.gen, p.readerDone)
+			go t.readLoop(p)
 		}
 	}
-	t.started.Store(true)
 	if _, _, err := t.Exchange(nil, 0); err != nil {
 		t.Close()
 		return nil, fmt.Errorf("transport: initial barrier: %w", err)
@@ -884,19 +690,18 @@ func (b *Bootstrap) Addr() string { return b.ln.Addr().String() }
 func (b *Bootstrap) Close() error { return b.ln.Close() }
 
 // Accept waits for every worker to register, distributes the address table,
-// and returns rank 0's transport once the whole world is up. Under
-// RetryTransient the listener stays open for the life of the transport to
-// accept reconnecting peers; otherwise it is closed.
+// and returns rank 0's transport once the whole world is up. The listener is
+// closed then.
 func (b *Bootstrap) Accept() (*TCP, error) {
 	t := newTCPBase(b.cfg)
 	t.ln = b.ln
-	t.addrs = make([]string, b.cfg.Size)
-	t.addrs[0] = b.Addr()
+	addrs := make([]string, b.cfg.Size)
+	addrs[0] = b.Addr()
 	err := t.acceptPeers(time.Now().Add(b.cfg.BootstrapTimeout), func(h hello) error {
 		if h.Addr == "" {
 			return fmt.Errorf("rank %d advertised no mesh address", h.Rank)
 		}
-		t.addrs[h.Rank] = h.Addr
+		addrs[h.Rank] = h.Addr
 		return nil
 	})
 	if err != nil {
@@ -904,7 +709,7 @@ func (b *Bootstrap) Accept() (*TCP, error) {
 	}
 	// Everyone registered; hand each worker the full table so workers can
 	// mesh among themselves.
-	table := encodeTable(t.addrs)
+	table := encodeTable(addrs)
 	for rank := 1; rank < t.size; rank++ {
 		if err := t.peers[rank].writeFrame(&Frame{Op: OpTable, Src: 0, Data: table}); err != nil {
 			return t.abandon(fmt.Errorf("transport: sending address table to rank %d: %w", rank, err))
@@ -917,9 +722,9 @@ func (b *Bootstrap) Accept() (*TCP, error) {
 var errStaleEpoch = errors.New("stale epoch")
 
 // dialHello is the dialer's half of the handshake on every connection this
-// rank opens (to the bootstrap, advertising addr; to a lower worker; on a
-// reconnect): send our hello, then take the reply only from rank want of
-// this world size and epoch, within the connection deadline.
+// rank opens (to the bootstrap, advertising addr; to a lower worker): send
+// our hello, then take the reply only from rank want of this world size and
+// epoch, within the connection deadline.
 func (t *TCP) dialHello(conn net.Conn, want int, addr string) error {
 	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
 	if err := writeHello(conn, hello{Rank: t.rank, Size: t.size, Epoch: t.cfg.Epoch, Addr: addr}); err != nil {
@@ -938,7 +743,7 @@ func (t *TCP) dialHello(conn net.Conn, want int, addr string) error {
 }
 
 // acceptHello is the acceptor's half of the handshake on every connection
-// this rank accepts (bootstrap, mesh, reconnect). A dialer joins this mesh
+// this rank accepts (bootstrap, mesh). A dialer joins this mesh
 // incarnation only with our world size and epoch, from a rank above ours
 // (the lower rank of a link listens), and only if admit, the site's own
 // rule, takes it; then we reply, within the connection deadline. An error
@@ -1055,11 +860,12 @@ func dialTCP(cfg TCPConfig) (*TCP, error) {
 	if err == nil && tf.Op != OpTable {
 		err = fmt.Errorf("got op %d", tf.Op)
 	}
+	var addrs []string
 	if err == nil {
-		t.addrs, err = decodeTable(tf.Data)
+		addrs, err = decodeTable(tf.Data)
 	}
-	if err == nil && len(t.addrs) != cfg.Size {
-		err = fmt.Errorf("%d entries for %d ranks", len(t.addrs), cfg.Size)
+	if err == nil && len(addrs) != cfg.Size {
+		err = fmt.Errorf("%d entries for %d ranks", len(addrs), cfg.Size)
 	}
 	if err != nil {
 		return fail(fmt.Errorf("transport: rank %d reading address table: %w", cfg.Rank, err))
@@ -1069,14 +875,14 @@ func dialTCP(cfg TCPConfig) (*TCP, error) {
 
 	// Mesh: dial workers below, accept workers above.
 	for r := 1; r < cfg.Rank; r++ {
-		conn, err := dialRetry(t.addrs[r], deadline)
+		conn, err := dialRetry(addrs[r], deadline)
 		if err == nil {
 			if err = t.dialHello(conn, r, ""); err != nil {
 				conn.Close()
 			}
 		}
 		if err != nil {
-			return fail(fmt.Errorf("transport: rank %d mesh dial to rank %d at %s: %w", cfg.Rank, r, t.addrs[r], err))
+			return fail(fmt.Errorf("transport: rank %d mesh dial to rank %d at %s: %w", cfg.Rank, r, addrs[r], err))
 		}
 		t.addPeer(r, conn)
 	}
@@ -1132,18 +938,9 @@ func (t *TCP) Wall() bool { return true }
 // Rank returns the local rank.
 func (t *TCP) Rank() int { return t.rank }
 
-// Policy returns the configured fault policy.
-func (t *TCP) Policy() FaultPolicy { return t.cfg.Policy }
-
-// FaultStats returns this transport's failure and recovery counters.
+// FaultStats returns this transport's failure counter.
 func (t *TCP) FaultStats() FaultStats {
-	return FaultStats{
-		LinkFailures:   t.linkFailures.Load(),
-		Reconnects:     t.reconnects.Load(),
-		DialRetries:    t.dialRetries.Load(),
-		ReplayedFrames: t.replayedFrames.Load(),
-		ReplayedBytes:  t.replayedBytes.Load(),
-	}
+	return FaultStats{LinkFailures: t.linkFailures.Load()}
 }
 
 func (t *TCP) abortError() error {
@@ -1153,8 +950,8 @@ func (t *TCP) abortError() error {
 }
 
 // poison fails all local pending and subsequent operations — on every
-// channel — with err, without notifying peers. It also stops accepting
-// reconnects. Channels created afterwards inherit the poison in chanFor.
+// channel — with err, without notifying peers. Channels created afterwards
+// inherit the poison in chanFor.
 func (t *TCP) poison(err error) bool {
 	t.mu.Lock()
 	if t.abortErr != nil {
@@ -1162,11 +959,7 @@ func (t *TCP) poison(err error) bool {
 		return false
 	}
 	t.abortErr = err
-	ln := t.ln
 	t.mu.Unlock()
-	if ln != nil && t.cfg.Policy == RetryTransient {
-		ln.Close()
-	}
 	t.chmu.Lock()
 	chans := make([]*tcpChan, 0, len(t.chans))
 	for _, c := range t.chans {
@@ -1189,13 +982,18 @@ func (t *TCP) Abort(err error) {
 	t.broadcast(&Frame{Op: OpAbort, Src: uint32(t.rank), Data: []byte(err.Error())})
 }
 
-// broadcast writes a control frame to every peer, ignoring failures.
-func (t *TCP) broadcast(f *Frame) {
+// broadcast writes a control frame to every peer and returns the first
+// write failure; it keeps writing to the other peers after one.
+func (t *TCP) broadcast(f *Frame) error {
+	var first error
 	for _, p := range t.peers {
 		if p != nil {
-			p.writeFrame(f)
+			if err := p.writeFrame(f); err != nil && first == nil {
+				first = fmt.Errorf("write to rank %d: %v", p.rank, err)
+			}
 		}
 	}
+	return first
 }
 
 // Sever simulates this rank's sudden death (fault injection): local
@@ -1207,400 +1005,18 @@ func (t *TCP) Sever(cause error) {
 	t.teardown()
 }
 
-// teardown closes the listener and every link's current connection.
+// teardown closes the listener (while bootstrapping) and every link. It
+// takes no write lock: closing a conn is safe during a write, and it is
+// what unblocks a writer stalled on a dead peer.
 func (t *TCP) teardown() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	for _, p := range t.peers {
 		if p != nil {
-			p.wmu.Lock()
-			if p.conn != nil {
-				p.conn.Close()
-			}
-			p.wmu.Unlock()
+			p.conn.Close()
 		}
 	}
-}
-
-// linkDownLocked declares one connection generation failed. Caller must
-// hold p.wmu. Stale generations (a racing writer and reader both reporting
-// the same failure, or a failure on an already-replaced conn) and links
-// already down are ignored. The conn is closed so the other side notices
-// too, and recoverLink starts.
-func (t *TCP) linkDownLocked(p *tcpPeer, gen int, cause error) {
-	if p.gen != gen || p.down {
-		return
-	}
-	p.down = true
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
-	t.linkFailures.Add(1)
-	t.readers.Add(1)
-	go t.recoverLink(p, time.Now().Add(t.cfg.ReconnectWindow), cause)
-}
-
-func (t *TCP) linkDown(p *tcpPeer, gen int, cause error) {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	t.linkDownLocked(p, gen, cause)
-}
-
-// splitmix64 is the deterministic jitter source for reconnect backoff.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// recoverLink brings a failed link back up before deadline, or aborts the
-// world. The higher rank re-dials the lower rank's listener with capped
-// exponential backoff and deterministic jitter; the lower rank waits for
-// that re-dial, which handleReaccept installs. Whichever side's window
-// expires first aborts.
-func (t *TCP) recoverLink(p *tcpPeer, deadline time.Time, cause error) {
-	defer t.readers.Done()
-	backoff := t.cfg.BackoffBase
-	for attempt := 0; ; attempt++ {
-		p.wmu.Lock()
-		down := p.down
-		p.wmu.Unlock()
-		if !down || t.abortError() != nil || t.isClosing() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Abort(fmt.Errorf("%w: link to rank %d not restored within %v: %v", ErrAborted, p.rank, t.cfg.ReconnectWindow, cause))
-			return
-		}
-		if t.rank < p.rank {
-			time.Sleep(25 * time.Millisecond)
-			continue
-		}
-		if t.redialOnce(p) == nil {
-			return
-		}
-		t.dialRetries.Add(1)
-		jitter := time.Duration(splitmix64(uint64(t.rank)<<32|uint64(p.rank)<<16|uint64(attempt)) % uint64(backoff/2+1))
-		time.Sleep(backoff + jitter)
-		backoff = min(2*backoff, backoffMax)
-	}
-}
-
-// redialOnce performs one reconnect attempt: dial, handshake, resume
-// exchange, then install.
-func (t *TCP) redialOnce(p *tcpPeer) error {
-	conn, err := net.DialTimeout("tcp", t.addrs[p.rank], t.cfg.Deadline)
-	if err != nil {
-		return err
-	}
-	err = t.dialHello(conn, p.rank, "")
-	var theirRecv uint64
-	if err == nil {
-		theirRecv, err = t.resume(p, conn, true)
-	}
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	return t.install(p, conn, theirRecv)
-}
-
-// resume runs a reconnect's OpResume exchange: each side sends how many data
-// frames it has received on the link, after quiescing the link's previous
-// reader, and returns the peer's count. The dialer writes first and the
-// acceptor replies, a fixed order so neither side can deadlock.
-func (t *TCP) resume(p *tcpPeer, conn net.Conn, dialer bool) (uint64, error) {
-	conn.SetDeadline(time.Now().Add(t.cfg.Deadline))
-	readResume := func() (uint64, error) {
-		f, err := ReadFrame(conn)
-		if err == nil && f.Op != OpResume {
-			err = fmt.Errorf("got op %d", f.Op)
-		}
-		if err != nil {
-			return 0, err
-		}
-		return f.Seq, nil
-	}
-	var theirRecv uint64
-	var err error
-	if !dialer {
-		theirRecv, err = readResume()
-	}
-	if err == nil {
-		p.quiesce()
-		err = WriteFrame(conn, &Frame{Op: OpResume, Src: uint32(t.rank), Seq: p.recvSeq.Load()})
-	}
-	if err == nil && dialer {
-		theirRecv, err = readResume()
-	}
-	if err != nil {
-		return 0, fmt.Errorf("transport: reconnect resume with rank %d: %w", p.rank, err)
-	}
-	conn.SetDeadline(time.Time{})
-	return theirRecv, nil
-}
-
-// acceptLoop accepts reconnecting peers for the life of the transport
-// (RetryTransient only). It exits when the listener is closed (abort or
-// Close).
-func (t *TCP) acceptLoop() {
-	defer t.readers.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		t.readers.Add(1) // safe: our own count keeps the group non-zero
-		go t.handleReaccept(conn)
-	}
-}
-
-// handleReaccept validates one incoming reconnect (acceptor side: the lower
-// rank) and re-establishes the link. A bad hello or resume only closes the
-// connection: the mesh stays up and the link's own recovery goes on.
-func (t *TCP) handleReaccept(conn net.Conn) {
-	defer t.readers.Done()
-	if t.abortError() != nil || t.isClosing() {
-		conn.Close()
-		return
-	}
-	h, err := t.acceptHello(conn, nil)
-	var theirRecv uint64
-	if err == nil {
-		theirRecv, err = t.resume(t.peers[h.Rank], conn, false)
-	}
-	if err != nil {
-		conn.Close()
-		return
-	}
-	t.install(t.peers[h.Rank], conn, theirRecv)
-}
-
-// quiesce retires the peer's current connection generation: close the conn
-// (if any) and wait for that generation's readLoop to drain its buffer and
-// exit. Both reconnect paths call it before snapshotting recvSeq for the
-// OpResume handshake — an old reader still delivering frames buffered in its
-// bufio.Reader would otherwise increment recvSeq after the snapshot, making
-// the peer replay frames that were in fact delivered, and the duplicates
-// would break the exactly-once guarantee (spurious SPMD-order aborts for
-// collectives, silent double delivery for p2p). Frames the close discards
-// before the old reader consumed them are safe: they were never counted, so
-// the resume asks the peer to replay them.
-func (p *tcpPeer) quiesce() {
-	p.wmu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
-	done := p.readerDone
-	p.wmu.Unlock()
-	// Wait without wmu: the exiting reader may need it (linkDown).
-	if done != nil {
-		<-done
-	}
-}
-
-// install finishes a reconnect on either side: prune the replay buffer to
-// what the peer confirmed receiving (theirRecv is an implicit cumulative
-// ack), replay everything newer in order, then swap the connection in and
-// start its reader. An incoming reconnect always replaces the current
-// connection, even if this side has not yet noticed the old one die.
-func (t *TCP) install(p *tcpPeer, conn net.Conn, theirRecv uint64) error {
-	conn = t.prepConn(p.rank, conn)
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if t.abortError() != nil || t.isClosing() {
-		conn.Close()
-		return fmt.Errorf("transport: world is down")
-	}
-	p.rmu.Lock()
-	if theirRecv < p.ackedSeq || theirRecv > p.sentSeq {
-		p.rmu.Unlock()
-		conn.Close()
-		err := fmt.Errorf("%w: rank %d resumed at frame %d outside (%d, %d] — replay horizon lost",
-			ErrAborted, p.rank, theirRecv, p.ackedSeq, p.sentSeq)
-		t.Abort(err)
-		return err
-	}
-	p.pruneReplayLocked(theirRecv)
-	pending := append([][]byte(nil), p.replay...)
-	// The snapshot aliases the ledger's buffers: block pool recycling until
-	// the replay below is done with them (an ack arriving mid-replay may
-	// prune entries the loop is still writing).
-	p.replaying = len(pending) > 0
-	p.rmu.Unlock()
-
-	// Swap the connection in and start its reader BEFORE replaying: both
-	// sides of the link replay at the same time, and if neither read while
-	// writing, two replays larger than the socket buffers would deadlock.
-	// The link stays marked down until the replay finishes, so regular
-	// writers (who need wmu anyway) cannot interleave with it.
-	if p.conn != nil {
-		p.conn.Close()
-	}
-	p.conn = conn
-	p.gen++
-	gen := p.gen
-	p.readerDone = make(chan struct{})
-	t.readers.Add(1)
-	go t.readLoop(p, conn, gen, p.readerDone)
-
-	fail := func(err error) error {
-		conn.Close()
-		p.conn = nil
-		p.doneReplaying()
-		// If this side had not yet declared the link down (an incoming
-		// reconnect replaced a conn we still believed healthy), declare
-		// it now so the reconnect window is enforced; otherwise recovery
-		// is already running and this is a no-op.
-		t.linkDownLocked(p, gen, err)
-		return err
-	}
-
-	for _, buf := range pending {
-		// Op is the first header byte after the length prefix (flag bits
-		// masked for the marker), and the prefix itself is the true
-		// header+data size — the frame marker must see the real length, not
-		// a bare-header placeholder.
-		err := beginFrameRaw(conn, buf[4]&^CompressedFlag, int(binary.BigEndian.Uint32(buf)))
-		if err == nil {
-			err = writeConnChunks(conn, buf, t.cfg.Deadline)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("transport: replay to rank %d: %w", p.rank, err))
-		}
-		t.replayedFrames.Add(1)
-		t.replayedBytes.Add(uint64(len(buf)))
-	}
-	p.doneReplaying()
-
-	// Re-assert locally-originated channel aborts. An abort is a control
-	// frame — never acked, never replayed — so the fault that forced this
-	// reconnect may have swallowed one, and a peer that missed it would wait
-	// on the dead job forever. Poisoning an already-poisoned channel is a
-	// no-op, so duplicates are free.
-	t.chmu.Lock()
-	aborts := maps.Clone(t.chAborts)
-	t.chmu.Unlock()
-	for job, cause := range aborts {
-		hdr := appendFrameHeaderRaw(p.hdr[:0], OpAbort, uint32(t.rank), job, 0, 0, 0, cause)
-		err := beginFrameRaw(conn, OpAbort, frameHeaderLen+len(cause))
-		if err == nil {
-			err = p.writeConnVectored(conn, hdr, cause, t.cfg.Deadline)
-		}
-		if err != nil {
-			return fail(fmt.Errorf("transport: re-assert abort of job %d to rank %d: %w", job, p.rank, err))
-		}
-	}
-
-	p.down = false
-	t.reconnects.Add(1)
-	return nil
-}
-
-// doneReplaying re-enables pool recycling of pruned replay entries after
-// install's replay loop no longer aliases the ledger.
-func (p *tcpPeer) doneReplaying() {
-	p.rmu.Lock()
-	p.replaying = false
-	p.rmu.Unlock()
-}
-
-// doneSending ends writeFrame's write of its ledger entry b, recycling b if
-// an ack pruned it meanwhile.
-func (p *tcpPeer) doneSending(b []byte) {
-	p.rmu.Lock()
-	if p.sendingPruned {
-		mem.PutBuf(b)
-	}
-	p.sending, p.sendingPruned = nil, false
-	p.rmu.Unlock()
-}
-
-// pruneReplayLocked drops replay entries the peer confirmed, recycling their
-// buffers to the buffer pool. A cumulative ack only ever covers frames the
-// peer fully received, but it can arrive before the write call that sent
-// the frame returns, and nothing orders that call before this goroutine's
-// recycle. So the entry writeFrame is still writing goes back to the pool
-// from writeFrame (doneSending), and while a reconnect replay is in flight,
-// whose snapshot aliases the ledger, nothing is recycled at all. Caller
-// holds p.rmu. upTo is a cumulative data-frame count (never decreases).
-func (p *tcpPeer) pruneReplayLocked(upTo uint64) {
-	if upTo <= p.ackedSeq {
-		return
-	}
-	drop := int(upTo - p.ackedSeq)
-	if drop > len(p.replay) {
-		drop = len(p.replay)
-	}
-	for _, b := range p.replay[:drop] {
-		p.replayBytes -= int64(len(b))
-		switch {
-		case p.replaying:
-		case p.sending != nil && &b[0] == &p.sending[0]:
-			p.sendingPruned = true
-		default:
-			mem.PutBuf(b)
-		}
-	}
-	n := copy(p.replay, p.replay[drop:])
-	for i := n; i < len(p.replay); i++ {
-		p.replay[i] = nil // drop tail refs so recycled buffers are not pinned
-	}
-	p.replay = p.replay[:n]
-	p.ackedSeq = upTo
-}
-
-// handleAck processes a peer's cumulative OpAck.
-func (p *tcpPeer) handleAck(upTo uint64) {
-	p.rmu.Lock()
-	p.pruneReplayLocked(upTo)
-	p.rmu.Unlock()
-}
-
-// maybeAck sends a cumulative ack once enough unacknowledged data frames —
-// by count (ackEvery) or by encoded bytes (a quarter of the sender's
-// MaxReplay cap, so large frames are acknowledged long before the sender's
-// replay buffer fills) — have arrived. It runs on the reader goroutine and
-// must never block on the write lock (a reader parked on wmu while the
-// local writer is stalled on a peer whose reader is symmetrically parked
-// would distribute-deadlock), so it uses TryLock and simply retries at the
-// next frame when the writer is busy. Ack loss is harmless: the counts are
-// cumulative.
-func (t *TCP) maybeAck(p *tcpPeer) {
-	n := p.recvSeq.Load()
-	b := p.recvBytes.Load()
-	if n-p.lastAck.Load() < ackEvery && b-p.lastAckBytes.Load() < uint64(t.cfg.MaxReplay/4) {
-		return
-	}
-	if !p.wmu.TryLock() {
-		return
-	}
-	defer p.wmu.Unlock()
-	if p.down || p.conn == nil {
-		return
-	}
-	if p.writeAckLocked(n) == nil {
-		p.lastAck.Store(n)
-		p.lastAckBytes.Store(b)
-	}
-	// On error: the reader or writer on this conn notices the failure; the
-	// ack retries after the reconnect.
-}
-
-// writeAckLocked sends a cumulative OpAck for the first n data frames,
-// building the bare-header frame in the peer's header scratch (acks are on
-// the per-frame hot path under RetryTransient, so they must not allocate).
-// Caller holds wmu with a live conn.
-func (p *tcpPeer) writeAckLocked(n uint64) error {
-	buf := appendFrameHeaderRaw(p.hdr[:0], OpAck, uint32(p.t.rank), 0, 0, n, 0, nil)
-	if err := beginFrameRaw(p.conn, OpAck, frameHeaderLen); err != nil {
-		return err
-	}
-	return writeConnChunks(p.conn, buf, p.t.cfg.Deadline)
 }
 
 // frameScratch holds one frame's length prefix and header. The reader
@@ -1634,7 +1050,7 @@ func readFramePooled(r io.Reader, hdr *frameScratch) (*Frame, error) {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return fmt.Errorf("%w: truncated frame body: %v", ErrBadFrame, err)
+		return fmt.Errorf("%w: truncated frame body: %w", ErrBadFrame, err)
 	}
 	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
 		return nil, truncated(err)
@@ -1674,47 +1090,33 @@ func (t *TCP) Recycle(b []byte) {
 	}
 }
 
-// readLoop dispatches one connection generation's incoming frames until
-// EOF, a decode failure, or abort. A connection failing before the peer
-// announced a clean shutdown means the link failed: under AbortOnFailure
-// the whole world aborts (a killed worker becomes ErrAborted everywhere
-// instead of a hang); under RetryTransient the link enters recovery and
-// this reader retires — install starts a new one for the next generation.
-func (t *TCP) readLoop(p *tcpPeer, conn net.Conn, gen int, done chan struct{}) {
+// readLoop dispatches the link's incoming frames until EOF, a decode
+// failure, or abort. A connection failing before the peer announced a clean
+// shutdown means the link failed, and the whole world aborts: a killed
+// worker or a reset link becomes ErrAborted everywhere instead of a hang.
+func (t *TCP) readLoop(p *tcpPeer) {
 	defer t.readers.Done()
-	defer close(done) // quiesce waits on this before a resume snapshot
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(p.conn, 64<<10)
 	hdr := new(frameScratch)
 	for {
 		f, err := readFramePooled(br, hdr)
 		if err != nil {
-			if p.sawBye() || t.isClosing() {
+			// A connection this rank closed is reported by whoever closed
+			// it: the writer that failed the link (or whose fault-injected
+			// write closed it) aborts the world with the cause it saw, and
+			// Close and Sever need no report.
+			if p.sawBye() || t.isClosing() || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			if t.cfg.Policy == RetryTransient && t.started.Load() && t.abortError() == nil {
-				t.linkDown(p, gen, fmt.Errorf("read from rank %d: %v", p.rank, err))
-				return
-			}
+			p.fail()
 			t.Abort(fmt.Errorf("%w: connection to rank %d lost: %v", ErrAborted, p.rank, err))
 			return
 		}
 		switch f.Op {
 		case OpP2P:
-			p.recvSeq.Add(1)
-			p.recvBytes.Add(uint64(f.WireLen)) // encoded size, mirroring the sender's replay-byte ledger
 			t.chanFor(f.Job).mbox.put(Message{Src: p.rank, Tag: int(f.Tag), Data: f.Data, Time: f.Time})
-			if t.cfg.Policy == RetryTransient {
-				t.maybeAck(p)
-			}
 		case OpExchange:
-			p.recvSeq.Add(1)
-			p.recvBytes.Add(uint64(f.WireLen))
 			t.chanFor(f.Job).exq[p.rank].push(f)
-			if t.cfg.Policy == RetryTransient {
-				t.maybeAck(p)
-			}
-		case OpAck:
-			p.handleAck(f.Seq)
 		case OpAbort:
 			// A channel-0 abort poisons the whole mesh; a job abort poisons
 			// only that job's channel — other jobs keep running.
@@ -1739,9 +1141,8 @@ func (t *TCP) isClosing() bool {
 	return t.closing
 }
 
-// Send implements Endpoint on the default channel. Under AbortOnFailure a
-// write that cannot make progress within the connection deadline aborts the
-// world; under RetryTransient it triggers reconnect and replay instead.
+// Send implements Endpoint on the default channel. A write that cannot make
+// progress within the connection deadline aborts the world.
 func (t *TCP) Send(dst, tag int, data []byte, now float64) error {
 	return t.ch0.Send(dst, tag, data, now)
 }

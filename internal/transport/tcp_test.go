@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,7 +15,7 @@ import (
 // local transport are covered by the cross-transport conformance suite
 // (internal/transport/conformance); this file tests what is TCP-specific —
 // bootstrap, configuration, clean shutdown, SPMD violation detection, and
-// the fail-recover machinery (reconnect, replay, deadlines, peer death).
+// fail-stop on a failed link (cut frames, deadlines, peer death).
 
 // startMeshCfg brings up a size-rank TCP world inside this one test
 // process: rank 0 listens on loopback, the other ranks dial concurrently.
@@ -83,9 +83,6 @@ func TestTCPBootstrapAndProperties(t *testing.T) {
 		if got := tr.Endpoint(r).Rank(); got != r {
 			t.Fatalf("endpoint rank %d, want %d", got, r)
 		}
-		if tr.Policy() != AbortOnFailure {
-			t.Fatalf("rank %d: default policy %v", r, tr.Policy())
-		}
 	}
 }
 
@@ -114,19 +111,15 @@ func TestTCPPeerDeathSurfacesErrAborted(t *testing.T) {
 
 // cutConn kills the connection in the middle of a frame write: on the
 // trigger write it sends only half the bytes, closes the socket, and fails.
-// The half-written frame can never have reached the peer, so recovery MUST
-// replay it — this makes the replay path deterministic instead of hoping a
-// racing close lands mid-flight.
 type cutConn struct {
 	net.Conn
 	writes  int
 	trigger int
-	cuts    *int32 // shared budget across reconnects; 0 = passthrough
 }
 
 func (c *cutConn) Write(b []byte) (int, error) {
 	c.writes++
-	if c.writes == c.trigger && atomic.AddInt32(c.cuts, -1) >= 0 {
+	if c.writes == c.trigger {
 		half := len(b) / 2
 		c.Conn.Write(b[:half])
 		c.Conn.Close()
@@ -135,336 +128,110 @@ func (c *cutConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestTCPReconnectReplaysFrames cuts the only link of a two-rank world in
-// the middle of a frame. Under RetryTransient the transport must reconnect,
-// replay what the peer missed, and deliver every round intact — and the
-// fault counters must say it happened.
-func TestTCPReconnectReplaysFrames(t *testing.T) {
-	const size = 2
-	cuts := int32(2)
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.ReconnectWindow = 5 * time.Second
-		cfg.BackoffBase = 5 * time.Millisecond
-		if rank == 0 {
-			cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
-				return &cutConn{Conn: c, trigger: 10, cuts: &cuts}
-			}
-		}
-	})
-	const rounds = 40
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep := trs[r].Endpoint(r)
-			for round := 0; round < rounds; round++ {
-				send := make([][]byte, size)
-				for dst := range send {
-					send[dst] = bytes.Repeat([]byte{byte(r), byte(round)}, 512)
-				}
-				recv, _, err := ep.Exchange(send, 0)
-				if err != nil {
-					errs[r] = fmt.Errorf("round %d: %w", round, err)
-					return
-				}
-				for src := range recv {
-					if want := bytes.Repeat([]byte{byte(src), byte(round)}, 512); !bytes.Equal(recv[src], want) {
-						errs[r] = fmt.Errorf("round %d: bad payload from %d", round, src)
-						return
-					}
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	total := FaultStats{}
-	for _, tr := range trs {
-		s := tr.FaultStats()
-		total.LinkFailures += s.LinkFailures
-		total.Reconnects += s.Reconnects
-		total.ReplayedFrames += s.ReplayedFrames
-	}
-	if total.LinkFailures == 0 || total.Reconnects == 0 || total.ReplayedFrames == 0 {
-		t.Fatalf("no recovery recorded: %+v", total)
-	}
-	t.Logf("fault stats: %+v", total)
-}
-
-// TestTCPKillUnderRetrySurfacesAbortFast severs one rank of a RetryTransient
-// world for good: the survivors must give up after the reconnect window and
-// surface ErrAborted — quickly, not after some compounding of timeouts.
-func TestTCPKillUnderRetrySurfacesAbortFast(t *testing.T) {
-	const size = 3
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.ReconnectWindow = 300 * time.Millisecond
-		cfg.BackoffBase = 5 * time.Millisecond
-	})
-	start := time.Now()
-	trs[2].Sever(fmt.Errorf("%w: killed", ErrAborted))
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for {
-				if _, _, err := trs[r].Endpoint(r).Exchange(nil, 0); err != nil {
-					errs[r] = err
-					return
-				}
-			}
-		}(r)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("survivors did not abort after permanent peer death")
-	}
-	elapsed := time.Since(start)
-	for r, err := range errs {
-		if !errors.Is(err, ErrAborted) {
-			t.Fatalf("rank %d: %v, want ErrAborted", r, err)
-		}
-	}
-	if elapsed > time.Second {
-		t.Fatalf("survivors took %v to abort, want < 1s", elapsed)
-	}
-}
-
-// TestTCPReconnectResumeWaitsForDrainingReader pins down the resume
-// snapshot race: a reconnect's resume snapshot must wait for the previous
-// connection generation's reader to drain the frames already buffered in
-// its bufio.Reader, or it advertises a stale receive count and the peer's
-// replay delivers those frames a second time.
-//
-// The race window is staged deterministically from inside the package:
-// rank 0's reader is parked mid-delivery by holding the mailbox lock while
-// a burst from rank 1 fills its bufio buffer with undelivered frames, then
-// the link is cut so rank 1 re-dials while the parked reader still owns
-// that backlog. Messages on one link arrive in order, so any duplicate
-// shifts the received sequence and shows up as a payload mismatch.
-func TestTCPReconnectResumeWaitsForDrainingReader(t *testing.T) {
-	const size = 2
-	const pause = 150 * time.Millisecond
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.ReconnectWindow = 5 * time.Second
-		cfg.BackoffBase = 5 * time.Millisecond
-		if rank == 0 {
-			// Each read sleeps first, then pulls up to a full bufio buffer:
-			// the whole burst below lands in the kernel during one sleep and
-			// arrives in rank 0's bufio in a single gulp.
-			cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
-				return &slowReadConn{Conn: c, chunk: 64 << 10, pause: pause}
-			}
-		}
-	})
-	const msgs = 20
-	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 4096) }
-
-	// Park rank 0's reader: the first burst frame it delivers blocks in
-	// mbox.put (its recvSeq increment already done), stranding the rest of
-	// the bufio gulp undelivered — the reviewer's "old reader still
-	// delivering buffered frames" state, held open for as long as needed.
-	trs[0].ch0.mbox.mu.Lock()
-	ep1 := trs[1].Endpoint(1)
-	for i := 0; i < msgs; i++ {
-		if err := ep1.Send(0, 9, payload(i), 0); err != nil {
-			trs[0].ch0.mbox.mu.Unlock()
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	// Reader's gulp happens one pause after its previous read; add slack so
-	// it has read the burst and parked on the mailbox lock.
-	time.Sleep(2 * pause)
-
-	// Cut the link from rank 1's side: rank 1 re-dials and the two sides
-	// run the resume handshake while rank 0's old reader is still parked on
-	// its backlog.
-	p1 := trs[1].peers[0]
-	p1.wmu.Lock()
-	gen := p1.gen
-	p1.wmu.Unlock()
-	trs[1].linkDown(p1, gen, fmt.Errorf("test: injected cut"))
-	time.Sleep(pause)
-
-	// Release the parked reader only now, well after the reconnect started.
-	trs[0].ch0.mbox.mu.Unlock()
-
-	ep0 := trs[0].Endpoint(0)
-	for i := 0; i < msgs; i++ {
-		m, err := ep0.Recv(1, 9)
-		if err != nil {
-			t.Fatalf("recv %d: %v", i, err)
-		}
-		if !bytes.Equal(m.Data, payload(i)) {
-			t.Fatalf("message %d: got payload %d (duplicate delivery from a stale resume snapshot?)", i, m.Data[0])
-		}
-	}
-	// Nothing may trail the expected sequence: a duplicate of the last few
-	// frames would otherwise go unnoticed.
-	time.Sleep(2 * pause)
-	if m, ok, _ := ep0.TryRecv(1, 9); ok {
-		t.Fatalf("extra message with payload %d after the full sequence (duplicate delivery)", m.Data[0])
-	}
-	if trs[1].FaultStats().Reconnects == 0 {
-		t.Fatal("no reconnect happened; the staged cut did not exercise the resume path")
-	}
-}
-
-// TestTCPLargeFramesDoNotOverflowReplayCap is the regression test for the
-// replay-cap false positive: frames large relative to MaxReplay used to
-// blow the byte cap on a perfectly healthy link — ackEvery frames is far
-// more than MaxReplay bytes — and abort the world. The receiver must ack on
-// a byte threshold too, and a sender that still outruns the ack round-trip
-// must flow-control itself instead of aborting.
-func TestTCPLargeFramesDoNotOverflowReplayCap(t *testing.T) {
-	const size = 2
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.MaxReplay = 256 << 10
-	})
-	// 24 frames of 64 KiB: six times the cap, but fewer than ackEvery, so
-	// frame-count acks alone would never prune the replay buffer in time.
-	payload := bytes.Repeat([]byte{0xAB}, 64<<10)
-	const frames = 24
-	done := make(chan error, 1)
-	go func() {
-		ep := trs[1].Endpoint(1)
-		for i := 0; i < frames; i++ {
-			m, err := ep.Recv(0, 7)
-			if err != nil {
-				done <- fmt.Errorf("recv %d: %w", i, err)
-				return
-			}
-			if !bytes.Equal(m.Data, payload) {
-				done <- fmt.Errorf("recv %d: corrupt payload", i)
-				return
-			}
-		}
-		done <- nil
-	}()
-	ep := trs[0].Endpoint(0)
-	for i := 0; i < frames; i++ {
-		if err := ep.Send(1, 7, payload, 0); err != nil {
-			t.Fatalf("send %d: %v (healthy link hit the replay cap?)", i, err)
-		}
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("receiver did not drain the burst")
-	}
-}
-
-// markRecorder records the frame boundaries a fault injector would see, so
-// tests can assert the transport announces true frame sizes.
-type markRecorder struct {
+// pausedReadConn stops reading its socket for pause once after bytes
+// have been read: a peer that stops draining mid-transfer, so the sender's
+// socket buffers fill and its next write misses the deadline. It then
+// reads on, as a live process would. Only the link's reader calls Read.
+type pausedReadConn struct {
 	net.Conn
-	mu    sync.Mutex
-	ops   []byte
-	sizes []int
+	after  int
+	pause  time.Duration
+	read   int
+	paused bool
 }
 
-func (c *markRecorder) BeginFrame(op byte, size int) error {
-	c.mu.Lock()
-	c.ops = append(c.ops, op)
-	c.sizes = append(c.sizes, size)
-	c.mu.Unlock()
-	return nil
+func (c *pausedReadConn) Read(b []byte) (int, error) {
+	if !c.paused && c.read >= c.after {
+		c.paused = true
+		time.Sleep(c.pause)
+	}
+	n, err := c.Conn.Read(b)
+	c.read += n
+	return n, err
 }
 
-// TestTCPReplayAnnouncesTrueFrameSize: replayed frames only exist in encoded
-// form, and the replay path used to announce them to FrameMarker with a
-// bare-header size, confining injected faults on the replay path to the
-// frame's first bytes. Every frame that can end up in the replay carries a
-// 4 KiB payload here (the only empty data frame, the initial barrier, is
-// acknowledged by the time the world is up), so no data frame on a
-// post-reconnect connection may announce a header-only size.
-func TestTCPReplayAnnouncesTrueFrameSize(t *testing.T) {
-	const size = 2
-	cuts := int32(1)
-	var mu sync.Mutex
-	var reconnRecs []*markRecorder // recorders on rank 0's post-initial conns
-	wraps := 0
-	trs := startMeshCfg(t, size, func(rank int, cfg *TCPConfig) {
-		cfg.Policy = RetryTransient
-		cfg.ReconnectWindow = 5 * time.Second
-		cfg.BackoffBase = 5 * time.Millisecond
-		if rank == 0 {
-			cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
-				cut := &cutConn{Conn: c, trigger: 10, cuts: &cuts}
-				rec := &markRecorder{Conn: cut}
-				mu.Lock()
-				wraps++
-				if wraps > 1 {
-					reconnRecs = append(reconnRecs, rec)
-				}
-				mu.Unlock()
-				return rec
-			}
-		}
-	})
-	const rounds = 30
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for r := 0; r < size; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			ep := trs[r].Endpoint(r)
-			for round := 0; round < rounds; round++ {
-				send := make([][]byte, size)
-				for dst := range send {
-					send[dst] = bytes.Repeat([]byte{byte(r), byte(round)}, 2048)
-				}
-				if _, _, err := ep.Exchange(send, 0); err != nil {
-					errs[r] = fmt.Errorf("round %d: %w", round, err)
-					return
+// TestTCPLinkFailureAbortsWorld is the fail-stop contract on one link: a
+// frame cut mid-write, or a write that misses its deadline because the
+// peer stopped draining, on rank 1's link to rank 0 aborts the world on
+// every rank, promptly, with an ErrAborted naming a peer rank and — on
+// rank 1, which saw it — the cause. Rank 1 counts the failure once; rank 2,
+// which only had the abort relayed to it, does not count it.
+func TestTCPLinkFailureAbortsWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload int // bytes rank 1 sends rank 0 per round
+		wrap    func(rank int, cfg *TCPConfig)
+		cause   string
+	}{
+		{"cut-mid-frame", 4 << 10, func(rank int, cfg *TCPConfig) {
+			if rank == 1 {
+				cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
+					if peer != 0 {
+						return c
+					}
+					return &cutConn{Conn: c, trigger: 3}
 				}
 			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	if got := trs[0].FaultStats().ReplayedFrames; got < 1 {
-		t.Fatalf("nothing replayed; the mid-frame cut must strand at least the cut frame")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(reconnRecs) == 0 {
-		t.Fatal("no reconnect connection was wrapped")
-	}
-	headerOnly := 0
-	for _, rec := range reconnRecs {
-		rec.mu.Lock()
-		for i, op := range rec.ops {
-			if (op == OpP2P || op == OpExchange) && rec.sizes[i] <= HeaderLen {
-				headerOnly++
+		}, "link cut mid-frame"},
+		{"write-deadline", 32 << 20, func(rank int, cfg *TCPConfig) {
+			cfg.Deadline = 200 * time.Millisecond
+			if rank == 0 {
+				cfg.WrapConn = func(peer int, c net.Conn) net.Conn {
+					if peer != 1 {
+						return c
+					}
+					return &pausedReadConn{Conn: c, after: 1 << 20, pause: time.Second}
+				}
 			}
-		}
-		rec.mu.Unlock()
-	}
-	if headerOnly > 0 {
-		t.Fatalf("%d data frames on reconnect conns announced header-only sizes; replay must report true frame lengths", headerOnly)
+		}, "i/o timeout"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const size = 3
+			trs := startMeshCfg(t, size, tc.wrap)
+			errs := make([]error, size)
+			var wg sync.WaitGroup
+			start := time.Now()
+			for r := 0; r < size; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					send := make([][]byte, size)
+					for dst := range send {
+						n := 4 << 10
+						if r == 1 && dst == 0 {
+							n = tc.payload
+						}
+						send[dst] = bytes.Repeat([]byte{byte(r)}, n)
+					}
+					for round := 0; round < 8 && errs[r] == nil; round++ {
+						_, _, errs[r] = trs[r].Endpoint(r).Exchange(send, 0)
+					}
+				}(r)
+			}
+			wg.Wait()
+			if took := time.Since(start); took > 3*time.Second {
+				t.Errorf("world took %v to abort", took)
+			}
+			for r, err := range errs {
+				if !errors.Is(err, ErrAborted) {
+					t.Fatalf("rank %d: err = %v, want ErrAborted", r, err)
+				}
+			}
+			if msg := errs[1].Error(); !strings.Contains(msg, "rank 0") || !strings.Contains(msg, tc.cause) {
+				t.Errorf("rank 1: %q does not name rank 0 and the cause %q", msg, tc.cause)
+			}
+			for _, r := range []int{0, 2} {
+				if !strings.Contains(errs[r].Error(), "rank 1") {
+					t.Errorf("rank %d: %q does not name rank 1", r, errs[r])
+				}
+			}
+			if got := trs[1].FaultStats().LinkFailures; got != 1 {
+				t.Errorf("rank 1 counted %d link failures, want 1", got)
+			}
+			if got := trs[2].FaultStats().LinkFailures; got != 0 {
+				t.Errorf("rank 2 counted %d link failures for a relayed abort, want 0", got)
+			}
+		})
 	}
 }
 
@@ -591,21 +358,6 @@ func TestTCPConfigValidation(t *testing.T) {
 	}
 	if _, err := NewTCP(TCPConfig{Addr: "127.0.0.1:1", Rank: 3, Size: 2}); err == nil {
 		t.Error("out-of-range rank accepted")
-	}
-}
-
-func TestParseFaultPolicy(t *testing.T) {
-	for s, want := range map[string]FaultPolicy{"": AbortOnFailure, "abort": AbortOnFailure, "retry": RetryTransient} {
-		got, err := ParseFaultPolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParseFaultPolicy(%q) = %v, %v", s, got, err)
-		}
-		if got.String() == "unknown" {
-			t.Errorf("%v has no name", got)
-		}
-	}
-	if _, err := ParseFaultPolicy("yolo"); err == nil {
-		t.Error("bad policy accepted")
 	}
 }
 

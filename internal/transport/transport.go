@@ -24,67 +24,33 @@ import "errors"
 // (TCP) a peer process dying. internal/mpi re-exports it as mpi.ErrAborted.
 var ErrAborted = errors.New("mpi: world aborted")
 
-// FaultPolicy selects how a transport responds to communication failures —
-// connection resets, corrupted frames, stalled writes.
+// FaultPolicy names how a transport responds to a link failure. TCP is
+// fail-stop, so AbortOnFailure is the only value; the type stays because
+// the benchmark's tracing wrapper forwards PolicyReporter.
 type FaultPolicy int
 
-const (
-	// AbortOnFailure is fail-stop: the first failed operation on any link
-	// aborts the whole world (the default, and the only behavior the local
-	// transport has — in-process "links" cannot fail).
-	AbortOnFailure FaultPolicy = iota
-	// RetryTransient is fail-recover: a failed link is reconnected with
-	// capped exponential backoff and the frames the peer did not receive are
-	// replayed in order, so a transient fault is invisible to the runtime. A
-	// peer that stays unreachable past the reconnect window still aborts the
-	// world with ErrAborted.
-	RetryTransient
-)
+// AbortOnFailure is fail-stop: the first failed operation on any link
+// aborts the whole world. Recovery is a fresh mesh and a re-run.
+const AbortOnFailure FaultPolicy = 0
 
-// String returns the policy name (the -fault-policy flag spelling).
-func (p FaultPolicy) String() string {
-	switch p {
-	case AbortOnFailure:
-		return "abort"
-	case RetryTransient:
-		return "retry"
-	}
-	return "unknown"
-}
-
-// ParseFaultPolicy parses the -fault-policy flag spelling.
-func ParseFaultPolicy(s string) (FaultPolicy, error) {
-	switch s {
-	case "abort", "":
-		return AbortOnFailure, nil
-	case "retry":
-		return RetryTransient, nil
-	}
-	return 0, errors.New("transport: unknown fault policy " + s + " (want abort or retry)")
-}
-
-// FaultStats counts a transport's failure and recovery activity.
+// FaultStats counts a transport's link failures.
 type FaultStats struct {
-	// LinkFailures is the number of times a connection was declared failed
-	// (reset, corrupted frame, stalled write, EOF without a Bye).
+	// LinkFailures is the number of links this rank saw fail while the
+	// world was healthy (reset, corrupted frame, stalled write, EOF without
+	// a Bye). Each one aborted the world.
 	LinkFailures uint64
-	// Reconnects is the number of links successfully re-established.
-	Reconnects uint64
-	// DialRetries is the number of failed reconnect dial attempts.
-	DialRetries uint64
-	// ReplayedFrames / ReplayedBytes count the data frames retransmitted
-	// after reconnects because the peer had not received them.
-	ReplayedFrames uint64
-	ReplayedBytes  uint64
 }
 
-// FaultReporter is implemented by transports that track fault recovery.
+// FaultReporter is implemented by transports that count link failures
+// (TCP and its channel views); the runtime surfaces it through
+// mpi.World.FaultStats.
 type FaultReporter interface {
 	FaultStats() FaultStats
 }
 
-// PolicyReporter is implemented by transports with a configurable fault
-// policy; the runtime surfaces it through mpi.World.
+// PolicyReporter reports a transport's FaultPolicy. Nothing in the runtime
+// implements it any more; it stays because the benchmark's tracing wrapper
+// forwards it.
 type PolicyReporter interface {
 	Policy() FaultPolicy
 }

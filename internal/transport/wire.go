@@ -21,33 +21,33 @@ import (
 // default/control channel; see Mux), tag is the point-to-point tag (OpP2P
 // only), seq is the collective sequence number (OpExchange; both sides of a
 // channel count their collective calls, so a mismatch means the SPMD
-// contract was broken) or the link-level cumulative frame count
-// (OpResume/OpAck). crc is the CRC-32C of the header fields after length
+// contract was broken). crc is the CRC-32C of the header fields after length
 // plus the payload: supercomputer interconnects corrupt bytes, TCP's 16-bit
 // checksum misses some of them, and an undetected flip would silently break
 // the byte-identical-output guarantee. Any burst error of 32 bits or fewer —
 // in particular any single corrupted byte — is guaranteed to be detected and
-// surfaces as ErrBadFrame, which the fault-tolerant transport treats as a
-// link failure (reconnect + replay) rather than delivering bad data.
+// surfaces as ErrBadFrame, which the transport treats as a link failure
+// (the world aborts) rather than delivering bad data.
 const (
 	// Magic identifies a Mimir transport connection ("MIMR").
 	Magic = 0x4D494D52
 	// Version is the wire protocol version; both sides must match exactly.
-	// Version 2 added the per-frame CRC-32C and the OpResume/OpAck link
-	// recovery ops. Version 3 added optional frame-level flate compression:
+	// Version 2 added the per-frame CRC-32C. Version 3 added optional frame-level flate compression:
 	// a frame whose op byte carries CompressedFlag holds a deflated payload
 	// (see compress.go). Compression is sender-side and per-frame, so mixed
 	// Compress settings interoperate; the CRC is computed over the
-	// compressed bytes (compress-then-CRC), keeping replay and corruption
-	// detection on the exact wire bytes. Version 4 added the job field: a
+	// compressed bytes (compress-then-CRC), keeping corruption detection
+	// on the exact wire bytes. Version 4 added the job field: a
 	// channel id that lets independent jobs multiplex one standing mesh
 	// (frame demux by job; see Mux). Version 5 added the epoch field to the
 	// handshake: elastic membership rebuilds the mesh under a new epoch
 	// number on every world change, and both sides of a connection must
 	// agree on it exactly — a straggler from an earlier incarnation is
 	// rejected at the handshake, so its frames can never reach a newer
-	// world (see TCPConfig.Epoch).
-	Version = 5
+	// world (see TCPConfig.Epoch). Version 6 removed the link-recovery
+	// ops (resume and ack, 6 and 7): a link failure aborts the world, so
+	// both are now rejected as unknown ops.
+	Version = 6
 
 	// frameHeaderLen is the encoded size of op+src+job+tag+seq+time+crc.
 	frameHeaderLen = 1 + 4 + 4 + 4 + 8 + 8 + 4
@@ -79,15 +79,8 @@ const (
 	OpBye byte = 4
 	// OpTable is the bootstrap address table rank 0 sends each worker.
 	OpTable byte = 5
-	// OpResume is the reconnect handshake: Seq is the cumulative count of
-	// data frames (OpP2P/OpExchange) the sender has received on this link,
-	// telling the peer where to resume its replay.
-	OpResume byte = 6
-	// OpAck acknowledges receipt of the first Seq data frames on this link,
-	// letting the sender prune its replay buffer.
-	OpAck byte = 7
 
-	opMax = OpAck
+	opMax = OpTable
 )
 
 // ErrBadFrame is wrapped by every frame decoding failure.
@@ -102,12 +95,6 @@ type Frame struct {
 	Seq  uint64
 	Time float64
 	Data []byte
-	// WireLen is the frame's encoded size on the wire (length prefix +
-	// header + possibly-compressed payload), set by decoding. It is the
-	// receiver-side mirror of the sender's replay-byte accounting, which
-	// counts encoded bytes, so the two stay comparable when compression
-	// makes len(Data) differ from the wire size.
-	WireLen int
 }
 
 // appendFrameHeaderRaw appends the length prefix and header for a frame with
@@ -241,13 +228,12 @@ func parseFrameParts(hdr, payload []byte) (*Frame, error) {
 	}
 	raw := hdr[0]
 	f := &Frame{
-		Op:      raw &^ CompressedFlag,
-		Src:     binary.BigEndian.Uint32(hdr[1:]),
-		Job:     binary.BigEndian.Uint32(hdr[5:]),
-		Tag:     int32(binary.BigEndian.Uint32(hdr[9:])),
-		Seq:     binary.BigEndian.Uint64(hdr[13:]),
-		Time:    math.Float64frombits(binary.BigEndian.Uint64(hdr[21:])),
-		WireLen: 4 + frameHeaderLen + len(payload),
+		Op:   raw &^ CompressedFlag,
+		Src:  binary.BigEndian.Uint32(hdr[1:]),
+		Job:  binary.BigEndian.Uint32(hdr[5:]),
+		Tag:  int32(binary.BigEndian.Uint32(hdr[9:])),
+		Seq:  binary.BigEndian.Uint64(hdr[13:]),
+		Time: math.Float64frombits(binary.BigEndian.Uint64(hdr[21:])),
 	}
 	if f.Op == 0 || f.Op > opMax {
 		return nil, fmt.Errorf("%w: unknown op %d", ErrBadFrame, f.Op)

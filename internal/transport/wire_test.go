@@ -21,8 +21,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Op: OpAbort, Src: 7, Tag: 42, Time: math.Inf(1), Data: []byte("cause")},
 		{Op: OpBye, Src: 1},
 		{Op: OpTable, Src: 0, Data: encodeTable([]string{"a:1", "b:2"})},
-		{Op: OpResume, Src: 2, Seq: 1234},
-		{Op: OpAck, Src: 3, Seq: 1 << 33},
 	}
 	var stream []byte
 	for _, f := range frames {
@@ -70,6 +68,9 @@ func TestDecodeFrameErrors(t *testing.T) {
 		"below header": {0, 0, 0, 1, OpP2P},
 		"unknown op":   AppendFrame(nil, &Frame{Op: 99}),
 		"zero op":      AppendFrame(nil, &Frame{Op: 0}),
+		// Ops 6 and 7 were the link-recovery resume and ack of wire v2–v5.
+		"retired op 6": AppendFrame(nil, &Frame{Op: 6, Src: 2, Seq: 1234}),
+		"retired op 7": AppendFrame(nil, &Frame{Op: 7, Src: 3, Seq: 1 << 33}),
 		"huge length":  {0xFF, 0xFF, 0xFF, 0xFF},
 	}
 	for name, b := range cases {
@@ -228,13 +229,13 @@ func FuzzWireRoundTrip(f *testing.F) {
 // FuzzPooledReadMatchesDecode feeds the same bytes to the TCP reader's
 // pooled decoder (readFramePooled, which splits header from payload) and
 // to DecodeFrame (one buffer): both must yield the same frame — every
-// header field, the payload bytes and WireLen equal to the bytes consumed —
-// or both must fail, readFramePooled with ErrBadFrame once the input holds
+// header field and the payload bytes, having consumed the same bytes — or
+// both must fail, readFramePooled with ErrBadFrame once the input holds
 // a whole length prefix. So the receive hot path and the reference decoder
 // cannot drift apart on CRC, op, length or inflate checks.
 func FuzzPooledReadMatchesDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{Op: OpP2P, Src: 1, Job: 2, Tag: -3, Seq: 4, Time: 0.5, Data: []byte("hello")}))
-	f.Add(AppendFrame(nil, &Frame{Op: OpAck, Src: 3, Seq: 9}))
+	f.Add(AppendFrame(nil, &Frame{Op: 7, Src: 3, Seq: 9})) // retired ack op: rejected
 	comp, _ := AppendFrameCompressed(nil, &Frame{Op: OpExchange, Src: 1, Job: 7, Seq: 2, Data: bytes.Repeat([]byte("abcd"), 100)})
 	f.Add(comp)
 	f.Add([]byte{0, 0, 0, 5, OpP2P})
@@ -242,7 +243,8 @@ func FuzzPooledReadMatchesDecode(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		want, n, derr := DecodeFrame(raw)
-		got, perr := readFramePooled(bytes.NewReader(raw), new(frameScratch))
+		r := bytes.NewReader(raw)
+		got, perr := readFramePooled(r, new(frameScratch))
 		if derr != nil {
 			if perr == nil {
 				t.Fatalf("DecodeFrame rejected the input (%v), readFramePooled accepted it", derr)
@@ -260,8 +262,8 @@ func FuzzPooledReadMatchesDecode(f *testing.F) {
 			!bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("frames differ: pooled %+v, decoded %+v", got, want)
 		}
-		if got.WireLen != n || want.WireLen != n {
-			t.Fatalf("WireLen pooled %d, decoded %d, consumed %d", got.WireLen, want.WireLen, n)
+		if read := len(raw) - r.Len(); read != n {
+			t.Fatalf("readFramePooled consumed %d bytes, DecodeFrame %d", read, n)
 		}
 	})
 }

@@ -11,15 +11,20 @@ package mimir_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mimir/internal/driver"
 	"mimir/internal/jobsvc"
+	"mimir/internal/membership"
 	"mimir/internal/mpi"
 	"mimir/internal/simtime"
 	"mimir/internal/transport"
@@ -291,6 +296,150 @@ func TestDaemonMidIterationFault(t *testing.T) {
 	}
 
 	if err := jobsvc.Dial(addr).Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	select {
+	case err := <-serveDone:
+		if err != nil {
+			t.Fatalf("Serve returned %v after shutdown, want nil", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Serve did not return after shutdown")
+	}
+}
+
+// linkReset is rank 0's connection hook for TestDaemonTransientLinkFault:
+// once armed, it resets rank 0's link to rank 1 at that link's at-th data
+// frame, once for the life of the daemon. Every process stays alive; only
+// one TCP connection dies.
+type linkReset struct {
+	at     int64
+	armed  atomic.Bool
+	frames atomic.Int64
+	fired  atomic.Bool
+}
+
+func (l *linkReset) wrap(peer int, c net.Conn) net.Conn {
+	if peer != 1 {
+		return c
+	}
+	return &resetConn{Conn: c, l: l}
+}
+
+type resetConn struct {
+	net.Conn
+	l *linkReset
+}
+
+func (c *resetConn) BeginFrame(op byte, size int) error {
+	if (op != transport.OpP2P && op != transport.OpExchange) || !c.l.armed.Load() {
+		return nil
+	}
+	if c.l.frames.Add(1) != c.l.at || !c.l.fired.CompareAndSwap(false, true) {
+		return nil
+	}
+	c.Conn.Close()
+	return errors.New("test: injected reset on the link to rank 1")
+}
+
+// TestDaemonTransientLinkFault is the daemon's recovery from a transient
+// link fault, as opposed to a dead process: rank 0's link to rank 1 is
+// reset once in the middle of a PageRank job while every process lives on.
+// The transport is fail-stop, so the job fails with an error naming the
+// link; the daemon rebuilds the mesh exactly once, at the same size with
+// the same members; and resubmitting the spec reproduces the solo
+// in-process run byte for byte.
+func TestDaemonTransientLinkFault(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process daemon test skipped in -short mode")
+	}
+	t.Setenv(testModeEnv, "jobsvc-worker")
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	reset := &linkReset{at: 12}
+	s, err := jobsvc.NewServer(jobsvc.Config{
+		Mesh: jobsvc.SpawnMesh(daemonRanks, addr, transport.SpawnOptions{WrapConn: reset.wrap}),
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- s.Serve(ln) }()
+
+	spec := jobsvc.Spec{Job: driver.JobPageRank, Scale: 8, Seed: 23, Hint: true, PR: true}
+	want, err := driver.RunJob(mpi.NewWorld(mpi.Config{
+		Size: daemonRanks,
+		Net:  simtime.NetworkModel{Alpha: 1e-7, Beta: 1e9},
+	}), driver.JobConfig{Kind: driver.JobPageRank, Scale: 8, Seed: 23, Hint: true, PR: true}, nil)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	client := jobsvc.Dial(addr)
+	before, _, err := client.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reset.armed.Store(true)
+	var failed jobsvc.Event
+	if _, err := client.Submit(spec, func(ev jobsvc.Event) {
+		if ev.Event == jobsvc.EvError {
+			failed = ev
+		}
+	}); err == nil {
+		t.Fatal("job over the reset link reported success; want it to fail")
+	}
+	if !reset.fired.Load() {
+		t.Fatalf("the link was never reset (%d data frames after arming)", reset.frames.Load())
+	}
+	if !strings.Contains(failed.Error, "rank 1") {
+		t.Fatalf("job error %q does not name the reset link (rank 1)", failed.Error)
+	}
+	t.Logf("job failed as intended: %s", failed.Error)
+
+	deadline := time.Now().Add(60 * time.Second)
+	for s.Respawns() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("mesh not rebuilt after the link fault (respawns = %d)", s.Respawns())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	after, _, err := client.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("rebuilt mesh has %d ranks, want %d", after.Size(), before.Size())
+	}
+	ids := func(v *membership.View) map[membership.MemberID]bool {
+		m := map[membership.MemberID]bool{}
+		for _, mb := range v.Members {
+			m[mb.ID] = true
+		}
+		return m
+	}
+	if b, a := ids(before), ids(after); !maps.Equal(b, a) {
+		t.Fatalf("rebuilt mesh members %v, want the same members %v", after.Members, before.Members)
+	}
+
+	res, err := client.Submit(spec, nil)
+	if err != nil {
+		t.Fatalf("resubmitted pagerank job: %v", err)
+	}
+	if !bytes.Equal(res.Output, want) {
+		t.Fatal("resubmitted pagerank output not byte-identical to solo reference")
+	}
+	if n := s.Respawns(); n != 1 {
+		t.Fatalf("respawns = %d after recovery, want exactly 1", n)
+	}
+
+	if err := client.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	select {

@@ -131,28 +131,10 @@ type (
 // worker process dies.
 var ErrAborted = mpi.ErrAborted
 
-// Fault handling for the TCP transport (see internal/transport).
-type (
-	// FaultPolicy selects fail-stop (AbortOnFailure) or fail-recover
-	// (RetryTransient) behavior when a TCP link faults.
-	FaultPolicy = mpi.FaultPolicy
-	// FaultStats counts link failures, reconnects, dial retries, and
-	// replayed frames/bytes; read it from World.FaultStats.
-	FaultStats = mpi.FaultStats
-)
-
-// Fault policies (TCPOptions.Policy).
-const (
-	// AbortOnFailure poisons the world on the first link fault (default).
-	AbortOnFailure = mpi.AbortOnFailure
-	// RetryTransient reconnects with capped exponential backoff and resumes
-	// via sequence-numbered replay; a peer unreachable past the reconnect
-	// window still aborts the world.
-	RetryTransient = mpi.RetryTransient
-)
-
-// ParseFaultPolicy parses "abort" or "retry" (the -fault-policy flag values).
-var ParseFaultPolicy = transport.ParseFaultPolicy
+// FaultStats counts the TCP links a rank saw fail; read it from
+// World.FaultStats. The TCP transport is fail-stop: a failed link aborts
+// the world, and recovery is a fresh mesh and a re-run.
+type FaultStats = mpi.FaultStats
 
 // TCPOptionsFromEnv decodes the TCPOptions a parent forwarded through the
 // environment (the single decode shared with spawned workers); unset
@@ -160,10 +142,11 @@ var ParseFaultPolicy = transport.ParseFaultPolicy
 // flags, environment, and spawn-forwarding cannot disagree.
 var TCPOptionsFromEnv = transport.OptionsFromEnv
 
-// TCPOptions configures a multi-process world: fault handling, deadlines,
-// fault injection, and wire compression. It is the transport's consolidated Options struct — one encode/decode
-// (transport.Options.Env / transport.OptionsFromEnv) carries every field to
-// spawned workers, so no launch path can silently drop a setting.
+// TCPOptions configures a multi-process world: deadlines, fault injection,
+// and wire compression. It is the transport's consolidated Options struct —
+// one encode/decode (transport.Options.Env / transport.OptionsFromEnv)
+// carries every field to spawned workers, so no launch path can silently
+// drop a setting.
 type TCPOptions = transport.Options
 
 // faulted wires opts.Faults into cfg (the connection-level hook) and returns
@@ -190,10 +173,9 @@ func SpawnTCPWorld(size int) (*World, *TCPChildren, error) {
 	return SpawnTCPWorldOpts(size, TCPOptions{})
 }
 
-// SpawnTCPWorldOpts is SpawnTCPWorld with fault handling configured. The
-// policy, reconnect window, and fault spec travel to the workers through the
-// environment, so the whole world — parent and children — shares one
-// configuration.
+// SpawnTCPWorldOpts is SpawnTCPWorld with options configured. The deadline,
+// fault spec and compression travel to the workers through the environment,
+// so the whole world — parent and children — shares one configuration.
 func SpawnTCPWorldOpts(size int, opts TCPOptions) (*World, *TCPChildren, error) {
 	cfg := transport.TCPConfig{Rank: 0}
 	inj, err := faulted(opts, &cfg)
@@ -216,7 +198,7 @@ func SpawnTCPWorldOpts(size int, opts TCPOptions) (*World, *TCPChildren, error) 
 
 // TCPWorldFromEnv joins the multi-process world a parent SpawnTCPWorld (or
 // any launcher setting the MIMIR_TCP_* environment) created, including any
-// fault policy and fault-injection spec the parent forwarded. The second
+// fault-injection spec the parent forwarded. The second
 // return is false when this process was not launched as a worker.
 func TCPWorldFromEnv() (*World, bool, error) {
 	cfg, ok, err := transport.FromEnv()

@@ -3,15 +3,16 @@ package mimir_test
 // The MRC determinism battery: every driver job kind (terasort, pagerank,
 // kmeans, bfs, and wordcount) must produce byte-identical canonical output
 // whatever runs it — the in-process Local transport, a real loopback TCP
-// mesh, or a fault-injected TCP mesh recovering from connection resets — in
-// memory or spilling. The invariants doing the work: integer fixed-point
-// arithmetic (reassociation by hot-key split/re-merge and partial reduction
-// is exact), per-rank deterministic input regeneration, and
-// canonical gather ordering. quick.Check drives the dataset seed; set
+// mesh, or a fault-injected TCP mesh, which fails fast and is re-run on a
+// fresh one — in memory or spilling. The invariants doing the work: integer
+// fixed-point arithmetic (reassociation by hot-key split/re-merge and
+// partial reduction is exact), per-rank deterministic input regeneration,
+// and canonical gather ordering. quick.Check drives the dataset seed; set
 // MIMIR_PROP_SEED to reproduce a failing draw.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	"mimir/internal/mpi"
 	"mimir/internal/simtime"
 	"mimir/internal/transport"
+	"mimir/internal/transport/conformance"
 
 	mathrand "math/rand"
 )
@@ -73,9 +75,8 @@ func mrcSpillCfg(cfg driver.JobConfig) driver.JobConfig {
 }
 
 // mrcMesh builds a fresh in-process loopback TCP mesh. A non-empty faults
-// spec switches every rank to fail-recover link handling and wraps its
-// connections with a deterministic fault injector, so the job completes by
-// reconnecting and replaying — the transport conformance builder's pattern.
+// spec wraps every rank's connections with a deterministic fault injector —
+// the transport conformance builder's pattern.
 func mrcMesh(size int, faults string) ([]transport.Transport, error) {
 	var spec faultinject.Spec
 	if faults != "" {
@@ -91,9 +92,6 @@ func mrcMesh(size int, faults string) ([]transport.Transport, error) {
 			BootstrapTimeout: 30 * time.Second,
 		}
 		if faults != "" {
-			c.Policy = transport.RetryTransient
-			c.ReconnectWindow = 10 * time.Second
-			c.BackoffBase = 5 * time.Millisecond
 			inj := faultinject.New(spec, rank)
 			c.WrapConn = inj.WrapConn
 		}
@@ -135,10 +133,17 @@ func mrcMesh(size int, faults string) ([]transport.Transport, error) {
 
 // runMRCJob runs one job and returns rank 0's canonical gathered output.
 // mode is "local" (in-process world), "tcp" (fresh loopback mesh), or
-// "tcp-fault" (loopback mesh with a reset injected on every rank's links,
-// recovered under the fail-recover policy).
+// "tcp-fault": a loopback mesh with a reset injected on every rank's links,
+// which must fail fast (checkFailStop), and then the re-run on a fresh clean
+// mesh, whose output is returned.
 func runMRCJob(t *testing.T, cfg driver.JobConfig, mode string, sum *metrics.Summary) []byte {
 	t.Helper()
+	if mode == "tcp-fault" {
+		start := time.Now()
+		_, errs := runMRCJobErrs(t, cfg, mode, sum)
+		checkFailStop(t, errs, time.Since(start))
+		mode = "tcp"
+	}
 	out, errs := runMRCJobErrs(t, cfg, mode, sum)
 	for _, err := range errs {
 		if err != nil {
@@ -186,6 +191,21 @@ func runMRCJobErrs(t *testing.T, cfg driver.JobConfig, mode string, sum *metrics
 	}
 	wg.Wait()
 	return out, errs
+}
+
+// checkFailStop asserts a faulted world failed fast: every rank returned
+// ErrAborted naming a peer rank, the last of them within the conformance
+// suite's FailStopBound.
+func checkFailStop(t *testing.T, errs []error, took time.Duration) {
+	t.Helper()
+	if took > conformance.FailStopBound {
+		t.Errorf("faulted world took %v to fail, want at most %v", took, conformance.FailStopBound)
+	}
+	for rank, err := range errs {
+		if !errors.Is(err, mpi.ErrAborted) || !conformance.NamesPeer(err, rank, len(errs)) {
+			t.Errorf("rank %d: faulted run err = %v, want ErrAborted naming a peer rank", rank, err)
+		}
+	}
 }
 
 // checkWorkersRefused asserts that every rank refuses a job configured with
@@ -336,9 +356,9 @@ func TestMRCSpillEngages(t *testing.T) {
 	}
 }
 
-// TestMRCFaultedRunRecovered pins that the tcp-fault cells genuinely
-// recover from injected faults rather than never seeing one: the metrics
-// must show at least one reconnect, and the output must still match the
+// TestMRCFaultedRunRecovered pins that the tcp-fault cells really are
+// faulted rather than never seeing one: the faulted run's metrics must
+// count at least one link failure, and the re-run must still match the
 // fault-free reference.
 func TestMRCFaultedRunRecovered(t *testing.T) {
 	if testing.Short() {
@@ -352,11 +372,11 @@ func TestMRCFaultedRunRecovered(t *testing.T) {
 	sum := metrics.NewSummary()
 	got := runMRCJob(t, base, "tcp-fault", sum)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("faulted run diverges from reference (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("re-run after the faulted run diverges from reference (%d vs %d bytes)", len(got), len(want))
 	}
-	rec := sum.Get("net-reconnects")
-	if rec == nil || rec.Max < 1 {
-		t.Fatalf("metrics report no reconnects; the injected resets exercised nothing (series: %v)", sum.Names())
+	lf := sum.Get("net-link-failures")
+	if lf == nil || lf.Max < 1 {
+		t.Fatalf("metrics count no link failure; the injected resets exercised nothing (series: %v)", sum.Names())
 	}
-	t.Logf("recovered: %v reconnects, replayed %v frames", rec.Max, sum.Get("net-replayed-frames").Max)
+	t.Logf("faulted run: %v link failures on rank 0", lf.Max)
 }

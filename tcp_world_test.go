@@ -17,6 +17,7 @@ import (
 	"mimir"
 	"mimir/internal/driver"
 	"mimir/internal/metrics"
+	"mimir/internal/transport/conformance"
 	"mimir/internal/workloads"
 )
 
@@ -45,11 +46,17 @@ func TestMain(m *testing.M) {
 		os.Exit(m.Run())
 	}
 	// Worker mode: this process is one rank of a test's world.
+	mode := os.Getenv(testModeEnv)
 	if err != nil {
+		// A rank still in the mesh's initial barrier when a peer's link
+		// fails aborts there: for a world meant to abort, that is the abort.
+		if mode == "wordcount-abort" && errors.Is(err, mimir.ErrAborted) {
+			os.Exit(0)
+		}
 		fmt.Fprintln(os.Stderr, "worker bootstrap:", err)
 		os.Exit(1)
 	}
-	switch mode := os.Getenv(testModeEnv); mode {
+	switch mode {
 	case "wordcount":
 		if _, err := driver.RunJob(world, tcpTestConfig, nil); err != nil {
 			fmt.Fprintln(os.Stderr, "worker wordcount:", err)
@@ -127,12 +134,13 @@ func TestTCPWordCountMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestTCPWordCountSurvivesInjectedResets is the fail-recover acceptance
-// test: a 4-process TCP WordCount with a connection reset injected on every
-// rank's links must complete with output byte-identical to the fault-free
-// in-process run, and the metrics summary must show the recovery happened
-// (at least one reconnect).
-func TestTCPWordCountSurvivesInjectedResets(t *testing.T) {
+// TestTCPWordCountResetAbortsThenReruns is the fail-stop acceptance test: a
+// 4-process TCP WordCount with a connection reset injected on every rank's
+// links fails fast — rank 0 with an ErrAborted naming a peer rank, the
+// workers with ErrAborted too — and its metrics count the link failure.
+// Then the re-run on a fresh clean world is byte-identical to the
+// fault-free in-process run.
+func TestTCPWordCountResetAbortsThenReruns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks processes")
 	}
@@ -142,16 +150,41 @@ func TestTCPWordCountSurvivesInjectedResets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Setenv(testModeEnv, "wordcount")
+	t.Setenv(testModeEnv, "wordcount-abort")
+	start := time.Now()
 	world, children, err := mimir.SpawnTCPWorldOpts(ranks, mimir.TCPOptions{
-		Policy: mimir.RetryTransient,
 		Faults: "seed:42,reset:all@frame1",
 	})
+	// A worker that finishes the mesh's initial barrier resets its links at
+	// its first job frame, which can abort rank 0 while rank 0 is still in
+	// that barrier: then the world never comes up, and that is the abort.
+	sum := metrics.NewSummary()
+	if err == nil {
+		_, err = driver.RunJob(world, tcpTestConfig, sum)
+	}
+	took := time.Since(start)
+	if world != nil {
+		world.Close()
+		if lf := sum.Get("net-link-failures"); lf == nil || lf.Max < 1 {
+			t.Errorf("metrics count no link failure; the injected resets exercised nothing (series: %v)", sum.Names())
+		}
+		if werr := children.Wait(); werr != nil {
+			t.Fatalf("worker did not see a clean abort: %v", werr)
+		}
+	}
+	if took > conformance.FailStopBound {
+		t.Errorf("faulted run took %v to fail, want at most %v", took, conformance.FailStopBound)
+	}
+	if !errors.Is(err, mimir.ErrAborted) || !conformance.NamesPeer(err, 0, ranks) {
+		t.Errorf("rank 0: faulted run err = %v, want ErrAborted naming a peer rank", err)
+	}
+
+	t.Setenv(testModeEnv, "wordcount")
+	world, children, err = mimir.SpawnTCPWorld(ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := metrics.NewSummary()
-	got, err := driver.RunJob(world, tcpTestConfig, sum)
+	got, err := driver.RunJob(world, tcpTestConfig, nil)
 	if err != nil {
 		children.Kill()
 		t.Fatal(err)
@@ -163,21 +196,14 @@ func TestTCPWordCountSurvivesInjectedResets(t *testing.T) {
 		t.Fatalf("worker process failed: %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("faulted run output differs from fault-free run: %d vs %d bytes", len(got), len(want))
+		t.Fatalf("re-run output differs from fault-free run: %d vs %d bytes", len(got), len(want))
 	}
-	rec := sum.Get("net-reconnects")
-	if rec == nil || rec.Max < 1 {
-		t.Fatalf("metrics report no reconnects; the injected resets exercised nothing (series: %v)", sum.Names())
-	}
-	lf := sum.Get("net-link-failures")
-	t.Logf("recovered: %v link failures, %v reconnects, replayed %v frames",
-		lf.Max, rec.Max, sum.Get("net-replayed-frames").Max)
 }
 
 // TestTCPInjectedKillAbortsSurvivors schedules a permanent process death via
 // the fault injector: rank 2 severs all links at its second collective round.
-// The survivors must give up after the reconnect window and surface
-// ErrAborted — quickly, not after the full bootstrap/I/O deadlines.
+// The survivors must surface ErrAborted — quickly, not after the full
+// bootstrap/I/O deadlines.
 func TestTCPInjectedKillAbortsSurvivors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks processes")
@@ -185,9 +211,7 @@ func TestTCPInjectedKillAbortsSurvivors(t *testing.T) {
 	const ranks = 4
 	t.Setenv(testModeEnv, "wordcount-abort")
 	world, children, err := mimir.SpawnTCPWorldOpts(ranks, mimir.TCPOptions{
-		Policy:          mimir.RetryTransient,
-		ReconnectWindow: 500 * time.Millisecond,
-		Faults:          "seed:42,kill:rank2@round1",
+		Faults: "seed:42,kill:rank2@round1",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -51,70 +51,6 @@ func ablationWC(b *testing.B, dist workloads.Distribution, bytes int64,
 	b.ReportMetric(simT, "sim-sec")
 }
 
-// ablationWCOn is ablationWC with a platform's calibrated costs, so the
-// simulated time includes real compute and network charges — required for
-// the overlap ablation, where the win is hiding one behind the other.
-func ablationWCOn(b *testing.B, plat *mimir.Platform, dist workloads.Distribution,
-	bytes int64, cfg func(*mimir.Config)) {
-	b.ReportAllocs()
-	var peak int64
-	var simT, aggr, saved float64
-	for i := 0; i < b.N; i++ {
-		const p = 8
-		w := mimir.NewWorldOn(plat, p)
-		arena := mimir.NewArena(0)
-		var mu sync.Mutex
-		aggr, saved = 0, 0
-		err := w.Run(func(c *mimir.Comm) error {
-			jc := mimir.Config{Arena: arena, Costs: plat.Costs()}
-			if cfg != nil {
-				cfg(&jc)
-			}
-			job := mimir.NewJob(c, jc)
-			input := workloads.TextInput(nil, c.Clock(), dist, 42, bytes, c.Rank(), p)
-			out, err := job.Run(input, workloads.WordCountMap, workloads.WordCountReduce)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			aggr += out.Stats.Phases.Aggregate
-			saved += out.Stats.OverlapSavedSec
-			mu.Unlock()
-			out.Free()
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peak = arena.Peak()
-		simT = w.MaxTime()
-	}
-	b.ReportMetric(float64(peak), "peak-bytes")
-	b.ReportMetric(simT, "sim-sec")
-	b.ReportMetric(aggr, "aggr-sec")
-	b.ReportMetric(saved, "saved-sec")
-}
-
-// BenchmarkAblationOverlap quantifies the overlapped aggregate: for each
-// comm-buffer size, the same WordCount runs with the default nonblocking
-// double-buffered exchange and with SerialAggregate (the paper's blocking
-// design). Compare sim-sec between the overlap= pairs; saved-sec reports
-// the per-rank sum of hidden communication.
-func BenchmarkAblationOverlap(b *testing.B) {
-	plat := mimir.Comet()
-	for _, kb := range []int{16, 64, 256} {
-		for _, serial := range []bool{false, true} {
-			name := fmt.Sprintf("commbuf=%dKiB/overlap=%v", kb, !serial)
-			b.Run(name, func(b *testing.B) {
-				ablationWCOn(b, plat, workloads.Uniform, 1<<20, func(c *mimir.Config) {
-					c.CommBuf = kb << 10
-					c.SerialAggregate = serial
-				})
-			})
-		}
-	}
-}
-
 // BenchmarkAblationCommBuf sweeps the send/receive buffer size: larger
 // buffers mean fewer, bigger Alltoallv rounds (less latency, more memory) —
 // the trade-off behind Mimir's interleaved aggregate.

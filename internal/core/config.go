@@ -118,12 +118,11 @@ type Config struct {
 	// PageSize is the unit of data-buffer allocation (default 64 KiB,
 	// standing in for the paper's 64 MB).
 	PageSize int
-	// CommBuf is the communication buffer budget. With the default
-	// overlapped aggregate, the two send sets and the receive set all fit
-	// inside this budget (a third each). With SerialAggregate it is the
-	// paper's Section III-B layout: a send buffer of CommBuf plus an
-	// equal-sized receive buffer, which Mimir's design guarantees is
-	// sufficient.
+	// CommBuf is the communication buffer budget. The aggregate splits it
+	// into thirds: two send partition sets and the receive set. A full send
+	// set is posted nonblocking (Ialltoallv) while the map keeps filling the
+	// other, so an overlapped round costs max(compute, comm) instead of
+	// their sum.
 	CommBuf int
 	// Hint is the KV-hint encoding used for intermediate data.
 	Hint kvbuf.Hint
@@ -149,14 +148,6 @@ type Config struct {
 	// from it, skipping input, map, and aggregate (fault tolerance in the
 	// style of the authors' FT-MRMPI).
 	Checkpoint *Checkpoint
-	// SerialAggregate disables communication/computation overlap in the
-	// aggregate phase. By default the send buffer is split into two
-	// half-sized partition sets and exchanges are posted nonblocking
-	// (Ialltoallv): the map keeps filling the spare set while the posted one
-	// drains in the background, so an overlapped round costs
-	// max(compute, comm) instead of their sum. Setting SerialAggregate
-	// restores the paper's blocking single-buffer exchange.
-	SerialAggregate bool
 	// OutOfCore selects the response to memory pressure (see OutOfCore).
 	// The non-default policies require SpillFS and register every KV/KMV
 	// container page with a per-rank spill.Store; communication buffers and

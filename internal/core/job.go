@@ -19,19 +19,17 @@ type Job struct {
 	cfg  Config
 
 	// Send buffer state: nbuf sets of one partition per destination rank.
-	// The serial aggregate uses a single set; the default overlapped
-	// aggregate splits the same budget into two half-sized sets, posting a
-	// full set nonblocking while the map keeps filling the other.
+	// A full set is posted nonblocking while the map keeps filling the
+	// other.
 	sendBuf  *mem.Page
-	nbuf     int
 	active   int // index of the set the map is filling
 	partSize int
 	partOffs [][]int // per-set write offset within each partition
-	// sendSlices is buildSend's reusable per-destination header array: both
-	// exchange paths copy the send payloads at post time, so the array can
-	// be repopulated every round instead of reallocated.
+	// sendSlices is buildSend's reusable per-destination header array: the
+	// exchange copies the send payloads at post time, so the array can be
+	// repopulated every round instead of reallocated.
 	sendSlices [][]byte
-	// pending is the in-flight exchange of the inactive set (overlap only).
+	// pending is the in-flight exchange of the inactive set.
 	pending   *mpi.AlltoallvRequest
 	inputDone bool
 
@@ -78,11 +76,11 @@ type Stats struct {
 	// needed (the map suspends once per round, Section III-A).
 	Rounds int
 	// OverlapRounds counts rounds whose communication was at least partly
-	// hidden behind map computation (overlapped aggregate only).
+	// hidden behind map computation.
 	OverlapRounds int
 	// OverlapSavedSec is the simulated seconds this rank saved by
-	// overlapping exchange rounds with computation, relative to the serial
-	// schedule that blocks at every post.
+	// overlapping exchange rounds with computation, relative to blocking
+	// at every post.
 	OverlapSavedSec float64
 	// ShuffledBytes is the total intermediate bytes this rank sent.
 	ShuffledBytes int64
@@ -102,6 +100,10 @@ type Stats struct {
 	// job end; pages the Output spills later are not included.
 	Spill spill.Stats
 }
+
+// nbuf is the number of send partition sets: one the map fills while the
+// other's exchange is in flight.
+const nbuf = 2
 
 // NewJob creates a job for this rank with the given configuration.
 func NewJob(comm *mpi.Comm, cfg Config) *Job {
@@ -216,19 +218,11 @@ func (j *Job) cleanup() {
 // mapAggregate runs the interleaved map + aggregate phases (Figure 4).
 func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 	p := j.comm.Size()
-	// The serial aggregate keeps the paper's Section III-B layout: a send
-	// buffer of CommBuf and an equal-sized receive buffer (2x CommBuf of
-	// static memory). The overlapped aggregate instead fits its whole
-	// static footprint — two send sets plus the receive set, each a third —
-	// inside one CommBuf, halving the static comm memory while the smaller
-	// rounds hide their latency behind the map.
-	j.nbuf = 2
-	denom := (j.nbuf + 1) * p
-	if j.cfg.SerialAggregate {
-		j.nbuf = 1
-		denom = p
-	}
-	j.partSize = j.cfg.CommBuf / denom
+	// The whole static comm footprint — two send sets plus the receive set,
+	// each a third — fits inside one CommBuf, half the paper's Section III-B
+	// layout of a CommBuf send buffer plus an equal-sized receive buffer,
+	// while the smaller rounds hide their latency behind the map.
+	j.partSize = j.cfg.CommBuf / ((nbuf + 1) * p)
 	if j.partSize < MinPartition {
 		j.partSize = MinPartition
 	}
@@ -239,7 +233,7 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 	// data is resident (a round is always consumed before the next is
 	// posted).
 	var err error
-	j.sendBuf, err = j.cfg.Arena.NewPage(j.nbuf * setSize)
+	j.sendBuf, err = j.cfg.Arena.NewPage(nbuf * setSize)
 	if err != nil {
 		return fmt.Errorf("core: allocating send buffer: %w", err)
 	}
@@ -253,7 +247,7 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 		j.sendBuf = nil
 		recvBuf.Release()
 	}()
-	j.partOffs = make([][]int, j.nbuf)
+	j.partOffs = make([][]int, nbuf)
 	for s := range j.partOffs {
 		j.partOffs[s] = make([]int, p)
 	}
@@ -320,18 +314,6 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 
 	// Final rounds: keep exchanging until every rank agrees it has nothing
 	// left to send.
-	if j.cfg.SerialAggregate {
-		for {
-			allDone, err := j.exchange(true)
-			if err != nil {
-				return err
-			}
-			if allDone {
-				break
-			}
-		}
-		return nil
-	}
 	j.inputDone = true
 	for {
 		if j.pending != nil {
@@ -432,11 +414,7 @@ func (j *Job) insertSend(k, v []byte) error {
 		return err
 	}
 	if j.partOffs[j.active][dest]+n > j.partSize {
-		if j.cfg.SerialAggregate {
-			if _, err := j.exchange(false); err != nil {
-				return err
-			}
-		} else if err := j.rotateRound(); err != nil {
+		if err := j.rotateRound(); err != nil {
 			return err
 		}
 	}
@@ -530,42 +508,13 @@ func (j *Job) runPlan() error {
 	return nil
 }
 
-// exchange is one serial aggregate round: all ranks swap their send-buffer
-// partitions with a blocking Alltoallv and fold the received KVs into their
-// KV container (or partial-reduction bucket), then agree via Allreduce
-// whether every rank has finished its input.
-func (j *Job) exchange(done bool) (allDone bool, err error) {
-	tStart := j.comm.Clock().Now()
-	defer func() {
-		j.stats.Phases.Aggregate += j.comm.Clock().Now() - tStart
-	}()
-	recv, err := j.comm.Alltoallv(j.buildSend())
-	if err != nil {
-		return false, err
-	}
-	if err := j.consumeRound(recv); err != nil {
-		return false, err
-	}
-	j.comm.Recycle(recv) // consumeRound copied every chunk out
-
-	flag := int64(0)
-	if done {
-		flag = 1
-	}
-	sum, err := j.comm.AllreduceInt64([]int64{flag}, mpi.OpSum)
-	if err != nil {
-		return false, err
-	}
-	return sum[0] == int64(j.comm.Size()), nil
-}
-
 // buildSend assembles the per-destination send slices from the active
 // partition set, accounts the shuffled bytes, then resets the set's offsets
 // and counts the round. The slices stay valid until the set is overwritten,
-// which both exchange paths guarantee happens only after every rank has
-// read them (the rendezvous copies at post time). That post-time copy also
-// makes the header array itself reusable across rounds, so each round
-// repopulates j.sendSlices instead of allocating.
+// which happens only after every rank has read them (the rendezvous copies
+// at post time). That post-time copy also makes the header array itself
+// reusable across rounds, so each round repopulates j.sendSlices instead of
+// allocating.
 func (j *Job) buildSend() [][]byte {
 	p := j.comm.Size()
 	if j.sendSlices == nil {
@@ -605,7 +554,7 @@ func (j *Job) consumeRound(recv [][]byte) error {
 func (j *Job) postRound() error {
 	send := j.buildSend()
 	j.pending = j.comm.Ialltoallv(send)
-	j.active = (j.active + 1) % j.nbuf
+	j.active = (j.active + 1) % nbuf
 	return nil
 }
 
@@ -645,7 +594,7 @@ func (j *Job) completeRound() (allDone bool, err error) {
 	return sum[0] == int64(j.comm.Size()), nil
 }
 
-// rotateRound is the overlapped aggregate's buffer swap on the map path:
+// rotateRound is the aggregate's buffer swap on the map path:
 // retire the in-flight round if there is one, then post the now-full active
 // set and continue mapping into the freed set. Every rank's collective
 // sequence is therefore strictly alternating post, vote, post, vote — the

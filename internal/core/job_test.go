@@ -331,17 +331,27 @@ func TestReduceErrorPropagates(t *testing.T) {
 // rejected when it is emitted, on every rank that emits it, with an error
 // naming both limits — none of the ranks hangs waiting for another. The
 // 4 KiB KV of the second row fits its partition but not its page, so
-// without the emit-time bound only its receiver would fail.
+// without the emit-time bound only its receiver would fail. The last two
+// rows pin the aggregate's layout at its boundary: with 3 ranks a send
+// partition is CommBuf/(3·3) bytes, so a KV encoding to exactly that is
+// accepted and one byte more is not.
 func TestOversizedKVRejected(t *testing.T) {
+	// The default hint encodes a KV as two 4-byte length headers plus the
+	// key and value bytes.
+	const part3 = (64 << 10) / (3 * 3) // 7281
 	for _, tc := range []struct {
+		name              string
 		ranks             int
 		commBuf, pageSize int
-		kvBytes           int
+		keyBytes          int
+		wantErr           bool
 	}{
-		{1, MinPartition, 0, 2 * MinPartition},
-		{2, 64 << 10, 1 << 10, 4 << 10},
+		{"ranks=1/page=0", 1, MinPartition, 0, 2 * MinPartition, true},
+		{"ranks=2/page=1024", 2, 64 << 10, 1 << 10, 4 << 10, true},
+		{"ranks=3/kv=partition", 3, 64 << 10, 0, part3 - 8, false},
+		{"ranks=3/kv=partition+1", 3, 64 << 10, 0, part3 - 8 + 1, true},
 	} {
-		t.Run(fmt.Sprintf("ranks=%d/page=%d", tc.ranks, tc.pageSize), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			w := mpi.NewWorld(mpi.Config{Size: tc.ranks, Net: testNet()})
 			arena := mem.NewArena(0)
 			errs := make([]error, tc.ranks)
@@ -350,12 +360,16 @@ func TestOversizedKVRejected(t *testing.T) {
 				defer close(done)
 				w.Run(func(c *mpi.Comm) error {
 					job := NewJob(c, Config{Arena: arena, CommBuf: tc.commBuf, PageSize: tc.pageSize})
-					big := bytes.Repeat([]byte("x"), tc.kvBytes)
-					_, err := job.Run(SliceInput([]Record{{Val: big}}),
+					big := bytes.Repeat([]byte("x"), tc.keyBytes)
+					out, err := job.Run(SliceInput([]Record{{Val: big}}),
 						func(rec Record, emit Emitter) error { return emit.Emit(rec.Val, nil) },
 						nil)
 					errs[c.Rank()] = err
-					return err
+					if err != nil {
+						return err
+					}
+					out.Free()
+					return nil
 				})
 			}()
 			select {
@@ -364,6 +378,12 @@ func TestOversizedKVRejected(t *testing.T) {
 				t.Fatal("job hung on an oversized KV")
 			}
 			for rank, err := range errs {
+				if !tc.wantErr {
+					if err != nil {
+						t.Errorf("rank %d: err = %v, want the KV accepted", rank, err)
+					}
+					continue
+				}
 				if err == nil || !strings.Contains(err.Error(), "send partition") || !strings.Contains(err.Error(), "PageSize") {
 					t.Errorf("rank %d: err = %v, want a rejection naming the send partition and PageSize", rank, err)
 				}

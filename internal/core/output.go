@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mimir/internal/kvbuf"
 	"mimir/internal/pfs"
@@ -48,18 +47,6 @@ func (o *Output) AsInput() Input {
 			return emit(Record{Key: k, Val: v})
 		})
 	}
-}
-
-// Collect copies all output KVs into a sorted slice of pairs — a test and
-// example convenience, not part of the data path.
-func (o *Output) Collect() [][2]string {
-	var pairs [][2]string
-	_ = o.KVC.Scan(func(k, v []byte) error {
-		pairs = append(pairs, [2]string{string(k), string(v)})
-		return nil
-	})
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	return pairs
 }
 
 // Persist writes this rank's output KVs to the parallel file system as

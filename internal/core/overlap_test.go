@@ -13,11 +13,10 @@ import (
 	"mimir/internal/simtime"
 )
 
-// Property: the overlapped aggregate (default) and the serial aggregate
-// (SerialAggregate) produce the identical KV multiset across rank counts,
-// comm-buffer sizes, and the hint/pr/cps optimization ladder. This is the
-// guarantee that lets the nonblocking exchange be on by default.
-func TestOverlapSerialEquivalenceProperty(t *testing.T) {
+// Property: the double-buffered aggregate produces exactly the reference
+// word counts across rank counts, comm-buffer sizes, and the hint/pr/cps
+// optimization ladder.
+func TestAggregateMatchesReferenceProperty(t *testing.T) {
 	ladder := []struct {
 		name string
 		mod  func(*Config)
@@ -48,23 +47,20 @@ func TestOverlapSerialEquivalenceProperty(t *testing.T) {
 		for _, p := range []int{1, 4, 24} {
 			for _, commBuf := range []int{4 * MinPartition, DefaultCommBuf} {
 				for _, step := range ladder {
-					for _, serial := range []bool{false, true} {
-						got := runWC(t, p, lines, func(cfg *Config) {
-							cfg.CommBuf = commBuf
-							cfg.SerialAggregate = serial
-							step.mod(cfg)
-						})
-						if len(got) != len(want) {
-							t.Logf("p=%d commbuf=%d %s serial=%v: %d unique words, want %d",
-								p, commBuf, step.name, serial, len(got), len(want))
+					got := runWC(t, p, lines, func(cfg *Config) {
+						cfg.CommBuf = commBuf
+						step.mod(cfg)
+					})
+					if len(got) != len(want) {
+						t.Logf("p=%d commbuf=%d %s: %d unique words, want %d",
+							p, commBuf, step.name, len(got), len(want))
+						return false
+					}
+					for w, n := range want {
+						if got[w] != n {
+							t.Logf("p=%d commbuf=%d %s: count[%q]=%d, want %d",
+								p, commBuf, step.name, w, got[w], n)
 							return false
-						}
-						for w, n := range want {
-							if got[w] != n {
-								t.Logf("p=%d commbuf=%d %s serial=%v: count[%q]=%d, want %d",
-									p, commBuf, step.name, serial, w, got[w], n)
-								return false
-							}
 						}
 					}
 				}
@@ -79,7 +75,7 @@ func TestOverlapSerialEquivalenceProperty(t *testing.T) {
 
 // timedWC runs a multi-round WordCount with realistic compute and network
 // costs and returns the simulated job time plus the summed overlap stats.
-func timedWC(t *testing.T, serial bool) (simT float64, overlapRounds int, savedSec float64) {
+func timedWC(t *testing.T) (simT float64, overlapRounds int, savedSec float64) {
 	t.Helper()
 	lines := make([]string, 96)
 	for i := range lines {
@@ -94,10 +90,9 @@ func timedWC(t *testing.T, serial bool) (simT float64, overlapRounds int, savedS
 	var mu sync.Mutex
 	err := w.Run(func(c *mpi.Comm) error {
 		job := NewJob(c, Config{
-			Arena:           arena,
-			CommBuf:         12 * MinPartition,
-			SerialAggregate: serial,
-			Costs:           Costs{MapPerByte: 1e-7, KVPerByte: 3e-7, PerRecord: 1e-6, ReducePerByte: 1e-7},
+			Arena:   arena,
+			CommBuf: 12 * MinPartition,
+			Costs:   Costs{MapPerByte: 1e-7, KVPerByte: 3e-7, PerRecord: 1e-6, ReducePerByte: 1e-7},
 		})
 		var mine []Record
 		for i, l := range lines {
@@ -122,24 +117,16 @@ func timedWC(t *testing.T, serial bool) (simT float64, overlapRounds int, savedS
 	return w.MaxTime(), overlapRounds, savedSec
 }
 
-// TestOverlapSavesSimTime pins the tentpole's point: with compute and
-// network costs charged, the overlapped aggregate finishes the same job in
-// less simulated time than the serial aggregate, and the stats say why.
+// TestOverlapSavesSimTime pins the overlapped aggregate's point: with
+// compute and network costs charged, exchange rounds hide behind the map
+// and the stats say how much simulated time that saved.
 func TestOverlapSavesSimTime(t *testing.T) {
-	serialT, serialRounds, serialSaved := timedWC(t, true)
-	if serialRounds != 0 || serialSaved != 0 {
-		t.Errorf("serial run reported overlap stats: rounds=%d saved=%v", serialRounds, serialSaved)
-	}
-	overlapT, overlapRounds, overlapSaved := timedWC(t, false)
+	simT, overlapRounds, overlapSaved := timedWC(t)
 	if overlapRounds == 0 {
 		t.Error("overlapped run hid no rounds (OverlapRounds = 0)")
 	}
 	if overlapSaved <= 0 {
 		t.Error("overlapped run saved no simulated time (OverlapSavedSec = 0)")
 	}
-	if overlapT >= serialT {
-		t.Errorf("overlapped job time %.6f s not below serial %.6f s", overlapT, serialT)
-	}
-	t.Logf("serial %.6f s, overlapped %.6f s (%.1f%% faster, %d rounds hidden, %.6f s saved per-rank sum)",
-		serialT, overlapT, 100*(1-overlapT/serialT), overlapRounds, overlapSaved)
+	t.Logf("job %.6f s, %d rounds hidden, %.6f s saved per-rank sum", simT, overlapRounds, overlapSaved)
 }

@@ -41,7 +41,6 @@ func TestSamplePartitionerWordCount(t *testing.T) {
 		{"plain", nil},
 		{"pr", func(cfg *Config) { cfg.PartialReduce = wcCombine }},
 		{"cps", func(cfg *Config) { cfg.Combiner = wcCombine }},
-		{"serial-aggregate", func(cfg *Config) { cfg.SerialAggregate = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := runWC(t, 4, lines, func(cfg *Config) {

@@ -197,9 +197,8 @@ func TestSpillWithOptimizations(t *testing.T) {
 			cfg.OutOfCore = SpillWhenNeeded
 			cfg.PartialReduce = wcCombine
 		},
-		"serial-aggregate": func(cfg *Config) {
+		"spill-always": func(cfg *Config) {
 			cfg.OutOfCore = SpillAlways
-			cfg.SerialAggregate = true
 		},
 	}
 	for name, mod := range mods {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"mimir/internal/platform"
@@ -215,13 +214,3 @@ func PaperSize(label string) int64 {
 
 // Pow2Label formats 2^n as the paper writes it.
 func Pow2Label(n int) string { return fmt.Sprintf("2^%d", n) }
-
-// SortPoints orders points by series then x (stable rendering for tests).
-func (f *Figure) SortPoints() {
-	sort.SliceStable(f.Points, func(i, j int) bool {
-		if f.Points[i].Series != f.Points[j].Series {
-			return f.Points[i].Series < f.Points[j].Series
-		}
-		return f.Points[i].X < f.Points[j].X
-	})
-}

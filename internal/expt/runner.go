@@ -92,7 +92,7 @@ type Result struct {
 	SpillIOSec float64
 	// OverlapSavedSec sums, over all ranks, the simulated seconds the
 	// overlapped aggregate saved by hiding exchange rounds behind the map
-	// (0 for MR-MPI and for SerialAggregate runs).
+	// (0 for MR-MPI).
 	OverlapSavedSec float64
 	// Err is non-nil if the run failed (typically out of memory).
 	Err error

@@ -476,9 +476,3 @@ func Summarize(evs []Event) map[EventKind]int {
 	}
 	return m
 }
-
-// SortMembersByID orders a member slice by ID (stable reporting order for
-// sets that are not rank-ordered, like pending joins).
-func SortMembersByID(ms []Member) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-}

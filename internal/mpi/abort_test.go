@@ -33,8 +33,8 @@ func TestAbortUnblocksEverythingWithoutLeaks(t *testing.T) {
 				// Parked in a wildcard receive.
 				_, _, _, err = c.Recv(AnySource, AnyTag)
 			case 4:
-				// Parked waiting on a posted nonblocking receive.
-				_, _, _, err = c.Irecv(6, 77).Wait()
+				// Parked in a receive from a rank that is itself parked.
+				_, _, _, err = c.Recv(6, 77)
 			default:
 				// Parked in collective rendezvous (never completes: ranks
 				// 0-4 do not join).

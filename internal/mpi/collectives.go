@@ -39,11 +39,7 @@ func (c *Comm) Barrier() error {
 	_, err := c.exchange(nil, func([][]byte) float64 {
 		return c.world.net.Barrier(c.world.size)
 	})
-	if err != nil {
-		return err
-	}
-	c.world.trace(c.rank, "barrier", 0)
-	return nil
+	return err
 }
 
 // Alltoallv exchanges variable-sized byte buffers with every rank: send[i]
@@ -59,18 +55,13 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	for _, b := range send {
 		sendBytes += len(b)
 	}
-	recv, err := c.exchange(send, func(recv [][]byte) float64 {
+	return c.exchange(send, func(recv [][]byte) float64 {
 		var recvBytes int
 		for _, b := range recv {
 			recvBytes += len(b)
 		}
 		return c.world.net.Alltoallv(c.world.size, sendBytes, recvBytes)
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.world.trace(c.rank, "alltoallv", sendBytes)
-	return recv, nil
 }
 
 // Op identifies a reduction operator.
@@ -155,42 +146,19 @@ func (c *Comm) AllreduceInt64(vals []int64, op Op) ([]int64, error) {
 			out[i] = op.apply(out[i], v)
 		}
 	}
-	c.world.trace(c.rank, "allreduce", 8*len(vals))
-	return out, nil
-}
-
-// AllgatherInt64 gathers one int64 from every rank; result[i] is rank i's
-// value, identical on all ranks.
-func (c *Comm) AllgatherInt64(v int64) ([]int64, error) {
-	recv, err := c.exchange(c.fanOut(encodeInt64s([]int64{v})), func([][]byte) float64 {
-		return c.world.net.Reduction(c.world.size, 8*c.world.size)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, c.world.size)
-	for src, b := range recv {
-		out[src] = int64(binary.BigEndian.Uint64(b))
-	}
-	c.world.trace(c.rank, "allgather", 8)
 	return out, nil
 }
 
 // Allgatherv gathers a byte buffer from every rank; result[i] is a copy of
 // rank i's buffer, identical on all ranks.
 func (c *Comm) Allgatherv(b []byte) ([][]byte, error) {
-	out, err := c.exchange(c.fanOut(b), func(recv [][]byte) float64 {
+	return c.exchange(c.fanOut(b), func(recv [][]byte) float64 {
 		var total int
 		for _, r := range recv {
 			total += len(r)
 		}
 		return c.world.net.Reduction(c.world.size, total)
 	})
-	if err != nil {
-		return nil, err
-	}
-	c.world.trace(c.rank, "allgatherv", len(b))
-	return out, nil
 }
 
 // Bcast broadcasts root's buffer to all ranks; every rank (including root)
@@ -213,7 +181,6 @@ func (c *Comm) Bcast(b []byte, root int) ([]byte, error) {
 	if out == nil {
 		out = []byte{}
 	}
-	c.world.trace(c.rank, "bcast", len(out))
 	return out, nil
 }
 

@@ -77,7 +77,6 @@ func (c *Comm) Ialltoallv(send [][]byte) *AlltoallvRequest {
 		req.completeAt = tmax + c.world.net.Alltoallv(c.world.size, sendBytes, recvBytes)
 	}
 	req.recv = recv
-	c.world.trace(c.rank, "ialltoallv", sendBytes)
 	return req
 }
 
@@ -93,13 +92,6 @@ func (r *AlltoallvRequest) Wait() ([][]byte, error) {
 		}
 	}
 	return r.recv, r.err
-}
-
-// Test reports whether the exchange has completed in simulated time, i.e.
-// whether a Wait now would not advance the clock. It does not complete the
-// request.
-func (r *AlltoallvRequest) Test() bool {
-	return r.done || r.clock.Now() >= r.completeAt
 }
 
 // OverlapSaved returns the simulated seconds that overlapping saved

@@ -90,8 +90,7 @@ func TestIalltoallvMatchesBlockingWhenNoCompute(t *testing.T) {
 
 func TestIalltoallvOverlapsCompute(t *testing.T) {
 	// Compute between post and wait longer than the comm window: the wait
-	// is free, the full window is saved, and Test reports completion once
-	// the clock passes the background finish time.
+	// is free and the full window is saved.
 	const p = 4
 	w := testWorld(p)
 	err := w.Run(func(c *Comm) error {
@@ -100,13 +99,7 @@ func TestIalltoallvOverlapsCompute(t *testing.T) {
 			send[i] = make([]byte, 1000)
 		}
 		req := c.Ialltoallv(send)
-		if req.Test() {
-			return errors.New("request complete immediately after post")
-		}
 		c.Clock().Advance(1.0, simtime.Compute) // far longer than the net cost
-		if !req.Test() {
-			return errors.New("request not complete after covering compute")
-		}
 		before := c.Clock().Now()
 		if _, err := req.Wait(); err != nil {
 			return err

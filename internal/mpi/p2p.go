@@ -29,7 +29,6 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 			return err
 		}
 	}
-	c.world.trace(c.rank, "send", len(data))
 	return nil
 }
 
@@ -50,6 +49,5 @@ func (c *Comm) Recv(src, tag int) (data []byte, actualSrc, actualTag int, err er
 	} else {
 		ck.SyncTo(m.Time)
 	}
-	c.world.trace(c.rank, "recv", len(m.Data))
 	return m.Data, m.Src, m.Tag, nil
 }

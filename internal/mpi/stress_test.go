@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"mimir/internal/simtime"
 )
 
 func TestSingleRankCollectives(t *testing.T) {
 	// Degenerate world of one rank: every collective must still work.
 	w := testWorld(1)
 	err := w.Run(func(c *Comm) error {
+		if c.Rank() != 0 || c.Size() != 1 {
+			return errors.New("Rank/Size mismatch")
+		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
@@ -219,22 +220,5 @@ func TestAbortAfterCompletedCollective(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("iter %d: err = %v, want only the injected abort", iter, err)
 		}
-	}
-}
-
-func TestNetAccessor(t *testing.T) {
-	net := simtime.NetworkModel{Alpha: 3e-6, Beta: 2e9}
-	w := NewWorld(Config{Size: 1, Net: net})
-	err := w.Run(func(c *Comm) error {
-		if c.Net() != net {
-			return errors.New("Net() mismatch")
-		}
-		if c.Rank() != 0 || c.Size() != 1 {
-			return errors.New("Rank/Size mismatch")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

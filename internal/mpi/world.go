@@ -14,8 +14,8 @@
 // time — the same metrics, fed by the hardware instead of the model.
 //
 // The runtime supports the subset of MPI that MapReduce engines need:
-// Barrier, Alltoallv, Allreduce, Allgather(v), Bcast, Gather(v), and
-// tagged point-to-point Send/Recv.
+// Barrier, Alltoallv (blocking and nonblocking), Allreduce, Allgatherv,
+// Bcast, Gatherv, and tagged point-to-point Send/Recv.
 package mpi
 
 import (
@@ -60,8 +60,6 @@ type World struct {
 	local  []int
 
 	abortOnce sync.Once
-
-	tracer Tracer
 }
 
 // NewWorld creates a world over cfg.Transport (default: in-process with
@@ -212,9 +210,6 @@ func (c *Comm) Size() int { return c.world.size }
 // it; the runtime charges communication time (simulated or measured,
 // depending on the transport).
 func (c *Comm) Clock() *simtime.Clock { return c.world.clocks[c.rank] }
-
-// Net returns the world's network model.
-func (c *Comm) Net() simtime.NetworkModel { return c.world.net }
 
 // Abort terminates the world with the given cause; all communication calls
 // on all ranks (on every process) return ErrAborted from now on.

@@ -339,18 +339,6 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// ResidentPages returns how many registered pages currently hold memory.
-func (s *Store) ResidentPages() int {
-	defer s.lock()()
-	n := 0
-	for i := range s.pages {
-		if !s.pages[i].freed && s.pages[i].page.Resident() {
-			n++
-		}
-	}
-	return n
-}
-
 // NewPage allocates and registers a page, evicting cold pages as needed to
 // respect the watermark and, failing that, to satisfy the allocation at
 // all. Only when nothing evictable remains does ErrNoMemory escape.

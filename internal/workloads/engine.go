@@ -37,7 +37,7 @@ type StageStats struct {
 	OutputKVs    int64
 	// OverlapRounds / OverlapSavedSec report how often the overlapped
 	// aggregate hid communication behind the map and how much simulated
-	// time that saved (Mimir only; zero with SerialAggregate).
+	// time that saved (Mimir only).
 	OverlapRounds   int64
 	OverlapSavedSec float64
 	// Out-of-core detail (Mimir spill policies only): pages evicted and

@@ -68,8 +68,9 @@ type (
 	Checkpoint = core.Checkpoint
 	// PhaseTimes is the per-phase simulated time breakdown in Output.Stats.
 	PhaseTimes = core.PhaseTimes
-	// Stats is the per-rank counter block in Output.Stats (rounds, bytes,
-	// overlap savings).
+	// Stats is the per-rank counter block in Output.Stats (exchange rounds,
+	// shuffled bytes, the simulated time the overlapped aggregate saved,
+	// spill activity).
 	Stats = core.Stats
 	// OutOfCore selects the job's memory-pressure policy (see Config).
 	OutOfCore = core.OutOfCore

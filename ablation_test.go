@@ -2,8 +2,8 @@ package mimir_test
 
 // Ablation benchmarks for the design choices called out in DESIGN.md:
 // the communication-buffer size behind the interleaved aggregate, the page
-// granularity of the dynamic containers, and the delayed-vs-streaming KV
-// compression drain. Each reports peak node memory and simulated job time
+// granularity of the dynamic containers, and the delayed-vs-spill-derived
+// KV compression drain. Each reports peak node memory and simulated job time
 // as custom metrics alongside the usual ns/op.
 
 import (
@@ -16,36 +16,48 @@ import (
 	"mimir/internal/workloads"
 )
 
-// ablationWC runs one in-memory WordCount and reports peak memory and
-// simulated seconds.
-func ablationWC(b *testing.B, dist workloads.Distribution, bytes int64,
+// ablationRun runs one WordCount and returns the node peak and simulated
+// seconds. A positive capacity caps the node arena and lets the job spill
+// when needed.
+func ablationRun(dist workloads.Distribution, bytes, capacity int64, cfg func(*mimir.Config)) (peak int64, simT float64, err error) {
+	const p = 8
+	w := mimir.NewWorld(p)
+	arena := mimir.NewArena(capacity)
+	spillFS := mimir.Laptop().SpillFSFor(1)
+	group := mimir.NewSpillGroup()
+	err = w.Run(func(c *mimir.Comm) error {
+		jc := mimir.Config{Arena: arena}
+		if capacity > 0 {
+			jc.OutOfCore, jc.SpillFS, jc.SpillGroup = mimir.SpillWhenNeeded, spillFS, group
+		}
+		if cfg != nil {
+			cfg(&jc)
+		}
+		job := mimir.NewJob(c, jc)
+		input := workloads.TextInput(nil, c.Clock(), dist, 42, bytes, c.Rank(), p)
+		out, err := job.Run(input, workloads.WordCountMap, workloads.WordCountReduce)
+		if err != nil {
+			return err
+		}
+		out.Free()
+		return nil
+	})
+	return arena.Peak(), w.MaxTime(), err
+}
+
+// ablationWC runs ablationRun once per iteration and reports peak memory
+// and simulated seconds.
+func ablationWC(b *testing.B, dist workloads.Distribution, bytes, capacity int64,
 	cfg func(*mimir.Config)) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	var peak int64
 	var simT float64
 	for i := 0; i < b.N; i++ {
-		const p = 8
-		w := mimir.NewWorld(p)
-		arena := mimir.NewArena(0)
-		err := w.Run(func(c *mimir.Comm) error {
-			jc := mimir.Config{Arena: arena}
-			if cfg != nil {
-				cfg(&jc)
-			}
-			job := mimir.NewJob(c, jc)
-			input := workloads.TextInput(nil, c.Clock(), dist, 42, bytes, c.Rank(), p)
-			out, err := job.Run(input, workloads.WordCountMap, workloads.WordCountReduce)
-			if err != nil {
-				return err
-			}
-			out.Free()
-			return nil
-		})
-		if err != nil {
+		var err error
+		if peak, simT, err = ablationRun(dist, bytes, capacity, cfg); err != nil {
 			b.Fatal(err)
 		}
-		peak = arena.Peak()
-		simT = w.MaxTime()
 	}
 	b.ReportMetric(float64(peak), "peak-bytes")
 	b.ReportMetric(simT, "sim-sec")
@@ -57,7 +69,7 @@ func ablationWC(b *testing.B, dist workloads.Distribution, bytes int64,
 func BenchmarkAblationCommBuf(b *testing.B) {
 	for _, kb := range []int{8, 32, 64, 256} {
 		b.Run(fmt.Sprintf("commbuf=%dKiB", kb), func(b *testing.B) {
-			ablationWC(b, workloads.Uniform, 1<<20, func(c *mimir.Config) {
+			ablationWC(b, workloads.Uniform, 1<<20, 0, func(c *mimir.Config) {
 				c.CommBuf = kb << 10
 			})
 		})
@@ -70,7 +82,7 @@ func BenchmarkAblationCommBuf(b *testing.B) {
 func BenchmarkAblationPageSize(b *testing.B) {
 	for _, kb := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("page=%dKiB", kb), func(b *testing.B) {
-			ablationWC(b, workloads.Uniform, 1<<20, func(c *mimir.Config) {
+			ablationWC(b, workloads.Uniform, 1<<20, 0, func(c *mimir.Config) {
 				c.PageSize = kb << 10
 			})
 		})
@@ -79,27 +91,22 @@ func BenchmarkAblationPageSize(b *testing.B) {
 
 // BenchmarkAblationCombinerDrain compares the paper's delayed KV compression
 // (aggregate deferred until the whole map output is compressed — its
-// acknowledged shortcoming) against the streaming variant added in this
-// implementation (CombinerBudget), on skew-free data where the bucket grows
-// largest.
+// acknowledged shortcoming) against the drain the engine derives under a
+// spill policy: on an arena capped at the delayed run's peak, the bucket
+// drains whenever it outgrows its share of the headroom above the spill
+// watermark. The skew-free data is where the bucket grows largest.
 func BenchmarkAblationCombinerDrain(b *testing.B) {
-	cases := []struct {
-		name   string
-		budget int64
-	}{
-		{"delayed", 0},
-		{"stream=256KiB", 256 << 10},
-		{"stream=64KiB", 64 << 10},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			budget := c.budget
-			ablationWC(b, workloads.Wikipedia, 1<<20, func(jc *mimir.Config) {
-				jc.Combiner = workloads.WordCountCombine
-				jc.CombinerBudget = budget
-			})
-		})
-	}
+	cps := func(jc *mimir.Config) { jc.Combiner = workloads.WordCountCombine }
+	b.Run("delayed", func(b *testing.B) {
+		ablationWC(b, workloads.Wikipedia, 1<<20, 0, cps)
+	})
+	b.Run("spill-derived", func(b *testing.B) {
+		delayed, _, err := ablationRun(workloads.Wikipedia, 1<<20, 0, cps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ablationWC(b, workloads.Wikipedia, 1<<20, delayed, cps)
+	})
 }
 
 // spillVariant is one engine/policy pair of the out-of-core ablation.
@@ -233,10 +240,10 @@ func TestSpillPeakBelowMRMPI(t *testing.T) {
 // end-to-end job (bytes moved, memory held).
 func BenchmarkAblationHintEncoding(b *testing.B) {
 	b.Run("varlen", func(b *testing.B) {
-		ablationWC(b, workloads.Wikipedia, 1<<20, nil)
+		ablationWC(b, workloads.Wikipedia, 1<<20, 0, nil)
 	})
 	b.Run("hinted", func(b *testing.B) {
-		ablationWC(b, workloads.Wikipedia, 1<<20, func(c *mimir.Config) {
+		ablationWC(b, workloads.Wikipedia, 1<<20, 0, func(c *mimir.Config) {
 			c.Hint = workloads.WCHint()
 		})
 	})

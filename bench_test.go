@@ -17,7 +17,6 @@ import (
 	"mimir/internal/expt"
 	"mimir/internal/kvbuf"
 	"mimir/internal/mem"
-	"mimir/internal/mrmpi"
 	"mimir/internal/pfs"
 	"mimir/internal/workloads"
 )
@@ -225,29 +224,6 @@ func benchWordCount(b *testing.B, mk func(*mimir.Comm, *mem.Arena) workloads.Eng
 				Dist: workloads.Uniform, TotalBytes: 1 << 20, Seed: 42,
 			}, workloads.StageOpts{}, nil)
 			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSortKeys measures MR-MPI's external run-merge sort.
-func BenchmarkSortKeys(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := mimir.NewWorld(2)
-		arena := mimir.NewArena(0)
-		spill := mimir.Laptop().SpillFSFor(1)
-		err := w.Run(func(c *mimir.Comm) error {
-			mr := mrmpi.New(c, mrmpi.Config{Arena: arena, PageSize: 4 << 10, Spill: spill})
-			defer mr.Free()
-			input := workloads.TextInput(nil, nil, workloads.Uniform, 42, 1<<18, c.Rank(), 2)
-			wrapped := func(emit func(mimir.Record) error) error { return input(emit) }
-			if err := mr.Map(wrapped, workloads.WordCountMap); err != nil {
-				return err
-			}
-			return mr.SortKeys(nil)
 		})
 		if err != nil {
 			b.Fatal(err)

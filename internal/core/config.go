@@ -128,21 +128,16 @@ type Config struct {
 	Hint kvbuf.Hint
 	// Combiner, if set, enables the KV compression optimization: map output
 	// is folded into a hash bucket and the aggregate phase is delayed until
-	// the map completes, maximizing compression (Section III-C2).
+	// the map completes, maximizing compression (Section III-C2). Under a
+	// spill policy on a capped arena the bucket, which cannot spill, is
+	// instead drained into the aggregate whenever it outgrows its share of
+	// the headroom above the spill watermark.
 	Combiner CombineFunc
 	// PartialReduce, if set, replaces the convert and reduce phases: KVs are
 	// folded into a hash bucket as they arrive from the network, so the full
 	// KMV set never needs to be resident (Section III-C1). The job's
 	// ReduceFunc is not used when PartialReduce is set.
 	PartialReduce CombineFunc
-	// CombinerBudget bounds the KV compression bucket's memory in bytes.
-	// The paper's implementation delays the aggregate until the whole map
-	// output is compressed (its acknowledged third shortcoming, "we hope to
-	// improve it in a future version of Mimir"); with a budget, the bucket
-	// is drained into the send buffer and restarted whenever it outgrows
-	// the budget, interleaving compression with aggregation. Zero keeps the
-	// paper's delayed behavior; positive values are floored at two pages.
-	CombinerBudget int64
 	// Checkpoint, if set, persists each rank's post-aggregate state to the
 	// parallel file system and lets an identically configured re-run resume
 	// from it, skipping input, map, and aggregate (fault tolerance in the

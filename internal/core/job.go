@@ -37,8 +37,11 @@ type Job struct {
 	// the partial-reduction bucket.
 	recvKVC *kvbuf.KVC
 	prBkt   *kvbuf.Bucket
-	// cpsBkt is the KV compression bucket, when enabled.
-	cpsBkt *kvbuf.Bucket
+	// cpsBkt is the KV compression bucket, when enabled. cpsBudget is the
+	// bucket size past which it drains into the send buffer (0: never, so
+	// the aggregate waits for the whole map).
+	cpsBkt    *kvbuf.Bucket
+	cpsBudget int64
 
 	// Partition planning state. asn is the job's key→rank assignment (nil
 	// means legacy FNV-1a hashing). A planning partitioner stages early map
@@ -264,12 +267,20 @@ func (j *Job) mapAggregate(input Input, mapFn MapFunc) error {
 	}
 
 	// Optional KV compression bucket (Section III-C2): map output is folded
-	// here first; the aggregate is delayed until the map completes (or, with
-	// a CombinerBudget, until the bucket outgrows its budget).
+	// here first; the aggregate is delayed until the map completes. Under a
+	// spill policy on a capped arena the bucket cannot spill, so it lives in
+	// the headroom above the watermark, which up to p ranks may share, and
+	// drains whenever it outgrows its share. The budget is floored at two
+	// pages: below that the bucket would drain on every insert, defeating
+	// compression entirely.
 	if j.cfg.Combiner != nil {
 		j.cpsBkt, err = newBucketForJob(j)
 		if err != nil {
 			return err
+		}
+		if a := j.cfg.Arena; j.store != nil && a.Capacity() > 0 {
+			headroom := a.Capacity() - a.Watermark(spill.DefaultWatermark)
+			j.cpsBudget = max(headroom/int64(p), int64(2*j.cfg.PageSize))
 		}
 	}
 
@@ -352,15 +363,9 @@ func (e *mapEmitter) Emit(k, v []byte) error {
 		if err != nil {
 			return err
 		}
-		// Streaming compression: with a budget, spill the bucket into the
-		// aggregate pipeline instead of letting it grow with the map. The
-		// budget is floored at two pages — below that the bucket would
-		// drain on every insert, defeating compression entirely.
-		budget := j.cfg.CombinerBudget
-		if budget > 0 && budget < int64(2*j.cfg.PageSize) {
-			budget = int64(2 * j.cfg.PageSize)
-		}
-		if budget > 0 && j.cpsBkt.MemoryBytes() > budget {
+		// Streaming compression: with a budget, drain the bucket into the
+		// aggregate pipeline instead of letting it grow with the map.
+		if j.cpsBudget > 0 && j.cpsBkt.MemoryBytes() > j.cpsBudget {
 			if err := j.drainCombiner(); err != nil {
 				return err
 			}

@@ -65,6 +65,7 @@ func runWCSpill(t *testing.T, p int, lines []string, capacity int64, modify func
 		mu.Lock()
 		defer mu.Unlock()
 		stats.Spill.Add(out.Stats.Spill)
+		stats.MapOutKVs += out.Stats.MapOutKVs
 		return out.Scan(func(k, v []byte) error {
 			got[string(k)] += BytesUint64(v)
 			return nil
@@ -191,7 +192,6 @@ func TestSpillWithOptimizations(t *testing.T) {
 		"combiner": func(cfg *Config) {
 			cfg.OutOfCore = SpillWhenNeeded
 			cfg.Combiner = wcCombine
-			cfg.CombinerBudget = 8 << 10
 		},
 		"partial-reduce": func(cfg *Config) {
 			cfg.OutOfCore = SpillWhenNeeded

@@ -71,8 +71,6 @@ type JobConfig struct {
 	// fresh one at the same world size; the elastic job service
 	// repartitions wordcount checkpoints when the world resizes.
 	Checkpoint *core.Checkpoint
-	// CheckpointEvery thins the round-checkpoint cadence (multi-round jobs).
-	CheckpointEvery int
 	// OnRound, when non-nil, runs on every rank at each round boundary of a
 	// multi-round job — the job service's mid-iteration crash hook.
 	OnRound func(rank, round int) error
@@ -198,7 +196,7 @@ func (c JobConfig) RunRank(e workloads.Engine, fs *pfs.FS, out *bytes.Buffer) (w
 	if c.CPS {
 		opts.Combiner = k.cps
 	}
-	mr := workloads.MultiRound{Checkpoint: c.Checkpoint, CheckpointEvery: c.CheckpointEvery}
+	mr := workloads.MultiRound{Checkpoint: c.Checkpoint}
 	if c.OnRound != nil {
 		rank := e.Comm().Rank()
 		mr.OnRound = func(round int) error { return c.OnRound(rank, round) }

@@ -114,18 +114,16 @@ func TestJobConfigValidate(t *testing.T) {
 }
 
 // TestPageRankRoundCheckpointRepartition is the mid-iteration elasticity
-// check: a checkpointed PageRank writes one checkpoint per round (cadence
-// 2: odd rounds recompute); core.RepartitionCheckpoint then rewrites every
-// round's checkpoint for a smaller world, and a run at the new size
-// restores the even rounds, recomputes the odd ones at the new ownership,
-// and still produces byte-identical canonical output — per-vertex scores
-// are independent of which rank hosts them.
+// check: a checkpointed PageRank writes one checkpoint per round;
+// core.RepartitionCheckpoint then rewrites every round's checkpoint for a
+// smaller world, and a run at the new size restores every round and still
+// produces byte-identical canonical output — per-vertex scores are
+// independent of which rank hosts them.
 func TestPageRankRoundCheckpointRepartition(t *testing.T) {
 	fs := pfs.New(pfs.Config{Bandwidth: 1 << 30, Latency: 1e-4})
 	base := JobConfig{
 		Kind: JobPageRank, Scale: 7, Seed: 9, Hint: true, PR: true,
-		Checkpoint:      &core.Checkpoint{FS: fs, Name: "prjob"},
-		CheckpointEvery: 2,
+		Checkpoint: &core.Checkpoint{FS: fs, Name: "prjob"},
 	}
 	const oldSize, newSize = 4, 3
 	want, err := RunJob(testWorld(oldSize), base, nil)
@@ -137,25 +135,24 @@ func TestPageRankRoundCheckpointRepartition(t *testing.T) {
 	}
 
 	// Repartition every checkpoint the run left behind: the adjacency stage
-	// plus each checkpointed round.
-	repartitioned := 0
+	// plus one per round, from round 0 with no round skipped.
 	names := []string{"prjob.adj"}
-	for r := 0; r < 64; r++ {
-		names = append(names, fmt.Sprintf("prjob.r%d", r))
+	for r := 0; ; r++ {
+		name := fmt.Sprintf("prjob.r%d", r)
+		if ck := (core.Checkpoint{FS: fs, Name: name}); !ck.Exists(oldSize) {
+			break
+		}
+		names = append(names, name)
+	}
+	if rounds := len(names) - 1; rounds < 3 {
+		t.Fatalf("only %d consecutive round checkpoints found; every round should write one", rounds)
 	}
 	for _, name := range names {
 		ck := core.Checkpoint{FS: fs, Name: name}
-		if !ck.Exists(oldSize) {
-			continue
-		}
 		if _, err := core.RepartitionCheckpoint(fs, nil, ck, workloads.PageRankHint(),
 			oldSize, newSize, nil); err != nil {
 			t.Fatalf("repartition %s: %v", name, err)
 		}
-		repartitioned++
-	}
-	if repartitioned < 3 {
-		t.Fatalf("only %d checkpoints found; the cadence should have written several", repartitioned)
 	}
 
 	got, err := RunJob(testWorld(newSize), base, nil)

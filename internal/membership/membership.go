@@ -22,9 +22,7 @@
 package membership
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -67,43 +65,6 @@ type View struct {
 
 // Size returns the world size of the view.
 func (v View) Size() int { return len(v.Members) }
-
-// Encode serializes the view for the control plane.
-func (v View) Encode() []byte {
-	b, err := json.Marshal(v)
-	if err != nil { // a View of plain values cannot fail to marshal
-		panic("membership: encoding view: " + err.Error())
-	}
-	return b
-}
-
-// DecodeView parses an encoded view and validates its shape: dense ranks,
-// unique IDs, coordinator at rank 0.
-func DecodeView(b []byte) (View, error) {
-	var v View
-	if err := json.Unmarshal(b, &v); err != nil {
-		return View{}, fmt.Errorf("membership: decoding view: %w", err)
-	}
-	if err := v.validate(); err != nil {
-		return View{}, err
-	}
-	return v, nil
-}
-
-func (v View) validate() error {
-	seen := make(map[MemberID]bool, len(v.Members))
-	for i, m := range v.Members {
-		if m.Rank != i {
-			return fmt.Errorf("membership: view epoch %d: member %d holds rank %d at position %d (ranks must be dense)",
-				v.Epoch, m.ID, m.Rank, i)
-		}
-		if m.ID == 0 || seen[m.ID] {
-			return fmt.Errorf("membership: view epoch %d: member id %d at rank %d is zero or duplicated", v.Epoch, m.ID, m.Rank)
-		}
-		seen[m.ID] = true
-	}
-	return nil
-}
 
 // EventKind classifies membership events.
 type EventKind string
@@ -436,43 +397,4 @@ func (c *Coordinator) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]Event(nil), c.events...)
-}
-
-// EpochCount returns how many epochs have been committed (bootstrap
-// included) — the "expected epoch count" chaos assertions pin.
-func (c *Coordinator) EpochCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ev := range c.events {
-		if ev.Kind == EvEpoch || ev.Kind == EvBootstrap {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteEventsJSON writes the event log as one JSON document (the CI
-// membership-chaos artifact).
-func (c *Coordinator) WriteEventsJSON(w io.Writer) error {
-	c.mu.Lock()
-	evs := append([]Event(nil), c.events...)
-	view := c.view
-	c.mu.Unlock()
-	doc := struct {
-		View   View    `json:"view"`
-		Events []Event `json:"events"`
-	}{view, evs}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// Summarize folds the event log into per-kind counts (test assertions).
-func Summarize(evs []Event) map[EventKind]int {
-	m := make(map[EventKind]int)
-	for _, ev := range evs {
-		m[ev.Kind]++
-	}
-	return m
 }

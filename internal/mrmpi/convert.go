@@ -191,14 +191,6 @@ func (mr *MR) convertOutOfCore(out *store) error {
 	return nil
 }
 
-// Collate is MR-MPI's aggregate-then-convert convenience call.
-func (mr *MR) Collate() error {
-	if err := mr.Aggregate(); err != nil {
-		return err
-	}
-	return mr.Convert()
-}
-
 // Reduce runs the user reduce callback over the KMV records, producing a new
 // KV dataset (MR-MPI's reduce phase, 3 pages: KMV input, KV output, and one
 // scratch page). The output becomes the MR object's current KV data, ready

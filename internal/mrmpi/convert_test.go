@@ -74,7 +74,10 @@ func TestHotKeyOversizedKMVRecord(t *testing.T) {
 		if err := mr.Map(input, wcMap); err != nil {
 			return err
 		}
-		if err := mr.Collate(); err != nil {
+		if err := mr.Aggregate(); err != nil {
+			return err
+		}
+		if err := mr.Convert(); err != nil {
 			return err
 		}
 		if err := mr.Reduce(wcReduce); err != nil {
@@ -106,7 +109,10 @@ func TestHotKeyErrorModeFails(t *testing.T) {
 		if err := mr.Map(input, wcMap); err != nil {
 			return err
 		}
-		return mr.Collate()
+		if err := mr.Aggregate(); err != nil {
+			return err
+		}
+		return mr.Convert()
 	})
 	if !errors.Is(err, ErrPageOverflow) {
 		t.Fatalf("err = %v, want ErrPageOverflow", err)
@@ -167,7 +173,10 @@ func TestMultiCycleMapReduce(t *testing.T) {
 			if err := mr.Map(input, wcMap); err != nil {
 				return err
 			}
-			if err := mr.Collate(); err != nil {
+			if err := mr.Aggregate(); err != nil {
+				return err
+			}
+			if err := mr.Convert(); err != nil {
 				return err
 			}
 			if err := mr.Reduce(wcReduce); err != nil {
@@ -284,7 +293,10 @@ func TestOutOfCoreConvertManyPartitions(t *testing.T) {
 		if err := mr.Map(core.SliceInput(lines), wcMap); err != nil {
 			return err
 		}
-		if err := mr.Collate(); err != nil {
+		if err := mr.Aggregate(); err != nil {
+			return err
+		}
+		if err := mr.Convert(); err != nil {
 			return err
 		}
 		if err := mr.Reduce(wcReduce); err != nil {

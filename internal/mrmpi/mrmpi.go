@@ -152,37 +152,6 @@ func (e *storeEmitter) Emit(k, v []byte) error {
 	return e.dst.append(e.buf)
 }
 
-// MapKV re-maps the current KV data through a user callback, producing a
-// new KV dataset — MR-MPI's map(MapReduce*) variant for iterative jobs that
-// transform their own output. The old data is released once consumed.
-func (mr *MR) MapKV(mapFn core.MapFunc) error {
-	defer mr.phaseTimer(&mr.stats.Phases.Map)()
-	if mr.kv == nil {
-		return fmt.Errorf("mrmpi: MapKV before Map")
-	}
-	out, err := mr.newStore("kv")
-	if err != nil {
-		return err
-	}
-	em := &storeEmitter{mr: mr, dst: out}
-	err = mr.scanKV(func(k, v []byte) error {
-		mr.charge(float64(len(k)+len(v)) * mr.cfg.Costs.MapPerByte)
-		return mapFn(core.Record{Key: k, Val: v}, em)
-	})
-	if err != nil {
-		out.free()
-		return err
-	}
-	if err := out.finalize(); err != nil {
-		out.free()
-		return err
-	}
-	mr.stats.SpilledBytes += out.spilledBytes()
-	mr.kv.free()
-	mr.kv = out
-	return mr.comm.Barrier()
-}
-
 // Compress applies MR-MPI's local compression: KVs with the same key on this
 // rank are merged with the combiner before aggregation. MR-MPI charges two
 // scratch pages for the hash structures; the number of resident pages — and

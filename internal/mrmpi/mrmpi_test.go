@@ -211,7 +211,10 @@ func TestCompressReducesShuffleNotMemory(t *testing.T) {
 					return err
 				}
 			}
-			if err := mr.Collate(); err != nil {
+			if err := mr.Aggregate(); err != nil {
+				return err
+			}
+			if err := mr.Convert(); err != nil {
 				return err
 			}
 			if err := mr.Reduce(wcReduce); err != nil {
@@ -324,7 +327,10 @@ func TestSpillChargesIOTime(t *testing.T) {
 			if err := mr.Map(core.SliceInput(mine), wcMap); err != nil {
 				return err
 			}
-			if err := mr.Collate(); err != nil {
+			if err := mr.Aggregate(); err != nil {
+				return err
+			}
+			if err := mr.Convert(); err != nil {
 				return err
 			}
 			return mr.Reduce(wcReduce)

@@ -235,10 +235,6 @@ func (e *localEndpoint) Recv(src, tag int) (Message, error) {
 	return e.c.boxes[e.rank].get(src, tag)
 }
 
-func (e *localEndpoint) TryRecv(src, tag int) (Message, bool, error) {
-	return e.c.boxes[e.rank].tryGet(src, tag)
-}
-
 func (e *localEndpoint) Exchange(send [][]byte, now float64) ([][]byte, float64, error) {
 	if send != nil && len(send) != e.c.l.size {
 		return nil, 0, fmt.Errorf("transport: exchange send has %d entries, world size is %d", len(send), e.c.l.size)

@@ -64,19 +64,3 @@ func (b *mailbox) get(src, tag int) (Message, error) {
 		b.cond.Wait()
 	}
 }
-
-// tryGet is the non-blocking variant of get.
-func (b *mailbox) tryGet(src, tag int) (Message, bool, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.aborted {
-		return Message{}, false, b.abortEr
-	}
-	for i, m := range b.queue {
-		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
-			return m, true, nil
-		}
-	}
-	return Message{}, false, nil
-}

@@ -527,11 +527,6 @@ func (c *tcpChan) Recv(src, tag int) (Message, error) {
 	return c.mbox.get(src, tag)
 }
 
-// TryRecv implements Endpoint on this channel.
-func (c *tcpChan) TryRecv(src, tag int) (Message, bool, error) {
-	return c.mbox.tryGet(src, tag)
-}
-
 // Exchange implements Endpoint on this channel: scatter this rank's
 // contributions over the mesh, then gather one contribution per peer for
 // the same collective call. The SPMD contract holds per channel — each
@@ -1150,11 +1145,6 @@ func (t *TCP) Send(dst, tag int, data []byte, now float64) error {
 // Recv implements Endpoint on the default channel.
 func (t *TCP) Recv(src, tag int) (Message, error) {
 	return t.ch0.Recv(src, tag)
-}
-
-// TryRecv implements Endpoint on the default channel.
-func (t *TCP) TryRecv(src, tag int) (Message, bool, error) {
-	return t.ch0.TryRecv(src, tag)
 }
 
 // Exchange implements Endpoint on the default channel: scatter this rank's

@@ -89,9 +89,6 @@ type Endpoint interface {
 	// order, honoring the AnySource/AnyTag wildcards (-1).
 	Recv(src, tag int) (Message, error)
 
-	// TryRecv claims a matching message if one has already arrived.
-	TryRecv(src, tag int) (Message, bool, error)
-
 	// Exchange is the collective primitive: send[i] is delivered to rank i
 	// and recv[i] holds what rank i sent here. All ranks must call Exchange
 	// the same number of times in the same order (the SPMD contract). A nil

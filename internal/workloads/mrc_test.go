@@ -247,16 +247,15 @@ func TestKMeansConverges(t *testing.T) {
 	}
 }
 
-// TestRunRoundsCheckpointCadence pins the naming rule and the thinned
-// cadence: with CheckpointEvery=2 only even rounds carry a checkpoint.
+// TestRunRoundsCheckpointCadence pins the naming rule: every round carries
+// the checkpoint "<base>.r<N>".
 func TestRunRoundsCheckpointCadence(t *testing.T) {
 	base := &core.Checkpoint{Name: "job7"}
 	var seen []string
 	mrcWorld(t, 1, func(c *mpi.Comm, e *MimirEngine) error {
 		_, err := RunRounds(e, StageOpts{}, MultiRound{
-			MaxRounds:       5,
-			Checkpoint:      base,
-			CheckpointEvery: 2,
+			MaxRounds:  5,
+			Checkpoint: base,
 		}, func(round int, opts StageOpts) (int64, StageStats, error) {
 			name := "-"
 			if opts.Checkpoint != nil {
@@ -267,7 +266,7 @@ func TestRunRoundsCheckpointCadence(t *testing.T) {
 		})
 		return err
 	})
-	want := fmt.Sprint([]string{"job7.r0", "-", "job7.r2", "-", "job7.r4"})
+	want := fmt.Sprint([]string{"job7.r0", "job7.r1", "job7.r2", "job7.r3", "job7.r4"})
 	if fmt.Sprint(seen) != want {
 		t.Fatalf("cadence %v, want %v", seen, want)
 	}

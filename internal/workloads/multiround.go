@@ -17,13 +17,14 @@ import (
 // the data, every rank agrees on the round count without any extra
 // coordination, on every transport.
 //
-// Checkpoint cadence: a multi-round job cannot reuse one checkpoint name
-// across rounds (the second round would restore the first round's shuffle),
-// so MultiRound derives a per-round name "<base>.r<N>" and threads it
-// through StageOpts. A re-run then restores round after round, recomputing
-// votes from the restored post-shuffle data, and terminates after the same
-// number of rounds — which is what lets the elastic machinery repartition
-// every round's checkpoint onto a new world size mid-iteration.
+// Checkpoint naming: every round checkpoints. A multi-round job cannot
+// reuse one checkpoint name across rounds (the second round would restore
+// the first round's shuffle), so MultiRound derives a per-round name
+// "<base>.r<N>" and threads it through StageOpts. A re-run then restores
+// round after round, recomputing votes from the restored post-shuffle
+// data, and terminates after the same number of rounds — which is what
+// lets the elastic machinery repartition every round's checkpoint onto a
+// new world size mid-iteration.
 
 // MultiRound configures the shared round driver.
 type MultiRound struct {
@@ -39,11 +40,6 @@ type MultiRound struct {
 	// already present in the StageOpts passed to RunRounds is ignored — a
 	// single shared name across rounds would be wrong.
 	Checkpoint *core.Checkpoint
-	// CheckpointEvery thins the cadence: only rounds divisible by it write
-	// (or restore) a checkpoint; the rounds in between always recompute
-	// (<= 1 checkpoints every round). Restores still reproduce the original
-	// run because each round's input is state rebuilt from the prior round.
-	CheckpointEvery int
 	// OnRound is called on every rank at the top of each round, before the
 	// round's stage. It is the fault-injection seam: the job service's
 	// scripted mid-iteration crash (Spec.CrashRound) lives here.
@@ -93,10 +89,6 @@ func NamedCheckpoint(ck *core.Checkpoint, suffix string) *core.Checkpoint {
 // barrier that keeps them in lockstep.
 func RunRounds(e Engine, opts StageOpts, mr MultiRound, fn RoundFunc) (RoundResult, error) {
 	comm := e.Comm()
-	every := mr.CheckpointEvery
-	if every <= 1 {
-		every = 1
-	}
 	var res RoundResult
 	for round := 0; mr.MaxRounds <= 0 || round < mr.MaxRounds; round++ {
 		if mr.OnRound != nil {
@@ -105,10 +97,7 @@ func RunRounds(e Engine, opts StageOpts, mr MultiRound, fn RoundFunc) (RoundResu
 			}
 		}
 		ropts := opts
-		ropts.Checkpoint = nil
-		if mr.Checkpoint != nil && round%every == 0 {
-			ropts.Checkpoint = RoundCheckpoint(mr.Checkpoint, round)
-		}
+		ropts.Checkpoint = RoundCheckpoint(mr.Checkpoint, round)
 		vote, stats, err := fn(round, ropts)
 		if err != nil {
 			return res, err
